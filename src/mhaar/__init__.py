@@ -16,7 +16,7 @@ graphs at 1024 vertices by default; set MHAAR_MAX_VERTICES to raise it.
 """
 
 from .autos import (AutResult, Verdict, aut_order, automorphism_group,
-                    automorphisms, brute_force_aut_order, is_m_hgr, is_m_pgsr)
+                    brute_force_aut_order, is_m_hgr, is_m_pgsr)
 from .catalog import (CatalogEntry, asymmetric_regular_graph, build_entry,
                       entries, hgr_entry, lift_base_entry, matrix_from_graph)
 from .cayley import (CayleyError, ConnectionMatrix, HaarVerdict, build_graph,
@@ -31,8 +31,8 @@ from .groups import (CapacityError, Group, GroupError, cyclic, dihedral,
 from .lift import LiftError, lift_base
 from .report import (CertificateCheck, certificate_json, emit,
                      load_certificate, make_certificate,
-                     nonexistence_certificate, reverify, reverify_certificate,
-                     search_certificate, write_certificate)
+                     nonexistence_certificate, reverify, search_certificate,
+                     write_certificate)
 from .search import (SearchReport, c1_regular_asymmetric_scan,
                      decide_existence, space_size)
 
@@ -44,7 +44,7 @@ __all__ = [
     "HGR_MIN_PARTS", "HaarVerdict", "LiftError", "SearchReport",
     "SynthesisError", "SynthesisResult", "Verdict",
     "asymmetric_regular_graph", "aut_order", "automorphism_group",
-    "automorphisms", "brute_force_aut_order", "build_entry", "build_graph",
+    "brute_force_aut_order", "build_entry", "build_graph",
     "c1_regular_asymmetric_scan", "certificate_json", "cyclic",
     "decide_existence", "dihedral", "elem_abelian", "emit", "entries",
     "from_edgelist", "from_graph6", "generic_base", "generic_hgr",
@@ -52,7 +52,7 @@ __all__ = [
     "lift_base", "lift_base_entry", "load_certificate", "load_group",
     "load_matrix", "make_certificate", "matrix_from_graph",
     "nonexistence_certificate", "nonexistence_clause", "parse_group_spec",
-    "product", "reverify", "reverify_certificate", "right_translation",
+    "product", "reverify", "right_translation",
     "search_certificate", "space_size", "synthesize", "to_edgelist",
     "to_graph6", "write_certificate", "__version__",
 ]

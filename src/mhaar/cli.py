@@ -28,7 +28,7 @@ from .formats import from_edgelist, from_graph6, to_edgelist, to_graph6
 from .groups import CapacityError, GroupError, parse_group_spec
 from .lift import LiftError
 from .report import (certificate_json, load_certificate, reverify,
-                     search_certificate, write_certificate)
+                     write_certificate)
 from .search import decide_existence
 
 EXIT_OK = 0
@@ -59,22 +59,22 @@ def _cmd_synthesize(args) -> int:
         return EXIT_BOUNDARY
     res = synthesize(group, args.m, verify=not args.no_verify, seed=args.seed)
     print(res, file=sys.stderr)
-    if not res.exists:
-        sys.stdout.write(certificate_json(res))
-        return EXIT_NEGATIVE
-    cm = res.matrix
-    print(f"parts: {cm.m}, vertices: {cm.m * group.order}, "
-          f"valencies: {cm.valencies()}", file=sys.stderr)
-    if args.no_verify:
+    text = None
+    if res.exists:
+        cm = res.matrix
+        print(f"parts: {cm.m}, vertices: {cm.m * group.order}, "
+              f"valencies: {cm.valencies()}", file=sys.stderr)
+    if res.exists and args.no_verify:
         print("verification skipped, no certificate emitted", file=sys.stderr)
     else:
-        sys.stdout.write(certificate_json(res))
-    if args.out:
+        text = certificate_json(res)
+        sys.stdout.write(text)
+    if res.exists and args.out:
         _write_witness(cm, args.out, args.format)
     if args.certificate:
-        write_certificate(res, args.certificate)
+        write_certificate(text or res, args.certificate)
         print(f"certificate written to {args.certificate}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if res.exists else EXIT_NEGATIVE
 
 
 def _cmd_verify(args) -> int:
@@ -106,10 +106,7 @@ def _cmd_search(args) -> int:
         if args.out:
             _write_witness(rep.witness, args.out, "json")
     if args.certificate and (rep.exists or rep.exhausted):
-        cert = search_certificate(rep, group)
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2)
-            fh.write("\n")
+        write_certificate(rep, args.certificate, group=group)
         print(f"certificate written to {args.certificate}")
     return EXIT_OK if rep.exists else EXIT_NEGATIVE
 

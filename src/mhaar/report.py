@@ -182,12 +182,17 @@ def certificate_json(outcome, **kw) -> str:
     return json.dumps(emit(outcome, **kw), indent=2) + "\n"
 
 
-def write_certificate(outcome, path: str, **kw) -> dict:
-    cert = emit(outcome, **kw)
+def write_certificate(outcome, path: str, **kw) -> str:
+    """Write the certificate of `outcome` to path and return its JSON text.
+
+    A str outcome is taken as certificate text already built by
+    certificate_json, so a caller that printed it writes the same bytes
+    without recomputing the evidence.
+    """
+    text = outcome if isinstance(outcome, str) else certificate_json(outcome, **kw)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert, fh, indent=2)
-        fh.write("\n")
-    return cert
+        fh.write(text)
+    return text
 
 
 def load_certificate(path: str) -> dict:
@@ -339,6 +344,3 @@ def reverify(cert: Union[dict, str]) -> CertificateCheck:
         return _reverify_search(cert, group)
     except KeyError as e:
         return CertificateCheck(False, str(e.args[0]), "field missing")
-
-
-reverify_certificate = reverify

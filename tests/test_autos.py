@@ -2,18 +2,20 @@
 
 import itertools
 import random
+import sys
+from math import factorial
 
 import pytest
 
 from mhaar.autos import (
     BRUTE_FORCE_LIMIT,
     automorphism_group,
-    automorphisms,
     aut_order,
     brute_force_aut_order,
     is_m_hgr,
     is_m_pgsr,
 )
+from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.graphs import Graph
 from mhaar.groups import CapacityError, cyclic, elem_abelian
@@ -38,6 +40,18 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(v, v ^ (1 << i)) for v in range(n)
+                                for i in range(d) if v < v ^ (1 << i)])
+
+
+def disjoint_copies(graph, k):
+    n = graph.n
+    return Graph.from_edges(k * n, [(c * n + u, c * n + v) for c in range(k)
+                                    for u, v in graph.edges()])
 
 
 # -- known orders --------------------------------------------------------------
@@ -67,7 +81,6 @@ def test_known_aut_orders(name, graph, order):
 
 def test_aut_order_shortcut():
     assert aut_order(petersen()) == 120
-    assert automorphisms is automorphism_group
 
 
 def test_path_orbits():
@@ -120,6 +133,76 @@ def test_capacity_env(monkeypatch):
         automorphism_group(petersen())
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
     assert automorphism_group(petersen()).order == 120
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("MHAAR_MAX_VERTICES", bad)
+        with pytest.raises(ValueError, match="MHAAR_MAX_VERTICES"):
+            automorphism_group(petersen())
+
+
+def test_recursion_limit_restored():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # below what 256 vertices ask for
+    try:
+        assert automorphism_group(hypercube(8)).order == 2 ** 8 * factorial(8)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+# -- exact orders against closed forms and independent oracles ----------------
+
+
+LARGE = [
+    ("Q7", lambda: hypercube(7), 2 ** 7 * factorial(7)),
+    ("K40,60", lambda: complete_bipartite(40, 60), factorial(40) * factorial(60)),
+    ("K50,50", lambda: complete_bipartite(50, 50), 2 * factorial(50) ** 2),
+    ("10petersen", lambda: disjoint_copies(petersen(), 10),
+     120 ** 10 * factorial(10)),
+    ("E100", lambda: Graph(100), factorial(100)),
+    ("K100", lambda: complete(100), factorial(100)),
+]
+
+
+@pytest.mark.parametrize("name,make,order", LARGE, ids=[k[0] for k in LARGE])
+def test_large_closed_form_orders(name, make, order):
+    graph = make()
+    assert graph.n >= 100
+    res = automorphism_group(graph)
+    assert res.order == order
+    for p in res.generators:
+        assert all(graph.has_edge(p[u], p[v]) for u, v in graph.edges())
+
+
+def test_generators_generate_the_order_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    graphs = [hypercube(6), disjoint_copies(petersen(), 4),
+              complete_bipartite(5, 6)]
+    graphs += [build_graph(build_entry(entries(tag=tag, kind="hgr")[0]))
+               for tag in ("C6", "C2^3", "D6", "A4", "X27")]
+    for graph in graphs:
+        res = automorphism_group(graph)
+        perms = [combinatorics.Permutation(list(p)) for p in res.generators]
+        group = combinatorics.PermutationGroup(
+            perms or [combinatorics.Permutation(graph.n - 1)])
+        assert group.order() == res.order
+
+
+def test_order_matches_networkx_count():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(2409)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(10, 20)
+        p = rng.choice([0.1, 0.2, 0.5, 0.8, 0.9])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        order = automorphism_group(Graph.from_edges(n, edges)).order
+        if order > 5000:
+            continue
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(n))
+        assert sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter()) == order
+        checked += 1
 
 
 # -- structural verdicts -------------------------------------------------------

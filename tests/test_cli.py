@@ -94,12 +94,28 @@ def test_synthesize_output_formats(capsys, tmp_path):
 
 def test_synthesize_certificate_file(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
-    code, _, err = run(capsys, "synthesize", "--group", "C2^3", "-m", "3",
-                       "--certificate", str(cert_path))
+    code, out, err = run(capsys, "synthesize", "--group", "C2^3", "-m", "3",
+                         "--certificate", str(cert_path))
     assert code == EXIT_OK
     assert f"certificate written to {cert_path}" in err
+    assert cert_path.read_text() == out
     cert = json.loads(cert_path.read_text())
     assert cert["evidence"]["aut_order"] == 8
+
+    code, out, _ = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_OK
+    assert "certificate verifies" in out
+
+
+def test_synthesize_negative_certificate_file(capsys, tmp_path):
+    cert_path = tmp_path / "none.json"
+    code, out, err = run(capsys, "synthesize", "--group", "D6", "-m", "3",
+                         "--certificate", str(cert_path))
+    assert code == EXIT_NEGATIVE
+    assert f"certificate written to {cert_path}" in err
+    assert cert_path.read_text() == out
+    cert = json.loads(cert_path.read_text())
+    assert cert["kind"] == "nonexistence-classified"
 
     code, out, _ = run(capsys, "reverify", str(cert_path))
     assert code == EXIT_OK
@@ -280,6 +296,15 @@ def test_oracle_aut_generators_flag(capsys, tmp_path):
 def test_oracle_aut_missing_file(capsys):
     code, _, err = run(capsys, "oracle-aut", "/nonexistent/g.g6")
     assert code == EXIT_ERROR and "error:" in err
+
+
+def test_malformed_vertex_cap_env(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "g.g6"
+    path.write_text(petersen_g6() + "\n")
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "abc")
+    code, out, err = run(capsys, "oracle-aut", str(path))
+    assert code == EXIT_ERROR
+    assert "MHAAR_MAX_VERTICES" in err and out == ""
 
 
 def test_version_flag(capsys):
