@@ -1,24 +1,32 @@
 """Graph automorphism groups by individualization and refinement.
 
 The search keeps an ordered partition of the vertices, refined to
-equitability (cells split by neighbour counts against splitter cells,
-subcells ordered by count).  Non-discrete partitions branch on the
-first non-singleton cell.  The first leaf fixes a reference ordering;
-every later leaf proposes the map carrying the reference ordering to
-its own, which is accepted only if it verifiably preserves adjacency.
+equitability: each splitter on the worklist splits every cell by the
+neighbour counts of its vertices in the splitter, subcells ordered by
+count, and every fragment joins the worklist.  A splitter only reaches
+the cells that hold its neighbours, so the rest are never counted: a
+splitter with no neighbour in a non-singleton cell is skipped, in a hit
+cell the vertices outside the neighbourhood go straight to count 0, and
+a singleton splitter splits a cell with one AND.  Refinement stops as
+soon as the partition is discrete (McKay 1981; McKay & Piperno 2014).
+Non-discrete partitions branch on the first non-singleton cell.  The
+first leaf fixes a reference ordering; every later leaf proposes the
+map carrying the reference ordering to its own, which is accepted only
+if it verifiably preserves adjacency.
 
 The tree is searched depth first and every accepted generator unwinds
 the search to the first-path node it branched from, so while level d of
 the first path is explored, every generator found so far fixes the
-first d branch vertices.  Their orbits therefore prune the children at
-that level directly, each generator found maps the first-path vertex
+first d branch vertices.  The orbits of the generators found so far are
+kept in a union-find, merged in place as each generator is accepted.
+A child at a first-path level is pruned when it shares an orbit with a
+child already tried, each generator found maps the first-path vertex
 outside its current orbit (so none is redundant), and once the level is
 done the orbit of its first-path vertex has the size of the stabilizer
 index at that level.  The exact group order is the product of these
-first-path orbit sizes (McKay 1981; McKay & Piperno 2014).  Subtrees
-are pruned when their refinement-trace invariant differs from the first
-path's at the same depth; equal hashes are always explored, so a hash
-collision costs time, never soundness.
+first-path orbit sizes.  Subtrees are pruned when their refinement-trace
+invariant differs from the first path's at the same depth; equal hashes
+are always explored, so a hash collision costs time, never soundness.
 
 Vertex colourings are derived from the graph alone (degree and triangle
 count per vertex), so results are label-independent.
@@ -29,7 +37,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import AbstractSet, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cayley import ConnectionMatrix, build_graph, is_m_haar
 from .graphs import Graph
@@ -62,7 +70,10 @@ def _hmix(h: int, x: int) -> int:
 
 
 def _is_automorphism(bits: list[int], p: Sequence[int]) -> bool:
+    # a pair of fixed points keeps its adjacency, so only moved rows matter
     for u, row in enumerate(bits):
+        if p[u] == u:
+            continue
         image = 0
         b = row
         while b:
@@ -79,33 +90,68 @@ def _is_automorphism(bits: list[int], p: Sequence[int]) -> bool:
 
 def _refine(bits: list[int], cells: list[int], worklist: list[int], h: int) -> int:
     """Refine cells in place to equitability; returns the updated trace hash."""
+    n = len(bits)
     wl = list(worklist)
     qi = 0
-    while qi < len(wl):
+    # vertices of the non-singleton cells, the only ones a splitter can
+    # move; collected when the first splitter with neighbours comes up
+    free = -1
+    while qi < len(wl) and len(cells) < n:
         splitter = wl[qi]
         qi += 1
-        ci = 0
-        while ci < len(cells):
+        single = not splitter & (splitter - 1)
+        if single:
+            touched = bits[splitter.bit_length() - 1]
+        else:
+            touched = 0
+            b = splitter
+            while b:
+                low = b & -b
+                touched |= bits[low.bit_length() - 1]
+                b ^= low
+        if not touched:
+            continue
+        if free < 0:
+            # the cells are disjoint, so their sum is their union
+            free = sum(c for c in cells if c & (c - 1))
+        touched &= free
+        if not touched:
+            continue
+        shift = 0
+        for ci in [i for i, c in enumerate(cells) if c & touched]:
+            ci += shift
             cell = cells[ci]
-            if cell.bit_count() > 1:
-                buckets: dict[int, int] = {}
-                b = cell
+            hit = cell & touched
+            rest = cell ^ hit
+            if single:
+                # counts are 0 (rest) and 1 (hit)
+                if not rest:
+                    continue
+                buckets = {0: rest, 1: hit}
+            else:
+                buckets = {0: rest} if rest else {}
+                b = hit
                 while b:
                     low = b & -b
                     cnt = (bits[low.bit_length() - 1] & splitter).bit_count()
                     buckets[cnt] = buckets.get(cnt, 0) | low
                     b ^= low
-                if len(buckets) > 1:
-                    counts = sorted(buckets)
-                    parts = [buckets[c] for c in counts]
-                    cells[ci : ci + 1] = parts
-                    h = _hmix(h, ci)
-                    for c in counts:
-                        h = _hmix(h, c)
-                        h = _hmix(h, buckets[c].bit_count())
-                    wl.extend(parts)
-                    ci += len(parts) - 1
-            ci += 1
+                if len(buckets) == 1:
+                    continue
+            counts = sorted(buckets)
+            parts = [buckets[c] for c in counts]
+            cells[ci : ci + 1] = parts
+            h = _hmix(h, ci)
+            for c in counts:
+                h = _hmix(h, c)
+                h = _hmix(h, buckets[c].bit_count())
+            if len(cells) == n:
+                return h
+            for part in parts:
+                if not part & (part - 1):
+                    free ^= part
+            wl.extend(parts)
+            shift += len(parts) - 1
     return h
 
 
@@ -135,42 +181,39 @@ class AutResult:
         return self.order == 1
 
 
-def _orbits_of(n: int, gens: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    parent = list(range(n))
+class _Orbits:
+    """Union-find over the vertices, merged by each accepted generator."""
 
-    def find(x: int) -> int:
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for g in gens:
-        for v, w in enumerate(g):
-            rv, rw = find(v), find(w)
+    def add(self, perm: Sequence[int]) -> None:
+        for v, w in enumerate(perm):
+            rv, rw = self.find(v), self.find(w)
             if rv != rw:
-                parent[rw] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in groups.values())
+                if self.size[rv] < self.size[rw]:
+                    rv, rw = rw, rv
+                self.parent[rw] = rv
+                self.size[rv] += self.size[rw]
 
+    def orbit_size(self, v: int) -> int:
+        return self.size[self.find(v)]
 
-def _orbit(v: int, gens: Sequence[tuple[int, ...]],
-           stop: AbstractSet[int] = frozenset()) -> Optional[set[int]]:
-    """Orbit of v under gens, or None as soon as it reaches a vertex in stop."""
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g[x]
-            if y in seen:
-                continue
-            if y in stop:
-                return None
-            seen.add(y)
-            frontier.append(y)
-    return seen
+    def orbits(self) -> list[tuple[int, ...]]:
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v), []).append(v)
+        return sorted(tuple(vs) for vs in groups.values())
 
 
 class _Jump(Exception):
@@ -218,6 +261,7 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
 
     identity = tuple(range(n))
     found: list[tuple[int, ...]] = []
+    orbits = _Orbits(n)
     first_leaf: Optional[list[int]] = None
     first_invs: list[int] = []
     first_branch: list[int] = []
@@ -247,11 +291,12 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
             sigma = tuple(sigma_l)
             if sigma != identity and _is_automorphism(bits, sigma):
                 found.append(sigma)
+                orbits.add(sigma)
                 raise _Jump(anchor)
             return
 
         cell = cells[target]
-        tried: set[int] = set()
+        tried: list[int] = []
         b = cell
         while b:
             low = b & -b
@@ -259,8 +304,10 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
             b ^= low
             if on_first and first_leaf is None:
                 first_branch.append(v)
-            elif on_first and _orbit(v, found, tried) is None:
-                continue
+            elif on_first:
+                root = orbits.find(v)
+                if any(orbits.find(t) == root for t in tried):
+                    continue
             child = list(cells)
             child[target : target + 1] = [low, cell ^ low]
             ch = _hmix(h, target)
@@ -269,7 +316,7 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
             child_first = on_first and first_leaf is None
             if not child_first and first_leaf is not None:
                 if depth + 1 >= len(first_invs) or ch != first_invs[depth + 1]:
-                    tried.add(v)
+                    tried.append(v)
                     continue
             try:
                 recurse(child, ch, depth + 1,
@@ -277,11 +324,11 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
             except _Jump as jp:
                 if jp.depth != depth:
                     raise
-            tried.add(v)
+            tried.append(v)
         if on_first:
             # every generator so far fixes first_branch[:depth], and the
             # level is exhausted: this orbit is the stabilizer index here
-            order *= len(_orbit(first_branch[depth], found))
+            order *= orbits.orbit_size(first_branch[depth])
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * n + 200))
@@ -289,7 +336,7 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
         recurse(cells, h0, 0, True, 0)
     finally:
         sys.setrecursionlimit(limit)
-    return AutResult(order, found, _orbits_of(n, found), nodes)
+    return AutResult(order, found, orbits.orbits(), nodes)
 
 
 def aut_order(graph: Graph) -> int:

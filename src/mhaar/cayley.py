@@ -105,11 +105,19 @@ class ConnectionMatrix:
         out += [(i, i, s) for i, s in self._diag.items()]
         return sorted(out)
 
-    def valency(self, i: int) -> int:
-        return sum(len(self.block(i, j)) for j in range(1, self.m + 1))
-
     def valencies(self) -> tuple[int, ...]:
-        return tuple(self.valency(i) for i in range(1, self.m + 1))
+        """Row sums of the block sizes, from the stored blocks only.
+
+        |T[j][i]| = |T[i][j]^-1| = |T[i][j]|, so each upper block counts
+        for both of its parts.
+        """
+        vals = [0] * (self.m + 1)
+        for (i, j), s in self._upper.items():
+            vals[i] += len(s)
+            vals[j] += len(s)
+        for i, s in self._diag.items():
+            vals[i] += len(s)
+        return tuple(vals[1:])
 
     def is_regular(self) -> bool:
         return len(set(self.valencies())) <= 1

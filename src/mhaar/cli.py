@@ -71,8 +71,11 @@ def _cmd_synthesize(args) -> int:
         sys.stdout.write(text)
     if res.exists and args.out:
         _write_witness(cm, args.out, args.format)
-    if args.certificate:
-        write_certificate(text or res, args.certificate)
+    if args.certificate and text is None:
+        print(f"certificate not written to {args.certificate}: verification skipped",
+              file=sys.stderr)
+    elif args.certificate:
+        write_certificate(text, args.certificate)
         print(f"certificate written to {args.certificate}", file=sys.stderr)
     return EXIT_OK if res.exists else EXIT_NEGATIVE
 

@@ -98,9 +98,6 @@ class Graph:
     def triangle_counts(self) -> list[int]:
         return [self.triangle_count(v) for v in range(self.n)]
 
-    def has_triangle_through(self, v: int) -> bool:
-        return any((self.bits[v] & self.bits[u]) for u in self.neighbors(v))
-
     def relabeled(self, perm: list[int]) -> "Graph":
         """Graph with vertex v renamed perm[v]."""
         g = Graph(self.n)

@@ -166,7 +166,7 @@ def lift_base(base: ConnectionMatrix, m: int,
     if check_base:
         bg = build_graph(base)
         for v in range(bg.n):
-            if not bg.has_triangle_through(v):
+            if not bg.on_triangle(v):
                 raise LiftError(
                     f"base violates the triangle hypothesis: vertex {v} "
                     "is on no triangle")

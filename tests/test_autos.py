@@ -9,6 +9,8 @@ import pytest
 
 from mhaar.autos import (
     BRUTE_FORCE_LIMIT,
+    _hmix,
+    _refine,
     automorphism_group,
     aut_order,
     brute_force_aut_order,
@@ -20,7 +22,7 @@ from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.graphs import Graph
 from mhaar.groups import CapacityError, cyclic, elem_abelian
 
-from conftest import random_matrix
+from conftest import battery_groups, random_matrix
 
 
 def cycle(n):
@@ -149,6 +151,75 @@ def test_recursion_limit_restored():
         sys.setrecursionlimit(before)
 
 
+# -- refinement against the full-scan reference -------------------------------
+
+
+def _refine_full_scan(bits, cells, worklist, h):
+    """The refinement before splitters were limited to the cells they
+    touch: every splitter counts every vertex of every non-singleton cell."""
+    wl = list(worklist)
+    qi = 0
+    while qi < len(wl):
+        splitter = wl[qi]
+        qi += 1
+        ci = 0
+        while ci < len(cells):
+            cell = cells[ci]
+            if cell.bit_count() > 1:
+                buckets = {}
+                b = cell
+                while b:
+                    low = b & -b
+                    cnt = (bits[low.bit_length() - 1] & splitter).bit_count()
+                    buckets[cnt] = buckets.get(cnt, 0) | low
+                    b ^= low
+                if len(buckets) > 1:
+                    counts = sorted(buckets)
+                    parts = [buckets[c] for c in counts]
+                    cells[ci : ci + 1] = parts
+                    h = _hmix(h, ci)
+                    for c in counts:
+                        h = _hmix(h, c)
+                        h = _hmix(h, buckets[c].bit_count())
+                    wl.extend(parts)
+                    ci += len(parts) - 1
+            ci += 1
+    return h
+
+
+def test_refine_matches_full_scan():
+    rng = random.Random(4242)
+    groups = battery_groups()
+    names = sorted(groups)
+    for trial in range(200):
+        if trial % 2:
+            cm = random_matrix(groups[rng.choice(names)], rng.randint(2, 4), rng,
+                               diagonal=rng.random() < 0.5, density=rng.random())
+            graph = build_graph(cm)
+        else:
+            n = rng.randint(1, 40)
+            p = rng.random()
+            graph = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < p])
+        n = graph.n
+        k = rng.randint(1, min(n, 4))
+        label = [rng.randrange(k) for _ in range(n)]
+        cells = [sum(1 << v for v in range(n) if label[v] == c) for c in range(k)]
+        cells = [c for c in cells if c]
+        rng.shuffle(cells)
+        kind = trial % 3
+        if kind == 0:
+            worklist = list(cells)
+        elif kind == 1:
+            worklist = [1 << rng.randrange(n)]
+        else:
+            worklist = [rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 3))]
+        h = rng.getrandbits(64)
+        ours, ref = list(cells), list(cells)
+        assert _refine(graph.bits, ours, worklist, h) == \
+            _refine_full_scan(graph.bits, ref, worklist, h)
+        assert ours == ref
+
 # -- exact orders against closed forms and independent oracles ----------------
 
 
@@ -160,6 +231,7 @@ LARGE = [
      120 ** 10 * factorial(10)),
     ("E100", lambda: Graph(100), factorial(100)),
     ("K100", lambda: complete(100), factorial(100)),
+    ("E200", lambda: Graph(200), factorial(200)),
 ]
 
 

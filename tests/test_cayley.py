@@ -80,6 +80,19 @@ def test_valencies_count_all_blocks():
             assert graph.degree(i * n + x) == cm.valencies()[i]
 
 
+
+def test_valencies_match_block_sums():
+    # the stored-block shortcut against the definition: row sums of |T[i][j]|
+    rng = random.Random(31)
+    groups = battery_groups()
+    for name in sorted(groups):
+        for m in (2, 3, 5):
+            cm = random_matrix(groups[name], m, rng, diagonal=True,
+                               density=rng.choice([0.2, 0.5, 0.8]))
+            assert cm.valencies() == tuple(
+                sum(len(cm.block(i, j)) for j in range(1, m + 1))
+                for i in range(1, m + 1))
+
 def test_right_translation_is_automorphism():
     rng = random.Random(17)
     for g in (cyclic(6), dihedral(6), elem_abelian(3, 2)):

@@ -71,6 +71,24 @@ def test_synthesize_no_verify(capsys):
     assert "verification skipped" in err
 
 
+
+def test_synthesize_no_verify_writes_no_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "synthesize", "--group", "C6", "-m", "3",
+                         "--no-verify", "--certificate", str(cert_path))
+    assert code == EXIT_OK
+    assert out == ""
+    assert f"certificate not written to {cert_path}" in err
+    assert "certificate written" not in err
+    assert not cert_path.exists()
+
+    # a classified negative still writes its certificate
+    code, out, err = run(capsys, "synthesize", "--group", "D6", "-m", "3",
+                         "--no-verify", "--certificate", str(cert_path))
+    assert code == EXIT_NEGATIVE
+    assert cert_path.read_text() == out
+    assert json.loads(out)["kind"] == "nonexistence-classified"
+
 def test_synthesize_output_formats(capsys, tmp_path):
     target = tmp_path / "w.json"
     code, _, err = run(capsys, "synthesize", "--group", "C6", "-m", "3",
