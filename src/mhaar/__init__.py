@@ -6,8 +6,12 @@ this package can
 * build an m-part Haar graph realizing G as the full automorphism group
   whenever one exists, and name the obstruction when none does
   (:func:`synthesize`),
-* certify a candidate connection matrix (:func:`is_m_hgr`,
-  :func:`is_m_pgsr`, :func:`make_certificate`),
+* certify a candidate connection matrix: :func:`evidence` runs the
+  engine once and collects what a certificate records, and
+  :func:`check_claim` is the one claim check (empty diagonal, regular
+  for an HGR, |Aut| = |G|, orbits are the parts) behind
+  :func:`is_m_hgr`, :func:`is_m_pgsr`, :func:`make_certificate` and
+  :func:`reverify`,
 * exhaustively enumerate all m-part Haar graphs over small groups to
   decide existence from scratch (:func:`decide_existence`).
 
@@ -15,11 +19,12 @@ Everything runs on the standard library.  The automorphism engine caps
 graphs at 1024 vertices by default; set MHAAR_MAX_VERTICES to raise it.
 """
 
-from .autos import (AutResult, Verdict, aut_order, automorphism_group,
-                    brute_force_aut_order, is_m_hgr, is_m_pgsr)
+from .autos import (AutResult, Evidence, automorphism_group,
+                    brute_force_aut_order, check_claim, evidence, is_m_hgr,
+                    is_m_pgsr)
 from .catalog import (CatalogEntry, asymmetric_regular_graph, build_entry,
                       entries, hgr_entry, lift_base_entry, matrix_from_graph)
-from .cayley import (CayleyError, ConnectionMatrix, HaarVerdict, build_graph,
+from .cayley import (CayleyError, ConnectionMatrix, Verdict, build_graph,
                      is_m_haar, load_matrix, right_translation)
 from .constructions import (HGR_MIN_PARTS, SynthesisError, SynthesisResult,
                             generic_base, generic_hgr, has_m_hgr,
@@ -40,15 +45,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutResult", "CapacityError", "CatalogEntry", "CayleyError",
-    "CertificateCheck", "ConnectionMatrix", "Graph", "Group", "GroupError",
-    "HGR_MIN_PARTS", "HaarVerdict", "LiftError", "SearchReport",
+    "CertificateCheck", "ConnectionMatrix", "Evidence", "Graph", "Group",
+    "GroupError", "HGR_MIN_PARTS", "LiftError", "SearchReport",
     "SynthesisError", "SynthesisResult", "Verdict",
-    "asymmetric_regular_graph", "aut_order", "automorphism_group",
+    "asymmetric_regular_graph", "automorphism_group",
     "brute_force_aut_order", "build_entry", "build_graph",
-    "c1_regular_asymmetric_scan", "certificate_json", "cyclic",
-    "decide_existence", "dihedral", "elem_abelian", "emit", "entries",
-    "from_edgelist", "from_graph6", "generic_base", "generic_hgr",
-    "has_m_hgr", "hgr_entry", "is_m_haar", "is_m_hgr", "is_m_pgsr",
+    "c1_regular_asymmetric_scan", "certificate_json", "check_claim",
+    "cyclic", "decide_existence", "dihedral", "elem_abelian", "emit",
+    "entries", "evidence", "from_edgelist", "from_graph6", "generic_base",
+    "generic_hgr", "has_m_hgr", "hgr_entry", "is_m_haar", "is_m_hgr", "is_m_pgsr",
     "lift_base", "lift_base_entry", "load_certificate", "load_group",
     "load_matrix", "make_certificate", "matrix_from_graph",
     "nonexistence_certificate", "nonexistence_clause", "parse_group_spec",

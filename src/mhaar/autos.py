@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
-from .cayley import ConnectionMatrix, build_graph, is_m_haar
+from .cayley import ConnectionMatrix, Verdict, build_graph, is_m_haar
 from .graphs import Graph
 from .groups import CapacityError
 
@@ -339,10 +339,6 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
     return AutResult(order, found, orbits.orbits(), nodes)
 
 
-def aut_order(graph: Graph) -> int:
-    return automorphism_group(graph).order
-
-
 # old name, no longer exported; perfbench/test_perfbench.py still checks
 # that tracing restores it, so it goes when that test next changes
 automorphisms = automorphism_group
@@ -394,46 +390,73 @@ def brute_force_aut_order(graph: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:
     return count
 
 
-# -- verdicts ------------------------------------------------------------------
+# -- the claim check -----------------------------------------------------------
+
+CLAIM_KINDS = ("hgr", "pgsr")
 
 
-@dataclass
-class Verdict:
-    """Outcome of a structural check, with the first failure spelled out."""
+@dataclass(repr=False, eq=False)  # keeps a Verdict's repr short
+class Evidence:
+    """What a witness certificate records about a connection matrix."""
 
-    ok: bool
-    aut_order: Optional[int]
-    reason: str = ""
-    valencies: tuple[int, ...] = field(default_factory=tuple)
+    matrix: ConnectionMatrix
+    graph: Graph
+    aut: AutResult
+    fields: dict  # the nine certificate evidence entries, in order
 
-    def __bool__(self) -> bool:
-        return self.ok
+
+def evidence(cm: ConnectionMatrix) -> Evidence:
+    """Build the graph, run the engine once, and collect the evidence."""
+    graph = build_graph(cm)
+    aut = automorphism_group(graph)
+    n = cm.group.order
+    # the engine lists orbits as sorted tuples in sorted order
+    parts = [tuple(range(i * n, (i + 1) * n)) for i in range(cm.m)]
+    return Evidence(cm, graph, aut, {
+        "aut_order": aut.order,
+        "group_order": n,
+        "vertices": graph.n,
+        "edges": graph.edge_count(),
+        "valencies": list(cm.valencies()),
+        "regular": cm.is_regular(),
+        "diagonal_empty": cm.diagonal_empty(),
+        "connected": graph.is_connected(),
+        "orbits_are_parts": aut.orbits == parts,
+    })
+
+
+def check_claim(witness: Union[ConnectionMatrix, Evidence], kind: str) -> Verdict:
+    """The claim `kind` about a matrix, checked in order; the first failure wins.
+
+    "hgr": empty diagonal, regular, |Aut| = |G|, the parts are the
+    orbits; "pgsr" skips regular.  The engine runs only after the
+    structural checks pass, and not at all when given earlier Evidence.
+    """
+    if kind not in CLAIM_KINDS:
+        raise ValueError(f"kind must be one of {CLAIM_KINDS}, got {kind!r}")
+    given = isinstance(witness, Evidence)
+    cm = witness.matrix if given else witness
+    haar = is_m_haar(cm)
+    # a pgsr claim leaves the valencies free
+    if not haar and not (kind == "pgsr" and haar.field == "evidence.regular"):
+        return haar
+    ev = witness if given else evidence(cm)
+    order, n = ev.aut.order, cm.group.order
+    if order != n:
+        return Verdict(False, order, f"automorphism group has order {order}, "
+                       f"group has order {n}", "evidence.aut_order", ev)
+    if not ev.fields["orbits_are_parts"]:
+        return Verdict(False, order, "vertex orbits do not coincide with the parts",
+                       "evidence.orbits_are_parts", ev)
+    return Verdict(True, order, evidence=ev)
 
 
 def is_m_hgr(cm: ConnectionMatrix) -> Verdict:
     """Regular, diagonal-free, and the graph's full group is as small as
     the right translations force it to be: |Aut| equals the group order."""
-    haar = is_m_haar(cm)
-    vals = cm.valencies()
-    if not haar:
-        return Verdict(False, None, haar.reason, vals)
-    aut = automorphism_group(build_graph(cm))
-    if aut.order != cm.group.order:
-        return Verdict(False, aut.order,
-                       f"automorphism group has order {aut.order}, "
-                       f"group has order {cm.group.order}", vals)
-    return Verdict(True, aut.order, "", vals)
+    return check_claim(cm, "hgr")
 
 
 def is_m_pgsr(cm: ConnectionMatrix) -> Verdict:
     """Diagonal-free with |Aut| equal to the group order; valencies free."""
-    vals = cm.valencies()
-    for i in range(1, cm.m + 1):
-        if cm.block(i, i):
-            return Verdict(False, None, f"diagonal block ({i}, {i}) is nonempty", vals)
-    aut = automorphism_group(build_graph(cm))
-    if aut.order != cm.group.order:
-        return Verdict(False, aut.order,
-                       f"automorphism group has order {aut.order}, "
-                       f"group has order {cm.group.order}", vals)
-    return Verdict(True, aut.order, "", vals)
+    return check_claim(cm, "pgsr")

@@ -13,10 +13,14 @@ is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from .graphs import Graph
 from .groups import Group, GroupError, parse_group_spec
+
+if TYPE_CHECKING:
+    from .autos import Evidence
 
 BlockInput = Union[Mapping[tuple[int, int], Iterable[int]],
                    Iterable[tuple[int, int, Iterable[int]]]]
@@ -239,28 +243,33 @@ def right_translation(cm_or_group: Union[ConnectionMatrix, Group], m_or_elem: in
 # -- structural checks -------------------------------------------------------
 
 
-class HaarVerdict:
-    __slots__ = ("ok", "reason")
+@dataclass
+class Verdict:
+    """Outcome of a claim check; a failure names its certificate field.
 
-    def __init__(self, ok: bool, reason: str = ""):
-        self.ok = ok
-        self.reason = reason
+    aut_order is None when no engine ran.  A check that ran the engine
+    keeps its evidence for the certificate (see autos.check_claim).
+    """
+
+    ok: bool
+    aut_order: Optional[int] = None
+    reason: str = ""
+    field: Optional[str] = None
+    evidence: Optional[Evidence] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
-    def __repr__(self) -> str:
-        return f"HaarVerdict(ok={self.ok}, reason={self.reason!r})"
 
-
-def is_m_haar(cm: ConnectionMatrix) -> HaarVerdict:
+def is_m_haar(cm: ConnectionMatrix) -> Verdict:
     """Empty diagonal plus equal part valencies; names the first violation."""
     for i in range(1, cm.m + 1):
         if cm.block(i, i):
-            return HaarVerdict(False, f"diagonal block ({i}, {i}) is nonempty")
+            return Verdict(False, reason=f"diagonal block ({i}, {i}) is nonempty",
+                           field="evidence.diagonal_empty")
     vals = cm.valencies()
     for i in range(1, cm.m):
         if vals[i] != vals[0]:
-            return HaarVerdict(
-                False, f"part {i + 1} has valency {vals[i]}, part 1 has {vals[0]}")
-    return HaarVerdict(True)
+            return Verdict(False, reason=f"part {i + 1} has valency {vals[i]}, "
+                           f"part 1 has {vals[0]}", field="evidence.regular")
+    return Verdict(True)

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .autos import Verdict, is_m_hgr
+from .autos import is_m_hgr
 from .catalog import (asymmetric_regular_graph, build_entry, entries,
                       lift_base_entry, matrix_from_graph)
-from .cayley import ConnectionMatrix
+from .cayley import ConnectionMatrix, Verdict
 from .groups import (Group, GroupError, identify_catalog_group,
                      minimal_generating_set, pair_with_order_ge4,
                      triple_with_order_ge3)
@@ -245,7 +245,9 @@ def synthesize(group: Group, m: int, verify: bool = True, seed: int = 0) -> Synt
     """Decide existence for (group, m) and construct a witness if any.
 
     verify=True re-checks the witness with the automorphism engine and
-    raises SynthesisError if it fails (which would be an internal bug).
+    raises SynthesisError if it fails (which would be an internal bug);
+    the result's verdict keeps the evidence, so its certificate does
+    not run the engine again.
     seed only affects the template route for groups of order 1 and 2.
     """
     _require_parts(m)

@@ -99,6 +99,7 @@ class LiftPlan:
     filler_small: frozenset[int]
     filler_large: frozenset[int]
     relaxed: bool
+    layout: dict  # chain_filler_layout(base_parts, m)
 
 
 def plan_lift(base: ConnectionMatrix, m: int,
@@ -108,11 +109,11 @@ def plan_lift(base: ConnectionMatrix, m: int,
     """Validate the base shape and resolve filler sets.
 
     Defaults are the lexicographically least subsets of the right size.
-    Every violated hypothesis is reported by name.
+    Every violated hypothesis is reported by name; the part count and
+    the target m come first, before the base graph is built.
     """
     b = base.m
-    if b not in VALID_BASE_PARTS:
-        raise LiftError(f"base must have 3, 4, or 5 parts, got {b}")
+    layout = chain_filler_layout(b, m)
     for i in range(1, b + 1):
         if base.block(i, i):
             raise LiftError(f"base violates the empty-diagonal hypothesis at part {i}")
@@ -147,9 +148,7 @@ def plan_lift(base: ConnectionMatrix, m: int,
         large = frozenset(filler_large)
         if len(large) != size_large:
             raise LiftError(f"filler_large must have {size_large} elements, got {len(large)}")
-    # parity/minimum checks live in chain_filler_layout
-    chain_filler_layout(b, m)
-    return LiftPlan(b, m, k, small, large, relax_fillers)
+    return LiftPlan(b, m, k, small, large, relax_fillers, layout)
 
 
 def lift_base(base: ConnectionMatrix, m: int,
@@ -159,23 +158,18 @@ def lift_base(base: ConnectionMatrix, m: int,
               check_base: bool = True) -> ConnectionMatrix:
     """Extend a 3/4/5-part PGSR base to an m-part connection matrix.
 
-    With check_base=True the base is also required to have a triangle
-    through every vertex and |Aut| equal to the group order.
+    plan_lift checks the base's shape, its triangles and the target m;
+    with check_base=True the base must also have |Aut| equal to the
+    group order.
     """
     plan = plan_lift(base, m, filler_small, filler_large, relax_fillers)
     if check_base:
-        bg = build_graph(base)
-        for v in range(bg.n):
-            if not bg.on_triangle(v):
-                raise LiftError(
-                    f"base violates the triangle hypothesis: vertex {v} "
-                    "is on no triangle")
-        aut = automorphism_group(bg)
+        aut = automorphism_group(build_graph(base))
         if aut.order != base.group.order:
             raise LiftError(
                 f"base is not a PGSR: |Aut|={aut.order}, group order "
                 f"{base.group.order}")
-    layout = chain_filler_layout(plan.base_parts, m)
+    layout = plan.layout
     blocks: dict[tuple[int, int], frozenset[int]] = {}
     for i, j, s in base.upper_items():
         blocks[(i, j)] = s
@@ -188,24 +182,3 @@ def lift_base(base: ConnectionMatrix, m: int,
         return ConnectionMatrix(base.group, m, blocks)
     except CayleyError as exc:  # pragma: no cover - layout never collides
         raise LiftError(f"internal layout conflict: {exc}") from exc
-
-
-def lift3(base: ConnectionMatrix, m: int, **kw) -> ConnectionMatrix:
-    """Extend a 3-part base with pattern (k+1, k, k) to odd m >= 5."""
-    if base.m != 3:
-        raise LiftError(f"lift3 needs a 3-part base, got {base.m} parts")
-    return lift_base(base, m, **kw)
-
-
-def lift4(base: ConnectionMatrix, m: int, **kw) -> ConnectionMatrix:
-    """Extend a 4-part base with pattern (k+1, k+1, k, k) to even m >= 6."""
-    if base.m != 4:
-        raise LiftError(f"lift4 needs a 4-part base, got {base.m} parts")
-    return lift_base(base, m, **kw)
-
-
-def lift5(base: ConnectionMatrix, m: int, **kw) -> ConnectionMatrix:
-    """Extend a 5-part base with pattern (k+1, k+1, k+1, k, k) to odd m >= 7."""
-    if base.m != 5:
-        raise LiftError(f"lift5 needs a 5-part base, got {base.m} parts")
-    return lift_base(base, m, **kw)

@@ -17,16 +17,19 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .autos import AutResult, automorphism_group
-from .cayley import CayleyError, ConnectionMatrix, build_graph
+from .autos import (CLAIM_KINDS, Evidence, automorphism_group,  # noqa: F401
+                    check_claim, evidence)
+from .cayley import CayleyError, ConnectionMatrix
 from .formats import to_graph6
 from .groups import Group, GroupError
+
+# automorphism_group is unused here, but the tracing test in
+# perfbench/test_perfbench.py expects this module to bind it
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
-_WITNESS_KINDS = ("hgr", "pgsr")
-_KINDS = _WITNESS_KINDS + ("nonexistence-search", "nonexistence-classified")
+_KINDS = CLAIM_KINDS + ("nonexistence-search", "nonexistence-classified")
 
 
 @dataclass
@@ -44,71 +47,41 @@ class CertificateCheck:
         return f"certificate fails at {self.field!r}: {self.detail}"
 
 
-def _matrix_payload(cm: ConnectionMatrix) -> list[dict]:
-    return [{"i": i, "j": j, "elems": sorted(elems)}
-            for i, j, elems in cm.upper_items()]
-
-
-def _orbits_are_parts(aut: AutResult, m: int, n: int) -> bool:
-    parts = sorted(tuple(range(i * n, (i + 1) * n)) for i in range(m))
-    return sorted(tuple(sorted(o)) for o in aut.orbits) == parts
-
-
-def _group_payload(g: Group) -> dict:
-    return {
-        "descriptor": g.descriptor,
-        "order": g.order,
-        "table": [list(row) for row in g.table],
-    }
-
-
-def make_certificate(cm: ConnectionMatrix, kind: str = "hgr",
-                     route: Optional[str] = None) -> dict:
-    """Witness certificate for a connection matrix; keys in a fixed order.
-
-    kind selects the claim: "hgr" asserts a regular diagonal-free
-    matrix, "pgsr" only a diagonal-free one; both assert |Aut| equal to
-    the group order with the parts as the vertex orbits.  The claim is
-    checked here, so an invalid witness cannot be certified.
-    """
-    if kind not in _WITNESS_KINDS:
-        raise ValueError(f"kind must be one of {_WITNESS_KINDS}, got {kind!r}")
-    g = cm.group
-    graph = build_graph(cm)
-    aut = automorphism_group(graph)
-    orbits_ok = _orbits_are_parts(aut, cm.m, g.order)
-    problems = []
-    if not cm.diagonal_empty():
-        problems.append("matrix has nonempty diagonal blocks")
-    if kind == "hgr" and not cm.is_regular():
-        problems.append(f"matrix is not regular: valencies {cm.valencies()}")
-    if aut.order != g.order:
-        problems.append(f"|Aut| = {aut.order} but |G| = {g.order}")
-    elif not orbits_ok:
-        problems.append("vertex orbits do not coincide with the parts")
-    if problems:
-        raise ValueError("refusing to certify: " + "; ".join(problems))
+def _header(kind: str, group: Group, m: int, route: Optional[str]) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "kind": kind,
-        "group": _group_payload(g),
-        "m": cm.m,
-        "route": route,
-        "matrix": _matrix_payload(cm),
-        "evidence": {
-            "aut_order": aut.order,
-            "group_order": g.order,
-            "vertices": graph.n,
-            "edges": graph.edge_count(),
-            "valencies": list(cm.valencies()),
-            "regular": cm.is_regular(),
-            "diagonal_empty": cm.diagonal_empty(),
-            "connected": graph.is_connected(),
-            "orbits_are_parts": orbits_ok,
+        "group": {
+            "descriptor": group.descriptor,
+            "order": group.order,
+            "table": [list(row) for row in group.table],
         },
-        "aut_generators": [list(p) for p in aut.generators],
-        "graph6": to_graph6(graph),
+        "m": m,
+        "route": route,
+    }
+
+
+def make_certificate(cm: Union[ConnectionMatrix, Evidence], kind: str = "hgr",
+                     route: Optional[str] = None) -> dict:
+    """Witness certificate for a connection matrix; keys in a fixed order.
+
+    kind selects the claim (see autos.check_claim), which is checked
+    here, so an invalid witness cannot be certified.  cm may also be
+    the Evidence an earlier check computed for the matrix, as a verified
+    SynthesisResult carries; the engine then does not run again.
+    """
+    verdict = check_claim(cm, kind)
+    if not verdict:
+        raise ValueError(f"refusing to certify: {verdict.reason}")
+    ev = verdict.evidence
+    return {
+        **_header(kind, ev.matrix.group, ev.matrix.m, route),
+        "matrix": [{"i": i, "j": j, "elems": sorted(elems)}
+                   for i, j, elems in ev.matrix.upper_items()],
+        "evidence": dict(ev.fields),
+        "aut_generators": [list(p) for p in ev.aut.generators],
+        "graph6": to_graph6(ev.graph),
     }
 
 
@@ -120,41 +93,31 @@ def nonexistence_certificate(group: Group, m: int, clause: str,
         raise ValueError(
             f"refusing to certify: clause {clause!r} claimed for "
             f"{group.label}, m={m}, but the classification says {actual!r}")
+    return {**_header("nonexistence-classified", group, m, route),
+            "evidence": {"clause": clause, "group_order": group.order}}
+
+
+def _search_evidence(report, group: Group) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "kind": "nonexistence-classified",
-        "group": _group_payload(group),
-        "m": m,
-        "route": route,
-        "evidence": {"clause": clause, "group_order": group.order},
+        "mode": report.mode,
+        "profiles": report.profiles,
+        "total_space": report.total_space,
+        "examined": report.examined,
+        "witnesses": report.witnesses,
+        "group_order": group.order,
     }
 
 
 def search_certificate(report, group: Group) -> dict:
     """Certificate from a SearchReport: witness or exhausted nonexistence."""
+    route = f"exhaustive search ({report.mode} mode)"
     if report.witness is not None:
-        return make_certificate(report.witness, "hgr",
-                                route=f"exhaustive search ({report.mode} mode)")
+        return make_certificate(report.witness, "hgr", route=route)
     if not report.exhausted:
         raise ValueError("refusing to certify: search stopped early "
                          "without a witness, so nonexistence is not proven")
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "kind": "nonexistence-search",
-        "group": _group_payload(group),
-        "m": report.m,
-        "route": f"exhaustive search ({report.mode} mode)",
-        "evidence": {
-            "mode": report.mode,
-            "profiles": report.profiles,
-            "total_space": report.total_space,
-            "examined": report.examined,
-            "witnesses": report.witnesses,
-            "group_order": group.order,
-        },
-    }
+    return {**_header("nonexistence-search", group, report.m, route),
+            "evidence": _search_evidence(report, group)}
 
 
 def emit(outcome, kind: str = "hgr", group: Optional[Group] = None) -> dict:
@@ -168,7 +131,9 @@ def emit(outcome, kind: str = "hgr", group: Optional[Group] = None) -> dict:
         return make_certificate(outcome, kind)
     if hasattr(outcome, "route") and hasattr(outcome, "exists"):
         if outcome.exists:
-            return make_certificate(outcome.matrix, "hgr", route=outcome.route)
+            # a verified result carries the evidence its check computed
+            witness = outcome.verdict.evidence if outcome.verdict else outcome.matrix
+            return make_certificate(witness, "hgr", route=outcome.route)
         return nonexistence_certificate(outcome.group, outcome.m,
                                         outcome.clause, route=outcome.route)
     if hasattr(outcome, "examined"):
@@ -203,6 +168,18 @@ def load_certificate(path: str) -> dict:
     return cert
 
 
+def _compare(claimed: dict, recomputed: dict) -> CertificateCheck:
+    """The first evidence field whose claimed value is not the recomputed one."""
+    for field, value in recomputed.items():
+        if field not in claimed:
+            return CertificateCheck(False, f"evidence.{field}", "field missing")
+        if claimed[field] != value:
+            return CertificateCheck(
+                False, f"evidence.{field}",
+                f"claimed {claimed[field]!r}, recomputed {value!r}")
+    return CertificateCheck(True)
+
+
 def _reverify_witness(cert: dict, group: Group, kind: str) -> CertificateCheck:
     try:
         cm = ConnectionMatrix(
@@ -210,53 +187,28 @@ def _reverify_witness(cert: dict, group: Group, kind: str) -> CertificateCheck:
             [(e["i"], e["j"], e["elems"]) for e in cert["matrix"]])
     except (CayleyError, KeyError, TypeError) as e:
         return CertificateCheck(False, "matrix", str(e))
-    graph = build_graph(cm)
-    aut = automorphism_group(graph)
-    recomputed = {
-        "aut_order": aut.order,
-        "group_order": group.order,
-        "vertices": graph.n,
-        "edges": graph.edge_count(),
-        "valencies": list(cm.valencies()),
-        "regular": cm.is_regular(),
-        "diagonal_empty": cm.diagonal_empty(),
-        "connected": graph.is_connected(),
-        "orbits_are_parts": _orbits_are_parts(aut, cm.m, group.order),
-    }
-    evidence = cert["evidence"]
-    for field, value in recomputed.items():
-        if field not in evidence:
-            return CertificateCheck(False, f"evidence.{field}", "field missing")
-        if evidence[field] != value:
-            return CertificateCheck(
-                False, f"evidence.{field}",
-                f"claimed {evidence[field]!r}, recomputed {value!r}")
-    if cert["graph6"] != to_graph6(graph):
+    ev = evidence(cm)
+    check = _compare(cert["evidence"], ev.fields)
+    if not check:
+        return check
+    if cert["graph6"] != to_graph6(ev.graph):
         return CertificateCheck(False, "graph6", "claimed encoding differs "
                                 "from the rebuilt graph")
-    for idx, perm in enumerate(cert["aut_generators"]):
-        if (not isinstance(perm, list) or sorted(perm) != list(range(graph.n))
-                or any(not graph.has_edge(perm[u], perm[v])
-                       for u, v in graph.edges())):
+    generators = cert["aut_generators"]
+    if not isinstance(generators, list):
+        return CertificateCheck(False, "aut_generators", "not a list")
+    for idx, perm in enumerate(generators):
+        if (not isinstance(perm, list) or not all(isinstance(x, int) for x in perm)
+                or sorted(perm) != list(range(ev.graph.n))
+                or any(not ev.graph.has_edge(perm[u], perm[v])
+                       for u, v in ev.graph.edges())):
             return CertificateCheck(
                 False, "aut_generators",
                 f"entry {idx} is not an automorphism of the graph")
     # the claim itself, not just internal consistency
-    if not cm.diagonal_empty():
-        return CertificateCheck(
-            False, "evidence.diagonal_empty", "matrix has diagonal entries")
-    if kind == "hgr" and not cm.is_regular():
-        return CertificateCheck(
-            False, "evidence.regular",
-            f"kind hgr needs a regular matrix, valencies are {cm.valencies()}")
-    if aut.order != group.order:
-        return CertificateCheck(
-            False, "evidence.aut_order",
-            f"|Aut| = {aut.order} differs from |G| = {group.order}")
-    if not recomputed["orbits_are_parts"]:
-        return CertificateCheck(
-            False, "evidence.orbits_are_parts",
-            "vertex orbits do not coincide with the parts")
+    verdict = check_claim(ev, kind)
+    if not verdict:
+        return CertificateCheck(False, verdict.field, verdict.reason)
     return CertificateCheck(True)
 
 
@@ -277,8 +229,8 @@ def _reverify_classified(cert: dict, group: Group) -> CertificateCheck:
 
 def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
     from .search import decide_existence
-    evidence = cert["evidence"]
-    mode = evidence.get("mode", "normalized")
+    claimed = cert["evidence"]
+    mode = claimed.get("mode", "normalized")
     rerun_mode = mode if mode in ("normalized", "exhaustive") else "normalized"
     report = decide_existence(group, cert["m"], mode=rerun_mode,
                               early_exit=False)
@@ -286,22 +238,7 @@ def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
         return CertificateCheck(
             False, "kind",
             f"search finds a witness for {group.label}, m={cert['m']}")
-    recomputed = {
-        "mode": report.mode,
-        "profiles": report.profiles,
-        "total_space": report.total_space,
-        "examined": report.examined,
-        "witnesses": report.witnesses,
-        "group_order": group.order,
-    }
-    for field, value in recomputed.items():
-        if field not in evidence:
-            return CertificateCheck(False, f"evidence.{field}", "field missing")
-        if evidence[field] != value:
-            return CertificateCheck(
-                False, f"evidence.{field}",
-                f"claimed {evidence[field]!r}, recomputed {value!r}")
-    return CertificateCheck(True)
+    return _compare(claimed, _search_evidence(report, group))
 
 
 def reverify(cert: Union[dict, str]) -> CertificateCheck:
@@ -337,7 +274,9 @@ def reverify(cert: Union[dict, str]) -> CertificateCheck:
             return CertificateCheck(
                 False, "group.order",
                 f"claimed {gspec.get('order')}, table has {group.order}")
-        if kind in _WITNESS_KINDS:
+        if not isinstance(cert["evidence"], dict):
+            return CertificateCheck(False, "evidence", "not a JSON object")
+        if kind in CLAIM_KINDS:
             return _reverify_witness(cert, group, kind)
         if kind == "nonexistence-classified":
             return _reverify_classified(cert, group)

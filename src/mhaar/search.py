@@ -27,6 +27,7 @@ generic profile space.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
@@ -35,6 +36,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .autos import automorphism_group
+from .catalog import matrix_from_graph
 from .cayley import ConnectionMatrix, build_graph
 from .graphs import Graph
 from .groups import CapacityError, Group, cyclic
@@ -131,12 +133,6 @@ def _profile_candidates(n: int, profile: Profile,
     return itertools.product(*pools)
 
 
-def _candidate_matrix(group: Group, m: int, cells: Sequence[tuple[int, int]],
-                      choice: Sequence[tuple[int, ...]]) -> ConnectionMatrix:
-    blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
-    return ConnectionMatrix(group, m, blocks)
-
-
 @dataclass
 class SearchReport:
     group_name: str
@@ -222,8 +218,7 @@ def _trivial_group_scan(group: Group, m: int, budget: int,
             if automorphism_group(graph).order == 1:
                 witnesses += 1
                 if witness is None:
-                    blocks = {(u + 1, v + 1): [0] for u, v in graph.edges()}
-                    witness = ConnectionMatrix(group, m, blocks)
+                    witness = matrix_from_graph(group, graph)
                 if early_exit:
                     break
         if witness is not None and early_exit:
@@ -271,11 +266,12 @@ def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
     first = None
     for choice in _profile_candidates(target, profile, forced):
         examined += 1
-        cm = _candidate_matrix(group, m, cells, choice)
+        blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
+        cm = ConnectionMatrix(group, m, blocks)
         if automorphism_group(build_graph(cm)).order == target:
             witnesses += 1
             if first is None:
-                first = {cell: elems for cell, elems in zip(cells, choice) if elems}
+                first = blocks
             if early_exit:
                 break
     return examined, witnesses, first
@@ -285,6 +281,30 @@ def _profile_task(args: tuple) -> tuple[int, int, Optional[dict]]:
     m, cells, profile, forced, early_exit = args
     assert _WORKER_GROUP is not None
     return _run_profile(_WORKER_GROUP, m, cells, profile, forced, early_exit)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("normalized", "exhaustive"):
+        raise ValueError(f"mode must be 'normalized' or 'exhaustive', got {mode!r}")
+
+
+def _plan(group: Group, m: int, cells: Sequence[tuple[int, int]], mode: str,
+          budget: int) -> Iterator[tuple[Profile, frozenset[int], int]]:
+    """Each profile with its forced cells and its candidate count."""
+    n = group.order
+    total = 0
+    for profile in _profiles(m, n):
+        forced = (_support_forest(m, cells, profile)
+                  if mode == "normalized" else frozenset())
+        space = _profile_space(n, profile, forced)
+        total += space
+        # checked per profile: enumerating the profile family itself can
+        # blow up long before the candidate total is known exactly
+        if total > budget:
+            raise CapacityError(
+                f"search space for {group.label}, m={m} in {mode} mode "
+                f"exceeds the budget of {budget} candidates")
+        yield profile, forced, space
 
 
 # -- the public entry point ----------------------------------------------------
@@ -302,8 +322,7 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if mode not in ("normalized", "exhaustive"):
-        raise ValueError(f"mode must be 'normalized' or 'exhaustive', got {mode!r}")
+    _check_mode(mode)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = group.order
@@ -312,77 +331,45 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
     t0 = time.perf_counter()
     cells = _cells(m)
-    plans = []
-    total = 0
-    for profile in _profiles(m, n):
-        forced = (_support_forest(m, cells, profile)
-                  if mode == "normalized" else frozenset())
-        total += _profile_space(n, profile, forced)
-        # checked per profile: enumerating the profile family itself can
-        # blow up long before the candidate total is known exactly
-        if total > budget:
-            raise CapacityError(
-                f"search space for {group.label}, m={m} in {mode} mode "
-                f"exceeds the budget of {budget} candidates")
-        plans.append((profile, forced))
+    plans = list(_plan(group, m, cells, mode, budget))
+    total = sum(space for _, _, space in plans)
 
     examined = witnesses = 0
     witness_blocks = None
-    exhausted = True
-    if workers == 1:
-        for profile, forced in plans:
-            ex, wit, first = _run_profile(group, m, cells, profile, forced,
-                                          early_exit)
+    tasks = [(m, cells, profile, forced, early_exit) for profile, forced, _ in plans]
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = (_run_profile(group, *task) for task in tasks)
+        else:
+            # leaving the pool's context terminates its workers
+            pool = stack.enter_context(multiprocessing.Pool(
+                workers, initializer=_init_worker,
+                initargs=(group.table, group.descriptor)))
+            results = pool.imap(_profile_task, tasks)
+        for ex, wit, first in results:
             examined += ex
             witnesses += wit
             if first is not None and witness_blocks is None:
                 witness_blocks = first
                 if early_exit:
-                    exhausted = False
                     break
-    else:
-        tasks = [(m, cells, profile, forced, early_exit)
-                 for profile, forced in plans]
-        with multiprocessing.Pool(
-                workers, initializer=_init_worker,
-                initargs=(group.table, group.descriptor)) as pool:
-            for ex, wit, first in pool.imap(_profile_task, tasks):
-                examined += ex
-                witnesses += wit
-                if first is not None and witness_blocks is None:
-                    witness_blocks = first
-                    if early_exit:
-                        exhausted = False
-                        pool.terminate()
-                        break
-    if early_exit and witness_blocks is not None and examined < total:
-        exhausted = False
     witness = (None if witness_blocks is None
                else ConnectionMatrix(group, m, witness_blocks))
     return SearchReport(
         group_name=group.label, order=n, m=m, mode=mode,
         exists=witness is not None, profiles=len(plans), total_space=total,
         examined=examined, witnesses=witnesses, witness=witness,
-        exhausted=exhausted, elapsed=time.perf_counter() - t0,
+        exhausted=not (early_exit and witness is not None),
+        elapsed=time.perf_counter() - t0,
         workers=workers)
 
 
 def space_size(group: Group, m: int, mode: str = "normalized",
                budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(profile count, candidate count) for the given search mode."""
-    if mode not in ("normalized", "exhaustive"):
-        raise ValueError(f"mode must be 'normalized' or 'exhaustive', got {mode!r}")
-    n = group.order
-    cells = _cells(m)
-    profiles = 0
-    total = 0
-    for profile in _profiles(m, n):
-        forced = (_support_forest(m, cells, profile)
-                  if mode == "normalized" else frozenset())
+    _check_mode(mode)
+    profiles = total = 0
+    for _, _, space in _plan(group, m, _cells(m), mode, budget):
         profiles += 1
-        total += _profile_space(n, profile, forced)
-        if total > budget:
-            raise CapacityError(
-                f"search space for {group.label}, m={m} in {mode} mode "
-                f"exceeds the budget of {budget} candidates")
+        total += space
     return profiles, total

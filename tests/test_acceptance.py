@@ -29,7 +29,7 @@ from mhaar.groups import (
     minimal_generating_set,
     product,
 )
-from mhaar.lift import lift3, lift4, lift5, min_target_parts, plan_lift
+from mhaar.lift import lift_base, min_target_parts, plan_lift
 from mhaar.search import c1_regular_asymmetric_scan, decide_existence
 
 from conftest import battery_groups, random_matrix
@@ -126,14 +126,14 @@ def test_05_lift_end_to_end():
     t0 = time.perf_counter()
     base3 = build_entry(entries(tag="C6", m=3, kind="pgsr")[0])
     for m in (5, 7, 9):
-        verdict = is_m_hgr(lift3(base3, m))
+        verdict = is_m_hgr(lift_base(base3, m))
         assert verdict.ok and verdict.aut_order == 6, (m, verdict.reason)
     base4 = build_entry(entries(tag="C2^3", m=4, kind="pgsr")[0])
     for m in (6, 8):
-        verdict = is_m_hgr(lift4(base4, m))
+        verdict = is_m_hgr(lift_base(base4, m))
         assert verdict.ok and verdict.aut_order == 8, (m, verdict.reason)
     base5 = build_entry(entries(tag="C3", m=5, kind="pgsr", source="derived")[0])
-    verdict = is_m_hgr(lift5(base5, 7))
+    verdict = is_m_hgr(lift_base(base5, 7))
     assert verdict.ok and verdict.aut_order == 3, verdict.reason
     elapsed = time.perf_counter() - t0
     assert elapsed <= 30.0, f"{elapsed:.1f}s"

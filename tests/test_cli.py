@@ -270,6 +270,19 @@ def test_reverify_catches_tampering(capsys, tmp_path):
     assert "certificate fails at 'evidence.aut_order'" in out
 
 
+@pytest.mark.parametrize("key", ["aut_generators", "evidence"])
+def test_reverify_names_malformed_fields(capsys, tmp_path, key):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "synthesize", "--group", "C6", "-m", "3",
+        "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert[key] = 5
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_NEGATIVE
+    assert f"certificate fails at '{key}'" in out
+
+
 # -- oracle-aut ------------------------------------------------------------------
 
 

@@ -10,9 +10,6 @@ from mhaar.lift import (
     LiftError,
     VALID_BASE_PARTS,
     chain_filler_layout,
-    lift3,
-    lift4,
-    lift5,
     lift_base,
     min_target_parts,
     plan_lift,
@@ -154,7 +151,7 @@ def test_lift_base_rejects_excess_symmetry():
 def test_lift3_produces_hgrs():
     base = base_c6()
     for m in (5, 7, 9):
-        out = lift3(base, m)
+        out = lift_base(base, m)
         assert out.m == m
         assert out.valencies() == (4,) * m
         v = is_m_hgr(out)
@@ -164,29 +161,29 @@ def test_lift3_produces_hgrs():
 def test_lift4_produces_hgrs():
     base = base_c2cubed()
     for m in (6, 8):
-        out = lift4(base, m)
+        out = lift_base(base, m)
         assert out.valencies() == (5,) * m
         v = is_m_hgr(out)
         assert v.ok and v.aut_order == 8, f"m={m}: {v.reason}"
 
 
 def test_lift5_produces_hgrs():
-    out = lift5(base_c3_five(), 7)
+    out = lift_base(base_c3_five(), 7)
     assert out.valencies() == (4,) * 7
     v = is_m_hgr(out)
     assert v.ok and v.aut_order == 3, v.reason
 
 
 def test_triangles_stay_in_the_base():
-    out = lift3(base_c6(), 9)
+    out = lift_base(base_c6(), 9)
     assert triangle_profile(out) == ("all",) * 3 + ("none",) * 6
-    out = lift4(base_c2cubed(), 6)
+    out = lift_base(base_c2cubed(), 6)
     assert triangle_profile(out) == ("all",) * 4 + ("none",) * 2
 
 
 def test_relaxed_lift_keeps_aut_order():
     base = build_entry(entries(tag="C3", m=4, kind="pgsr", source="recorded")[0])
-    out = lift4(base, 8, relax_fillers=True)
+    out = lift_base(base, 8, relax_fillers=True)
     assert not out.is_regular()  # clamping broke the valency bookkeeping
     assert automorphism_group(build_graph(out)).order == 3
 
@@ -201,13 +198,7 @@ def test_regularity_along_the_chain():
 
 
 def test_wrapper_part_counts():
-    with pytest.raises(LiftError, match="lift3 needs a 3-part base"):
-        lift3(base_c2cubed(), 6)
-    with pytest.raises(LiftError, match="lift4 needs a 4-part base"):
-        lift4(base_c6(), 6)
-    with pytest.raises(LiftError, match="lift5 needs a 5-part base"):
-        lift5(base_c6(), 7)
     with pytest.raises(LiftError, match="odd m only"):
-        lift3(base_c6(), 6)
+        lift_base(base_c6(), 6)
     with pytest.raises(LiftError, match="even m only"):
-        lift4(base_c2cubed(), 7)
+        lift_base(base_c2cubed(), 7)

@@ -2,12 +2,16 @@
 
 import copy
 import json
+import sys
 
 import pytest
 
+import mhaar.autos
+from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries, hgr_entry
-from mhaar.cayley import ConnectionMatrix
+from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.constructions import synthesize
+from mhaar.formats import to_graph6
 from mhaar.groups import cyclic, dihedral
 from mhaar.report import (
     SCHEMA_VERSION,
@@ -69,14 +73,15 @@ def test_pgsr_certificate():
     assert not cert["evidence"]["regular"]
     assert reverify(cert).ok
     # the same matrix cannot be certified under the stricter claim
-    with pytest.raises(ValueError, match="not regular"):
+    with pytest.raises(ValueError, match="part 2 has valency 3, part 1 has 4"):
         make_certificate(base, "hgr")
 
 
 def test_refuses_invalid_witnesses():
     g = cyclic(2)
     square = ConnectionMatrix(g, 2, {(1, 2): [0, 1]})  # |Aut| = 8
-    with pytest.raises(ValueError, match=r"\|Aut\| = 8 but \|G\| = 2"):
+    with pytest.raises(ValueError,
+                       match="automorphism group has order 8, group has order 2"):
         make_certificate(square, "hgr")
     with pytest.raises(ValueError, match="kind must be one of"):
         make_certificate(square, "haar")
@@ -140,6 +145,24 @@ def test_emit_dispatch(c6_witness):
         emit("witness")
 
 
+def test_witness_certificate_runs_the_engine_once(monkeypatch):
+    # the verification inside synthesize already computed the evidence
+    original = mhaar.autos.automorphism_group
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("mhaar")
+                and getattr(mod, "automorphism_group", None) is original):
+            monkeypatch.setattr(mod, "automorphism_group", counting)
+    text = certificate_json(synthesize(cyclic(6), 3))
+    assert json.loads(text)["evidence"]["aut_order"] == 6
+    assert len(calls) == 1
+
+
 def test_json_and_file_round_trip(c6_witness, tmp_path):
     text = certificate_json(c6_witness, kind="hgr")
     assert text.endswith("\n")
@@ -192,6 +215,36 @@ def test_reverify_catches_evidence_tampering(c6_cert):
         assert not check.ok
         assert check.field == field, (dotted, check)
         assert "certificate fails at" in str(check)
+
+
+def test_reverify_checks_the_claim_of_the_kind():
+    # consistent evidence, but a pgsr matrix is not regular
+    base = build_entry(entries(tag="C6", m=3, kind="pgsr")[0])
+    check = reverify(tampered(make_certificate(base, "pgsr"), kind="hgr"))
+    assert not check.ok and check.field == "evidence.regular"
+
+
+def test_reverify_rejects_honest_evidence_of_excess_symmetry():
+    # C2, m=2, full block: the 4-cycle, every field recorded truthfully
+    g = cyclic(2)
+    graph = build_graph(ConnectionMatrix(g, 2, {(1, 2): [0, 1]}))
+    aut = automorphism_group(graph)
+    assert aut.order == 8
+    cert = {
+        "schema": SCHEMA_VERSION, "tool_version": TOOL_VERSION, "kind": "hgr",
+        "group": {"descriptor": "C2", "order": 2,
+                  "table": [list(row) for row in g.table]},
+        "m": 2, "route": None,
+        "matrix": [{"i": 1, "j": 2, "elems": [0, 1]}],
+        "evidence": {"aut_order": 8, "group_order": 2, "vertices": 4,
+                     "edges": 4, "valencies": [2, 2], "regular": True,
+                     "diagonal_empty": True, "connected": True,
+                     "orbits_are_parts": False},
+        "aut_generators": [list(p) for p in aut.generators],
+        "graph6": to_graph6(graph),
+    }
+    check = reverify(cert)
+    assert not check.ok and check.field == "evidence.aut_order"
 
 
 def test_reverify_catches_matrix_tampering(c6_cert):
