@@ -61,6 +61,14 @@ def _max_vertices() -> int:
     return cap
 
 
+def _check_vertex_cap(n: int, max_vertices: Optional[int] = None) -> None:
+    cap = max_vertices if max_vertices is not None else _max_vertices()
+    if n > cap:
+        raise CapacityError(
+            f"graph has {n} vertices, over the cap of {cap} "
+            "(set MHAAR_MAX_VERTICES or pass max_vertices to raise it)")
+
+
 def _hmix(h: int, x: int) -> int:
     # fixed-multiplier rolling hash: stable across processes and runs
     return ((h ^ (x & _MASK)) * _FNV) & _MASK
@@ -233,11 +241,7 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
     MHAAR_MAX_VERTICES environment variable or the max_vertices arg).
     """
     n = graph.n
-    cap = max_vertices if max_vertices is not None else _max_vertices()
-    if n > cap:
-        raise CapacityError(
-            f"graph has {n} vertices, over the cap of {cap} "
-            "(set MHAAR_MAX_VERTICES or pass max_vertices to raise it)")
+    _check_vertex_cap(n, max_vertices)
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
@@ -407,6 +411,7 @@ class Evidence:
 
 def evidence(cm: ConnectionMatrix) -> Evidence:
     """Build the graph, run the engine once, and collect the evidence."""
+    _check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
     graph = build_graph(cm)
     aut = automorphism_group(graph)
     n = cm.group.order

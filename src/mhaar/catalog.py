@@ -23,7 +23,7 @@ from typing import Optional
 from .cayley import ConnectionMatrix
 from .graphs import Graph
 from .groups import (CapacityError, Group, GroupError, catalog_group,
-                     identify_catalog_group)
+                     identify_catalog_group, subgroup_generated)
 
 
 def _least_of_order(g: Group, order: int, exclude: frozenset[int] = frozenset()) -> int:
@@ -51,12 +51,12 @@ def g0_generators(g: Group, tag: str) -> dict[str, int]:
     if tag == "C2^3":
         x = _least_of_order(g, 2)
         y = _least_of_order(g, 2, frozenset([x]))
-        span = frozenset([0, x, y, g.mul(x, y)])
+        span = subgroup_generated(g, (x, y))
         z = next(e for e in range(n) if e not in span and g.element_order(e) == 2)
         return {"x": x, "y": y, "z": z}
     if tag == "C3^2":
         x = _least_of_order(g, 3)
-        span = frozenset([0, x, g.inv(x)])
+        span = subgroup_generated(g, (x,))
         y = next(e for e in range(n) if e not in span and g.element_order(e) == 3)
         return {"x": x, "y": y}
     if tag in ("D6", "A4"):

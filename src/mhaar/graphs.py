@@ -95,26 +95,12 @@ class Graph:
             total += (self.bits[v] & self.bits[u]).bit_count()
         return total // 2
 
-    def triangle_counts(self) -> list[int]:
-        return [self.triangle_count(v) for v in range(self.n)]
-
     def relabeled(self, perm: list[int]) -> "Graph":
         """Graph with vertex v renamed perm[v]."""
         g = Graph(self.n)
         for u, v in self.edges():
             g.add_edge(perm[u], perm[v])
         return g
-
-    def copy(self) -> "Graph":
-        return Graph(self.n, list(self.bits))
-
-    def upper_bitstring(self) -> tuple[int, ...]:
-        """Row-major upper-triangle adjacency bits, for lex comparisons."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                out.append(self.bits[u] >> v & 1)
-        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits

@@ -5,14 +5,16 @@ stores table[a][b] = a*b.  Constructors for the families used elsewhere
 (cyclic, elementary abelian, dihedral, A4, Q8, the exponent-3 extraspecial
 group of order 27, direct products) all produce documented canonical element
 orders, so the same group always comes back with the same table and the same
-named generators.
+named generators.  Every table is checked against the group axioms exactly
+(associativity by Light's test).  One closure, subgroup_generated, serves
+that check and every search for generators.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import random
+import operator
 import re
 from typing import Iterable, Optional, Sequence
 
@@ -34,9 +36,9 @@ class CapacityError(RuntimeError):
 class Group:
     """A finite group given by its multiplication table.
 
-    The constructor checks the axioms: identity at index 0, each row and
-    column a permutation, inverses present, associativity (full triple sweep
-    for order <= 64, seeded random sampling above).
+    The constructor checks the axioms exactly: identity at index 0, each row
+    and column a permutation, inverses present, and associativity by Light's
+    test on a greedily chosen generating set.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
@@ -59,10 +61,9 @@ class Group:
         self.descriptor = descriptor
         self.gens = dict(gens) if gens else {}
         self._validate()
-        self._inv = self._compute_inverses()
+        self._inv = tuple(row.index(0) for row in self.table)
         self._orders: Optional[tuple[int, ...]] = None
         self._abelian: Optional[bool] = None
-        self._rank: Optional[int] = None
         self._min_gens: Optional[tuple[int, ...]] = None
 
     def _validate(self) -> None:
@@ -77,21 +78,25 @@ class Group:
         for a in range(n):
             if all(t[a][b] != 0 for b in range(n)):
                 raise GroupError(f"element {a} has no inverse")
-        if n <= 64:
-            triples: Iterable[tuple[int, int, int]] = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0xA550C)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(4096))
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupError(f"associativity fails on triple ({a}, {b}, {c})")
-
-    def _compute_inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = self.table[a].index(0)
-        return tuple(inv)
+        # Light's test (Clifford & Preston 1961): the elements s with
+        # (x*s)*y = x*(s*y) for all x, y are closed under products, so it
+        # suffices to check a generating set.  Once the generators so far
+        # pass, their closure is a subgroup, so each new generator taken
+        # from outside it at least doubles it: O(n^2 log n) in all.
+        gens: list[int] = []
+        closure = frozenset([0])
+        for s in range(n):
+            if s in closure:
+                continue
+            # row x*(s*y) over all y; n >= 2 here, so itemgetter gives a tuple
+            times_s = operator.itemgetter(*t[s])
+            for x in range(n):
+                left, right = t[t[x][s]], times_s(t[x])
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise GroupError(f"associativity fails on triple ({x}, {s}, {y})")
+            gens.append(s)
+            closure = subgroup_generated(self, gens)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -110,6 +115,9 @@ class Group:
         return r
 
     def element_order(self, a: int) -> int:
+        return self.element_orders()[a]
+
+    def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
             orders = []
             for g in range(self.order):
@@ -119,11 +127,6 @@ class Group:
                     k += 1
                 orders.append(k)
             self._orders = tuple(orders)
-        return self._orders[a]
-
-    def element_orders(self) -> tuple[int, ...]:
-        self.element_order(0)
-        assert self._orders is not None
         return self._orders
 
     def is_abelian(self) -> bool:
@@ -132,16 +135,9 @@ class Group:
             self._abelian = all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
         return self._abelian
 
-    def name(self, a: int) -> str:
-        return self.names[a]
-
     @property
     def label(self) -> str:
         return self.descriptor or f"order-{self.order} group"
-
-    def mul_set(self, elems: Iterable[int], g: int) -> frozenset[int]:
-        """Right-translate a subset: {e*g for e in elems}."""
-        return frozenset(self.table[e][g] for e in elems)
 
     def inv_set(self, elems: Iterable[int]) -> frozenset[int]:
         return frozenset(self._inv[e] for e in elems)
@@ -359,21 +355,20 @@ def extraspecial27() -> Group:
 
 
 def subgroup_generated(g: Group, elems: Iterable[int]) -> frozenset[int]:
-    """Closure of a subset under multiplication (always contains the identity)."""
+    """The subgroup generated by elems: the identity closed under right
+    multiplication by elems.  No inverses are needed, because in a finite
+    group every inverse is a positive power."""
+    gens = tuple(elems)
+    table = g.table
     seen = {0}
     frontier = [0]
-    seeds = [e for e in elems]
-    for e in seeds:
-        if e not in seen:
-            seen.add(e)
-            frontier.append(e)
     while frontier:
-        a = frontier.pop()
-        for b in seeds:
-            for c in (g.table[a][b], g.table[b][a]):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
+        row = table[frontier.pop()]
+        for b in gens:
+            c = row[b]
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
     return frozenset(seen)
 
 
@@ -391,8 +386,6 @@ def _find_generating_tuple(g: Group, t: int) -> Optional[tuple[int, ...]]:
     minimality.
     """
     n = g.order
-    if t == 0:
-        return () if n == 1 else None
 
     def extend(prefix: tuple[int, ...], closure: frozenset[int], start: int) -> Optional[tuple[int, ...]]:
         depth_left = t - len(prefix)
@@ -405,8 +398,7 @@ def _find_generating_tuple(g: Group, t: int) -> Optional[tuple[int, ...]]:
         for e in range(start, n):
             if e in closure:
                 continue
-            new_closure = _extend_closure(g, closure, e)
-            res = extend(prefix + (e,), new_closure, e + 1)
+            res = extend(prefix + (e,), subgroup_generated(g, prefix + (e,)), e + 1)
             if res is not None:
                 return res
         return None
@@ -414,46 +406,30 @@ def _find_generating_tuple(g: Group, t: int) -> Optional[tuple[int, ...]]:
     return extend((), frozenset([0]), 1)
 
 
-def _extend_closure(g: Group, closure: frozenset[int], e: int) -> frozenset[int]:
-    seen = set(closure)
-    frontier = [e]
-    seen.add(e)
-    while frontier:
-        a = frontier.pop()
-        for b in list(seen):
-            for c in (g.table[a][b], g.table[b][a]):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-    return frozenset(seen)
-
-
 def minimal_generating_size(g: Group) -> int:
     """d(G): the least number of generators, by exhaustive pruned search."""
-    if g._rank is not None:
-        return g._rank
-    _check_rank_capacity(g)
-    for t in range(0, MAX_RANK + 1):
-        if _find_generating_tuple(g, t) is not None:
-            g._rank = t
-            return t
-    raise CapacityError(f"rank exceeds cap {MAX_RANK}")
+    return len(minimal_generating_set(g))
 
 
 def minimal_generating_set(g: Group) -> tuple[int, ...]:
-    """A deterministic minimum generating tuple.
+    """A deterministic minimum generating tuple, cached on g.
 
-    Unless G is elementary abelian of exponent 2 (or trivial), the first
-    element has order >= 3: when the lexicographic search returns only
-    involutions, some product h_i*h_j has order >= 3 (otherwise the group
-    would be elementary abelian 2), and h_i is replaced by that product.
+    The lex-first search runs for t = 0, 1, ... and stops at the first t
+    that generates.  Unless G is elementary abelian of exponent 2 (or
+    trivial), the first element of the result has order >= 3: when the
+    search returns only involutions, some product h_i*h_j has order >= 3
+    (otherwise the group would be elementary abelian 2), and h_i is
+    replaced by that product.
     """
-    if g._min_gens is not None:
-        return g._min_gens
-    t = minimal_generating_size(g)
-    tup = _find_generating_tuple(g, t)
-    assert tup is not None
-    g._min_gens = _reorder_min_gens(g, tup)
+    if g._min_gens is None:
+        _check_rank_capacity(g)
+        for t in range(0, MAX_RANK + 1):
+            tup = _find_generating_tuple(g, t)
+            if tup is not None:
+                g._min_gens = _reorder_min_gens(g, tup)
+                break
+        else:
+            raise CapacityError(f"rank exceeds cap {MAX_RANK}")
     return g._min_gens
 
 
@@ -497,7 +473,7 @@ def pair_with_order_ge4(g: Group) -> tuple[int, int]:
         for y in range(1, n):
             if y in cx:
                 continue
-            if len(_extend_closure(g, cx, y)) == n:
+            if len(subgroup_generated(g, (x, y))) == n:
                 return (x, y)
     raise GroupError(
         "no generating pair with first element of order >= 4; for 2-generated "
@@ -520,11 +496,11 @@ def triple_with_order_ge3(g: Group) -> tuple[int, int, int]:
         for y in range(1, n):
             if y in cx:
                 continue
-            cxy = _extend_closure(g, cx, y)
+            cxy = subgroup_generated(g, (x, y))
             for z in range(y + 1, n):
                 if z in cxy:
                     continue
-                if len(_extend_closure(g, cxy, z)) == n:
+                if len(subgroup_generated(g, (x, y, z))) == n:
                     return (x, y, z)
     raise GroupError("no generating triple with first element of order >= 3 "
                      "(for rank-3 groups this means C2^3)")
@@ -567,22 +543,16 @@ def identify_catalog_group(g: Group) -> Optional[str]:
 
 
 def catalog_group(tag: str) -> Group:
-    """Construct the catalog group with the given tag."""
-    builders = {
-        "C1": lambda: cyclic(1), "C2": lambda: cyclic(2), "C3": lambda: cyclic(3),
-        "C4": lambda: cyclic(4), "C5": lambda: cyclic(5), "C6": lambda: cyclic(6),
-        "C2^2": lambda: elem_abelian(2, 2), "C2^3": lambda: elem_abelian(2, 3),
-        "C3^2": lambda: elem_abelian(3, 2), "D6": lambda: dihedral(6),
-        "A4": alternating4, "X27": extraspecial27,
-    }
-    if tag not in builders:
+    """Construct the catalog group with the given tag; each tag is a group spec."""
+    if tag not in CATALOG_TAGS:
         raise GroupError(f"unknown catalog tag {tag!r}")
-    return builders[tag]()
+    return parse_group_spec(tag)
 
 
 # -- group spec parsing -------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"^(?:C(\d+)(?:\^(\d+))?|D(\d+)|Q8|A4|X27)$")
+_NAMED = {"Q8": quaternion8, "A4": alternating4, "X27": extraspecial27}
 
 
 def parse_group_spec(spec: str) -> Group:
@@ -609,12 +579,8 @@ def parse_group_spec(spec: str) -> Group:
             raise GroupError(
                 f"bad group token {token!r} at position {at} "
                 "(expected Cn, Cn^k, Dn, Q8, A4, X27, or @file)")
-        if token == "Q8":
-            factors.append(quaternion8())
-        elif token == "A4":
-            factors.append(alternating4())
-        elif token == "X27":
-            factors.append(extraspecial27())
+        if token in _NAMED:
+            factors.append(_NAMED[token]())
         elif mm.group(3) is not None:
             factors.append(dihedral(int(mm.group(3))))
         else:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -56,6 +58,68 @@ def test_bad_tables_rejected():
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ])
+
+
+def test_associativity_is_checked_exactly():
+    # Z_128 with the intercalate at rows and columns 1 and 65 swapped: still
+    # a latin square with identity 0, but (1*1)*2 = 68 while 1*(1*2) = 4
+    table = [[(a + b) % 128 for b in range(128)] for a in range(128)]
+    for a in (1, 65):
+        table[a][1], table[a][65] = table[a][65], table[a][1]
+    with pytest.raises(GroupError, match=r"associativity fails on triple \(1, 1, 2\)"):
+        Group(table)
+
+
+def _span(g, elems):
+    """Subgroup closure by squaring the set until it stops growing; shares
+    no code with subgroup_generated."""
+    span = {0} | set(elems)
+    while True:
+        bigger = span | {g.mul(a, b) for a in span for b in span}
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def test_rank_search_matches_brute_force(battery):
+    # the battery has no rank-3 group with an element of order >= 3
+    rank3 = {spec: parse_group_spec(spec) for spec in ("C2^2xC4", "C2^3xC3")}
+    for name, g in {**battery, **rank3}.items():
+        n = g.order
+        rank = next(t for t in range(n + 1)
+                    if any(len(_span(g, c)) == n
+                           for c in itertools.combinations(range(n), t)))
+        assert minimal_generating_size(g) == rank, name
+        pair = next(((x, y) for x in range(n) if g.element_order(x) >= 4
+                     for y in range(n) if len(_span(g, (x, y))) == n), None)
+        if pair is None:
+            with pytest.raises(GroupError):
+                pair_with_order_ge4(g)
+        else:
+            assert pair_with_order_ge4(g) == pair, name
+        triple = next(((x, y, z) for x in range(n) if g.element_order(x) >= 3
+                       for y, z in itertools.combinations(range(1, n), 2)
+                       if len(_span(g, (x, y, z))) == n), None)
+        if rank != 3 or triple is None:
+            with pytest.raises(GroupError):
+                triple_with_order_ge3(g)
+        else:
+            assert triple_with_order_ge3(g) == triple, name
+
+
+def test_minimal_generating_sets_are_pinned():
+    # every generic witness matrix is built from these tuples
+    for spec, gens in [("C2^5", (1, 2, 4, 8, 16)), ("C2^4xC3", (25, 3, 6, 12)),
+                       ("C3^4", (1, 3, 9, 27)), ("C7xC7", (1, 7)),
+                       ("D8xC3", (3, 13)), ("Q8", (2, 4))]:
+        assert minimal_generating_set(parse_group_spec(spec)) == gens, spec
+
+
+def test_rank_search_budget():
+    g = elem_abelian(3, 4)
+    t0 = time.perf_counter()
+    assert len(minimal_generating_set(g)) == 4
+    assert time.perf_counter() - t0 <= 3.0
 
 
 def test_minimal_generating_sizes(battery):

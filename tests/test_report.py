@@ -10,9 +10,10 @@ import mhaar.autos
 from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries, hgr_entry
 from mhaar.cayley import ConnectionMatrix, build_graph
+from mhaar.cli import EXIT_CAPACITY, main
 from mhaar.constructions import synthesize
 from mhaar.formats import to_graph6
-from mhaar.groups import cyclic, dihedral
+from mhaar.groups import CapacityError, cyclic, dihedral
 from mhaar.report import (
     SCHEMA_VERSION,
     TOOL_VERSION,
@@ -245,6 +246,21 @@ def test_reverify_rejects_honest_evidence_of_excess_symmetry():
     }
     check = reverify(cert)
     assert not check.ok and check.field == "evidence.aut_order"
+
+
+def test_reverify_checks_the_vertex_cap_before_building(monkeypatch, tmp_path):
+    # m * |G| = 4,000,000 vertices: refused before one row of the graph exists
+    cert = tampered(make_certificate(hgr_entry("C2", 6)), m=2_000_000, matrix=[])
+
+    def refuse(cm):
+        raise AssertionError(f"built a graph for m={cm.m}")
+
+    monkeypatch.setattr(mhaar.autos, "build_graph", refuse)
+    with pytest.raises(CapacityError, match="4000000 vertices"):
+        reverify(cert)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cert))
+    assert main(["reverify", str(path)]) == EXIT_CAPACITY
 
 
 def test_reverify_catches_matrix_tampering(c6_cert):
