@@ -23,11 +23,11 @@ from .autos import (AutResult, Evidence, automorphism_group,
                     brute_force_aut_order, check_claim, evidence, is_m_hgr,
                     is_m_pgsr)
 from .catalog import (CatalogEntry, asymmetric_regular_graph, build_entry,
-                      entries, hgr_entry, lift_base_entry, matrix_from_graph)
+                      entries, lift_base_entry, matrix_from_graph)
 from .cayley import (CayleyError, ConnectionMatrix, Verdict, build_graph,
                      is_m_haar, load_matrix, right_translation)
 from .constructions import (HGR_MIN_PARTS, SynthesisError, SynthesisResult,
-                            generic_base, generic_hgr, has_m_hgr,
+                            generic_base, generic_hgr,
                             nonexistence_clause, synthesize)
 from .formats import from_edgelist, from_graph6, to_edgelist, to_graph6
 from .graphs import Graph
@@ -53,7 +53,7 @@ __all__ = [
     "c1_regular_asymmetric_scan", "certificate_json", "check_claim",
     "cyclic", "decide_existence", "dihedral", "elem_abelian", "emit",
     "entries", "evidence", "from_edgelist", "from_graph6", "generic_base",
-    "generic_hgr", "has_m_hgr", "hgr_entry", "is_m_haar", "is_m_hgr", "is_m_pgsr",
+    "generic_hgr", "is_m_haar", "is_m_hgr", "is_m_pgsr",
     "lift_base", "lift_base_entry", "load_certificate", "load_group",
     "load_matrix", "make_certificate", "matrix_from_graph",
     "nonexistence_certificate", "nonexistence_clause", "parse_group_spec",

@@ -14,10 +14,13 @@ first leaf fixes a reference ordering; every later leaf proposes the
 map carrying the reference ordering to its own, which is accepted only
 if it verifiably preserves adjacency.
 
-The tree is searched depth first and every accepted generator unwinds
-the search to the first-path node it branched from, so while level d of
-the first path is explored, every generator found so far fixes the
-first d branch vertices.  The orbits of the generators found so far are
+The tree is searched depth first in one loop over an explicit stack,
+one frame per non-leaf node on the current path, so no recursion and no
+recursion limit is involved.  Every accepted generator truncates the
+stack to the frame of the first-path node it branched from (its
+anchor), which then moves on to its next child; so while level d of the
+first path is explored, every generator found so far fixes the first d
+branch vertices.  The orbits of the generators found so far are
 kept in a union-find, merged in place as each generator is accepted.
 A child at a first-path level is pruned when it shares an orbit with a
 child already tried, each generator found maps the first-path vertex
@@ -35,7 +38,6 @@ count per vertex), so results are label-independent.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -48,25 +50,19 @@ _FNV = 1099511628211
 _MASK = (1 << 64) - 1
 
 
-def _max_vertices() -> int:
+def _check_vertex_cap(n: int) -> None:
     raw = os.environ.get("MHAAR_MAX_VERTICES", "")
-    if not raw:
-        return DEFAULT_MAX_VERTICES
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"MHAAR_MAX_VERTICES must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _check_vertex_cap(n: int, max_vertices: Optional[int] = None) -> None:
-    cap = max_vertices if max_vertices is not None else _max_vertices()
+    cap = DEFAULT_MAX_VERTICES
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"MHAAR_MAX_VERTICES must be a positive integer, got {raw!r}")
     if n > cap:
-        raise CapacityError(
-            f"graph has {n} vertices, over the cap of {cap} "
-            "(set MHAAR_MAX_VERTICES or pass max_vertices to raise it)")
+        raise CapacityError(f"graph has {n} vertices, over the cap of {cap} "
+                            "(set MHAAR_MAX_VERTICES to raise it)")
 
 
 def _hmix(h: int, x: int) -> int:
@@ -224,24 +220,16 @@ class _Orbits:
         return sorted(tuple(vs) for vs in groups.values())
 
 
-class _Jump(Exception):
-    __slots__ = ("depth",)
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
-def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = None,
-                       max_vertices: Optional[int] = None) -> AutResult:
+def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = None) -> AutResult:
     """Exact automorphism group of the graph.
 
     initial_colors restricts automorphisms to colour-preserving ones;
     leave it None for the plain automorphism group.  The vertex cap
     guards against accidental huge inputs (override with the
-    MHAAR_MAX_VERTICES environment variable or the max_vertices arg).
+    MHAAR_MAX_VERTICES environment variable).
     """
     n = graph.n
-    _check_vertex_cap(n, max_vertices)
+    _check_vertex_cap(n)
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
@@ -271,75 +259,66 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
     first_branch: list[int] = []
     order = 1
     nodes = 0
-
-    def recurse(cells: list[int], h: int, depth: int, on_first: bool, anchor: int) -> None:
-        nonlocal first_leaf, order, nodes
+    # stack[d] is the non-leaf node at depth d of the current path:
+    # [cells, hash, on_first, anchor, target, unvisited target vertices, tried]
+    stack: list[list] = []
+    # the node to enter next: cells, hash, on_first, anchor, where to
+    # start looking for the target cell (every cell before it is a singleton)
+    node: Optional[tuple] = (cells, h0, True, 0, 0)
+    while node is not None:
+        cells, h, on_first, anchor, start = node
         nodes += 1
-        if on_first and first_leaf is None and len(first_invs) == depth:
-            first_invs.append(h)
-
-        target = -1
-        for idx, c in enumerate(cells):
-            if c.bit_count() > 1:
-                target = idx
-                break
-
-        if target < 0:
-            lam = [c.bit_length() - 1 for c in cells]
-            if first_leaf is None:
-                first_leaf = lam
-                return
+        if on_first and first_leaf is None:
+            first_invs.append(h)  # the first path's trace, one hash per depth
+        target = start
+        while target < len(cells) and not cells[target] & (cells[target] - 1):
+            target += 1
+        if target < len(cells):
+            stack.append([cells, h, on_first, anchor, target, cells[target], []])
+        elif first_leaf is None:
+            first_leaf = [c.bit_length() - 1 for c in cells]
+        else:
             sigma_l = [0] * n
-            for zv, lv in zip(first_leaf, lam):
-                sigma_l[zv] = lv
+            for zv, c in zip(first_leaf, cells):
+                sigma_l[zv] = c.bit_length() - 1
             sigma = tuple(sigma_l)
             if sigma != identity and _is_automorphism(bits, sigma):
                 found.append(sigma)
                 orbits.add(sigma)
-                raise _Jump(anchor)
-            return
+                del stack[anchor + 1 :]  # back to the first-path node it branched from
 
-        cell = cells[target]
-        tried: list[int] = []
-        b = cell
-        while b:
+        node = None
+        while node is None and stack:
+            frame = stack[-1]
+            cells, h, on_first, anchor, target, b, tried = frame
+            depth = len(stack) - 1
+            if not b:
+                stack.pop()
+                if on_first:
+                    # every generator so far fixes first_branch[:depth], and the
+                    # level is exhausted: this orbit is the stabilizer index here
+                    order *= orbits.orbit_size(first_branch[depth])
+                continue
             low = b & -b
             v = low.bit_length() - 1
-            b ^= low
-            if on_first and first_leaf is None:
+            frame[5] = b ^ low
+            first = on_first and first_leaf is None
+            if first:
                 first_branch.append(v)
             elif on_first:
                 root = orbits.find(v)
                 if any(orbits.find(t) == root for t in tried):
                     continue
+            tried.append(v)
             child = list(cells)
-            child[target : target + 1] = [low, cell ^ low]
+            child[target : target + 1] = [low, cells[target] ^ low]
             ch = _hmix(h, target)
             ch = _refine(bits, child, [low], ch)
             ch = _hmix(ch, len(child))
-            child_first = on_first and first_leaf is None
-            if not child_first and first_leaf is not None:
-                if depth + 1 >= len(first_invs) or ch != first_invs[depth + 1]:
-                    tried.append(v)
-                    continue
-            try:
-                recurse(child, ch, depth + 1,
-                        child_first, depth + 1 if child_first else anchor)
-            except _Jump as jp:
-                if jp.depth != depth:
-                    raise
-            tried.append(v)
-        if on_first:
-            # every generator so far fixes first_branch[:depth], and the
-            # level is exhausted: this orbit is the stabilizer index here
-            order *= orbits.orbit_size(first_branch[depth])
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * n + 200))
-    try:
-        recurse(cells, h0, 0, True, 0)
-    finally:
-        sys.setrecursionlimit(limit)
+            if first:
+                node = (child, ch, True, depth + 1, target + 1)
+            elif depth + 1 < len(first_invs) and ch == first_invs[depth + 1]:
+                node = (child, ch, False, anchor, target + 1)
     return AutResult(order, found, orbits.orbits(), nodes)
 
 

@@ -269,13 +269,6 @@ def build_entry(entry: CatalogEntry, group: Optional[Group] = None) -> Connectio
     return cm
 
 
-def hgr_entry(tag: str, m: int, group: Optional[Group] = None) -> ConnectionMatrix:
-    es = entries(tag=tag, m=m, kind="hgr")
-    if not es:
-        raise GroupError(f"no recorded witness for {tag} with m={m}")
-    return build_entry(es[0], group)
-
-
 def lift_base_entry(tag: str, m: int) -> CatalogEntry:
     """Pick the chain-extension base entry for extending tag to m parts.
 

@@ -218,19 +218,12 @@ def build_graph(cm: ConnectionMatrix) -> Graph:
     return graph
 
 
-def right_translation(cm_or_group: Union[ConnectionMatrix, Group], m_or_elem: int,
-                      elem: Optional[int] = None) -> list[int]:
+def right_translation(cm: ConnectionMatrix, g: int) -> list[int]:
     """Permutation (h, i) -> (h*g, i) of the vertex set, as an index list.
 
-    Call as right_translation(cm, g) or right_translation(group, m, g).
     This is an automorphism of every derived graph over the group.
     """
-    if isinstance(cm_or_group, ConnectionMatrix):
-        group, m, g = cm_or_group.group, cm_or_group.m, m_or_elem
-    else:
-        if elem is None:
-            raise TypeError("right_translation(group, m, elem) needs three arguments")
-        group, m, g = cm_or_group, m_or_elem, elem
+    group, m = cm.group, cm.m
     n = group.order
     perm = [0] * (m * n)
     for i in range(m):

@@ -67,10 +67,6 @@ def nonexistence_clause(group: Group, m: int) -> Optional[str]:
     return NONEXISTENT.get((tag, m))
 
 
-def has_m_hgr(group: Group, m: int) -> bool:
-    return nonexistence_clause(group, m) is None
-
-
 # -- generic recipes, by minimal generating size -------------------------------
 
 

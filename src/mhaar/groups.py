@@ -75,9 +75,6 @@ class Group:
                 raise GroupError(f"row {a} is not a permutation")
             if len({t[b][a] for b in range(n)}) != n:
                 raise GroupError(f"column {a} is not a permutation")
-        for a in range(n):
-            if all(t[a][b] != 0 for b in range(n)):
-                raise GroupError(f"element {a} has no inverse")
         # Light's test (Clifford & Preston 1961): the elements s with
         # (x*s)*y = x*(s*y) for all x, y are closed under products, so it
         # suffices to check a generating set.  Once the generators so far

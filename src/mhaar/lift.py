@@ -29,6 +29,7 @@ from typing import Iterable, Optional
 
 from .autos import automorphism_group
 from .cayley import CayleyError, ConnectionMatrix, build_graph
+from .graphs import Graph
 
 
 class LiftError(ValueError):
@@ -76,9 +77,8 @@ def triangle_profile(cm: ConnectionMatrix) -> tuple[str, ...]:
     """Which vertices of each part lie on 3-cycles: 'all', 'none', 'mixed'.
 
     The extension works because triangles exist through every base
-    vertex and through no chain vertex, so this is both a precondition
-    check (base parts must read 'all') and a diagnostic on the result
-    (chain parts must read 'none').
+    vertex and through no chain vertex: base parts must read 'all' (the
+    precondition plan_lift checks) and chain parts 'none' on the result.
     """
     graph = build_graph(cm)
     n = cm.group.order
@@ -100,6 +100,7 @@ class LiftPlan:
     filler_large: frozenset[int]
     relaxed: bool
     layout: dict  # chain_filler_layout(base_parts, m)
+    graph: Graph  # the base graph, built once for the triangle and PGSR checks
 
 
 def plan_lift(base: ConnectionMatrix, m: int,
@@ -129,7 +130,9 @@ def plan_lift(base: ConnectionMatrix, m: int,
         raise LiftError(
             f"base violates the hypothesis k <= |G| (k={k}, |G|={n}); "
             "pass relax_fillers=True to clamp the filler sizes instead")
-    bad = [i + 1 for i, s in enumerate(triangle_profile(base)) if s != "all"]
+    graph = build_graph(base)
+    bad = [i + 1 for i in range(b)
+           if not all(graph.on_triangle(i * n + a) for a in range(n))]
     if bad:
         raise LiftError(
             "base violates the triangle hypothesis: parts "
@@ -148,7 +151,7 @@ def plan_lift(base: ConnectionMatrix, m: int,
         large = frozenset(filler_large)
         if len(large) != size_large:
             raise LiftError(f"filler_large must have {size_large} elements, got {len(large)}")
-    return LiftPlan(b, m, k, small, large, relax_fillers, layout)
+    return LiftPlan(b, m, k, small, large, relax_fillers, layout, graph)
 
 
 def lift_base(base: ConnectionMatrix, m: int,
@@ -164,7 +167,7 @@ def lift_base(base: ConnectionMatrix, m: int,
     """
     plan = plan_lift(base, m, filler_small, filler_large, relax_fillers)
     if check_base:
-        aut = automorphism_group(build_graph(base))
+        aut = automorphism_group(plan.graph)
         if aut.order != base.group.order:
             raise LiftError(
                 f"base is not a PGSR: |Aut|={aut.order}, group order "

@@ -1,5 +1,6 @@
 """Automorphism-group computation against graphs with known symmetry."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -140,14 +141,55 @@ def test_capacity_env(monkeypatch):
             automorphism_group(petersen())
 
 
-def test_recursion_limit_restored():
+def test_recursion_limit_restored(monkeypatch):
+    # the search is a loop: it runs under a limit just above the caller's
+    # stack depth, and never sets the limit itself
     before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # below what 256 vertices ask for
+    set_limit = sys.setrecursionlimit
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    set_limit(depth + 40)
+
+    def refuse(limit):
+        raise AssertionError(f"the engine set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     try:
+        assert automorphism_group(Graph(200)).order == factorial(200)
         assert automorphism_group(hypercube(8)).order == 2 ** 8 * factorial(8)
-        assert sys.getrecursionlimit() == 1000
+        assert sys.getrecursionlimit() == depth + 40
     finally:
-        sys.setrecursionlimit(before)
+        set_limit(before)
+
+
+# every AutResult field over a seeded battery: a change to the order in
+# which the tree is visited changes the generators, and so this digest
+ENGINE_DIGEST = "269ddac5373b53519dd45d985fbbbef2eb1b10760760926b247a8a7a4fbe7de2"
+
+
+def _engine_digest():
+    rng = random.Random(31337)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.random()
+        graphs.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    groups = battery_groups()
+    for name in sorted(groups):
+        graphs.append(build_graph(random_matrix(
+            groups[name], rng.randint(2, 4), rng, diagonal=rng.random() < 0.5,
+            density=rng.random())))
+    sha = hashlib.sha256()
+    for graph in graphs:
+        res = automorphism_group(graph)
+        sha.update(repr((res.order, res.generators, res.orbits, res.nodes)).encode())
+    return sha.hexdigest()
+
+
+def test_engine_results_are_pinned():
+    assert _engine_digest() == ENGINE_DIGEST
 
 
 # -- refinement against the full-scan reference -------------------------------

@@ -12,7 +12,6 @@ from mhaar.catalog import (
     build_entry,
     entries,
     g0_generators,
-    hgr_entry,
     lift_base_entry,
     matrix_from_graph,
 )
@@ -89,13 +88,6 @@ def test_g0_generators_x27_noncommuting():
 def test_g0_generators_unknown_tag():
     with pytest.raises(GroupError, match="catalog tag"):
         g0_generators(cyclic(7), "C7")
-
-
-def test_hgr_entry_shortcut():
-    cm = hgr_entry("C6", 3)
-    assert cm.m == 3 and cm.group.order == 6
-    with pytest.raises(GroupError, match="no recorded witness"):
-        hgr_entry("C6", 9)
 
 
 # -- chain-extension base selection --------------------------------------------

@@ -174,6 +174,20 @@ def test_lift5_produces_hgrs():
     assert v.ok and v.aut_order == 3, v.reason
 
 
+def test_lift_builds_the_base_graph_once(monkeypatch):
+    # the triangle check and the PGSR check share one graph
+    import mhaar.lift
+    built = []
+
+    def counting(cm):
+        built.append(cm.m)
+        return build_graph(cm)
+
+    monkeypatch.setattr(mhaar.lift, "build_graph", counting)
+    assert lift_base(base_c6(), 7).m == 7
+    assert built == [3]
+
+
 def test_triangles_stay_in_the_base():
     out = lift_base(base_c6(), 9)
     assert triangle_profile(out) == ("all",) * 3 + ("none",) * 6

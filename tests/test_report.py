@@ -8,7 +8,7 @@ import pytest
 
 import mhaar.autos
 from mhaar.autos import automorphism_group
-from mhaar.catalog import build_entry, entries, hgr_entry
+from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.cli import EXIT_CAPACITY, main
 from mhaar.constructions import synthesize
@@ -36,7 +36,7 @@ KEY_ORDER = ["schema", "tool_version", "kind", "group", "m", "route",
 
 @pytest.fixture(scope="module")
 def c6_witness():
-    return hgr_entry("C6", 3)
+    return build_entry(entries(tag="C6", m=3, kind="hgr")[0])
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ def test_reverify_rejects_honest_evidence_of_excess_symmetry():
 
 def test_reverify_checks_the_vertex_cap_before_building(monkeypatch, tmp_path):
     # m * |G| = 4,000,000 vertices: refused before one row of the graph exists
-    cert = tampered(make_certificate(hgr_entry("C2", 6)), m=2_000_000, matrix=[])
+    cert = tampered(make_certificate(build_entry(entries(tag="C2", m=6, kind="hgr")[0])), m=2_000_000, matrix=[])
 
     def refuse(cm):
         raise AssertionError(f"built a graph for m={cm.m}")
