@@ -33,6 +33,26 @@ are always explored, so a hash collision costs time, never soundness.
 
 Vertex colourings are derived from the graph alone (degree and triangle
 count per vertex), so results are label-independent.
+
+`only_translations(graph, n)` runs the same loop as a yes/no question:
+is |Aut| = n, for a graph whose right translations by a group of order
+n are automorphisms, acting regularly on each part (each run of n
+consecutive vertices)?  Two things change.  At the root, a child in the
+same part as a child already tried is skipped: a right translation maps
+one onto the other, so their subtrees are isomorphic, and the root
+cells are unions of parts because the translations are automorphisms.
+(The union-find is not seeded with the translations: below the root
+they do not fix the first-path vertices, so orbit pruning there would be
+unsound.)  And the search stops at the first generator it accepts.
+Found below the first child of the root, it fixes a vertex, which no
+translation but the identity does; found under another root child, it
+moves the first-path vertex into another part, which no translation
+does.  Either way |Aut| > n.  Conversely, if |Aut| > n, either the
+stabilizer of the first-path vertex is nontrivial, and its elements map
+the first leaf to other leaves under the first root child, or the orbit
+of that vertex, a union of parts, holds another part, whose root child
+is tried and has the image of the first leaf below it.  So the search
+finds a generator unless |Aut| = n.  No order is computed.
 """
 
 from __future__ import annotations
@@ -228,6 +248,28 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
     guards against accidental huge inputs (override with the
     MHAAR_MAX_VERTICES environment variable).
     """
+    res = _search(graph, initial_colors, 0)
+    assert res is not None  # only the decision mode stops early
+    return res
+
+
+def only_translations(graph: Graph, n: int) -> bool:
+    """Whether |Aut(graph)| = n, for a graph whose automorphisms include
+    the right translations by a group of order n, acting regularly on
+    each run of n consecutive vertices (the parts of `build_graph`).
+
+    Stops at the first automorphism the search finds; no order is
+    computed.  The vertex cap applies as for `automorphism_group`.
+    """
+    if n < 1 or graph.n % n:
+        raise ValueError(f"{graph.n} vertices do not split into parts of size {n}")
+    return _search(graph, None, n) is not None
+
+
+def _search(graph: Graph, initial_colors: Optional[Sequence[int]],
+            part: int) -> Optional[AutResult]:
+    """The search loop; part > 0 is the decision mode of `only_translations`,
+    which returns None at the first generator instead of going on."""
     n = graph.n
     _check_vertex_cap(n)
     if n == 0:
@@ -283,6 +325,8 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
                 sigma_l[zv] = c.bit_length() - 1
             sigma = tuple(sigma_l)
             if sigma != identity and _is_automorphism(bits, sigma):
+                if part:
+                    return None  # not a right translation, so |Aut| > part
                 found.append(sigma)
                 orbits.add(sigma)
                 del stack[anchor + 1 :]  # back to the first-path node it branched from
@@ -306,8 +350,14 @@ def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = N
             if first:
                 first_branch.append(v)
             elif on_first:
-                root = orbits.find(v)
-                if any(orbits.find(t) == root for t in tried):
+                if part:
+                    # no orbits merge in this mode; at the root a right
+                    # translation carries v onto a tried child in its part
+                    seen = not depth and any(t // part == v // part for t in tried)
+                else:
+                    root = orbits.find(v)
+                    seen = any(orbits.find(t) == root for t in tried)
+                if seen:
                     continue
             tried.append(v)
             child = list(cells)

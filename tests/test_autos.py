@@ -16,11 +16,13 @@ from mhaar.autos import (
     brute_force_aut_order,
     is_m_hgr,
     is_m_pgsr,
+    only_translations,
 )
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.graphs import Graph
 from mhaar.groups import CapacityError, cyclic, elem_abelian
+from mhaar.search import _regular_graphs_seeded
 
 from conftest import battery_groups, random_matrix
 
@@ -133,6 +135,8 @@ def test_capacity_env(monkeypatch):
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "8")
     with pytest.raises(CapacityError):
         automorphism_group(petersen())
+    with pytest.raises(CapacityError):
+        only_translations(petersen(), 1)
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
     assert automorphism_group(petersen()).order == 120
     for bad in ("abc", "0", "-5"):
@@ -380,3 +384,43 @@ def test_translations_within_random_matrices():
         cm = random_matrix(g, rng.choice([2, 3]), rng)
         order = automorphism_group(build_graph(cm)).order
         assert order % g.order == 0
+
+
+# -- the decision mode ---------------------------------------------------------
+
+
+def test_only_translations_matches_the_order():
+    rng = random.Random(2718)
+    graphs = []
+    for g in battery_groups().values():
+        for m in range(2, 6):
+            for _ in range(5):
+                cm = random_matrix(g, m, rng, diagonal=rng.random() < 0.3,
+                                   density=rng.random())
+                graphs.append((build_graph(cm), g.order))
+    # over the trivial group the parts are single vertices
+    graphs += [(graph, 1) for graph in _regular_graphs_seeded(8, 3)]
+    assert len(graphs) == 24 * 4 * 5 + 553
+    answers = [only_translations(graph, n) for graph, n in graphs]
+    assert answers == [automorphism_group(graph).order == n for graph, n in graphs]
+    assert 0 < sum(answers) < len(answers)
+
+
+@pytest.mark.parametrize("group,m,blocks,order", [
+    (cyclic(5), 4, {(1, 2): (0, 2, 3), (1, 4): (4,), (2, 3): (1,), (3, 4): (3, 4)}, 10),
+    (cyclic(12), 2, {(1, 2): (2, 3, 5)}, 24),
+], ids=["C5-m4", "C12-m2"])
+def test_only_translations_sees_automorphisms_that_only_move_parts(group, m, blocks, order):
+    # every vertex stabilizer is trivial, so only a root child in another
+    # part can reveal the extra automorphisms
+    graph = build_graph(ConnectionMatrix(group, m, blocks))
+    res = automorphism_group(graph)
+    assert res.order == order
+    assert all(res.stabilizer_order(v) == 1 for v in range(graph.n))
+    assert not only_translations(graph, group.order)
+
+
+def test_only_translations_needs_whole_parts():
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="parts of size"):
+            only_translations(petersen(), n)
