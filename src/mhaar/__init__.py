@@ -19,27 +19,48 @@ Everything runs on the standard library.  The automorphism engine caps
 graphs at 1024 vertices by default; set MHAAR_MAX_VERTICES to raise it.
 """
 
-from .autos import (AutResult, Evidence, automorphism_group,
-                    brute_force_aut_order, check_claim, evidence, is_m_hgr,
-                    is_m_pgsr)
-from .catalog import (CatalogEntry, asymmetric_regular_graph, build_entry,
-                      entries, lift_base_entry, matrix_from_graph)
-from .cayley import (CayleyError, ConnectionMatrix, Verdict, build_graph,
-                     is_m_haar, load_matrix, right_translation)
-from .constructions import (HGR_MIN_PARTS, SynthesisError, SynthesisResult,
-                            generic_base, generic_hgr,
-                            nonexistence_clause, synthesize)
-from .formats import from_edgelist, from_graph6, to_edgelist, to_graph6
-from .graphs import Graph
-from .groups import (CapacityError, Group, GroupError, cyclic, dihedral,
-                     elem_abelian, load_group, parse_group_spec, product)
-from .lift import LiftError, lift_base
-from .report import (CertificateCheck, certificate_json, emit,
-                     load_certificate, make_certificate,
-                     nonexistence_certificate, reverify, search_certificate,
-                     write_certificate)
-from .search import (SearchReport, c1_regular_asymmetric_scan,
-                     decide_existence, space_size)
+import importlib
+
+# public name -> defining module; each module is imported on first access
+# (PEP 562), so `import mhaar.cli` loads only what a command runs
+_EXPORTS = {
+    "autos": ("AutResult", "Evidence", "automorphism_group",
+              "brute_force_aut_order", "check_claim", "evidence", "is_m_hgr",
+              "is_m_pgsr"),
+    "catalog": ("CatalogEntry", "asymmetric_regular_graph", "build_entry",
+                "entries", "lift_base_entry", "matrix_from_graph"),
+    "cayley": ("CayleyError", "ConnectionMatrix", "Verdict", "build_graph",
+               "is_m_haar", "load_matrix", "right_translation"),
+    "constructions": ("HGR_MIN_PARTS", "SynthesisError", "SynthesisResult",
+                      "generic_base", "generic_hgr", "nonexistence_clause",
+                      "synthesize"),
+    "formats": ("from_edgelist", "from_graph6", "to_edgelist", "to_graph6"),
+    "graphs": ("CapacityError", "Graph"),
+    "groups": ("Group", "GroupError", "cyclic", "dihedral", "elem_abelian",
+               "load_group", "parse_group_spec", "product"),
+    "lift": ("LiftError", "lift_base"),
+    "report": ("CertificateCheck", "certificate_json", "emit",
+               "load_certificate", "make_certificate",
+               "nonexistence_certificate", "reverify", "search_certificate",
+               "write_certificate"),
+    "search": ("SearchReport", "c1_regular_asymmetric_scan",
+               "decide_existence", "space_size"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 

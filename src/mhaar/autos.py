@@ -53,36 +53,26 @@ the first leaf to other leaves under the first root child, or the orbit
 of that vertex, a union of parts, holds another part, whose root child
 is tried and has the image of the first leaf below it.  So the search
 finds a generator unless |Aut| = n.  No order is computed.
+
+The claim check (`evidence`, `check_claim`) works on connection
+matrices, so it needs `cayley`, and `cayley` needs `groups`.  It imports
+`cayley` inside those two functions rather than at the top: the engine
+itself needs only `graphs`, and `mhaar oracle-aut` then starts without
+compiling or loading any group or matrix code.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .cayley import ConnectionMatrix, Verdict, build_graph, is_m_haar
-from .graphs import Graph
-from .groups import CapacityError
+from .graphs import CapacityError, Graph, check_vertex_cap
 
-DEFAULT_MAX_VERTICES = 1024
+if TYPE_CHECKING:
+    from .cayley import ConnectionMatrix, Verdict
+
 _FNV = 1099511628211
 _MASK = (1 << 64) - 1
-
-
-def _check_vertex_cap(n: int) -> None:
-    raw = os.environ.get("MHAAR_MAX_VERTICES", "")
-    cap = DEFAULT_MAX_VERTICES
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"MHAAR_MAX_VERTICES must be a positive integer, got {raw!r}")
-    if n > cap:
-        raise CapacityError(f"graph has {n} vertices, over the cap of {cap} "
-                            "(set MHAAR_MAX_VERTICES to raise it)")
 
 
 def _hmix(h: int, x: int) -> int:
@@ -271,7 +261,7 @@ def _search(graph: Graph, initial_colors: Optional[Sequence[int]],
     """The search loop; part > 0 is the decision mode of `only_translations`,
     which returns None at the first generator instead of going on."""
     n = graph.n
-    _check_vertex_cap(n)
+    check_vertex_cap(n)
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
@@ -440,7 +430,8 @@ class Evidence:
 
 def evidence(cm: ConnectionMatrix) -> Evidence:
     """Build the graph, run the engine once, and collect the evidence."""
-    _check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
+    from .cayley import build_graph
+    check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
     graph = build_graph(cm)
     aut = automorphism_group(graph)
     n = cm.group.order
@@ -466,6 +457,7 @@ def check_claim(witness: Union[ConnectionMatrix, Evidence], kind: str) -> Verdic
     orbits; "pgsr" skips regular.  The engine runs only after the
     structural checks pass, and not at all when given earlier Evidence.
     """
+    from .cayley import Verdict, is_m_haar
     if kind not in CLAIM_KINDS:
         raise ValueError(f"kind must be one of {CLAIM_KINDS}, got {kind!r}")
     given = isinstance(witness, Evidence)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
-from .graphs import Graph
+from .graphs import CapacityError, Graph, check_vertex_cap
 from .groups import Group, GroupError, parse_group_spec
 
 if TYPE_CHECKING:
@@ -157,28 +157,51 @@ class ConnectionMatrix:
             try:
                 if parse_group_spec(self.group.descriptor).table == self.group.table:
                     grp = self.group.descriptor
-            except GroupError:
+            except (GroupError, CapacityError):
                 pass
         entries = [{"i": i, "j": j, "elems": sorted(s)} for i, j, s in self.upper_items()]
         return {"group": grp, "m": self.m, "entries": entries}
 
     @staticmethod
     def from_json(data: dict) -> "ConnectionMatrix":
+        """Parse matrix JSON; a malformed field raises CayleyError naming it.
+
+        m * |G| is checked against the vertex cap before anything is
+        built per part.
+        """
         if not isinstance(data, dict) or "group" not in data or "m" not in data:
             raise CayleyError("connection matrix JSON needs 'group' and 'm' keys")
+        m = data["m"]
+        if type(m) is not int:
+            raise CayleyError(f"'m' must be an integer, got {m!r}")
         grp = data["group"]
-        group = parse_group_spec(grp) if isinstance(grp, str) else Group.from_json(grp)
+        if isinstance(grp, str):
+            group = parse_group_spec(grp)
+        elif isinstance(grp, dict):
+            group = Group.from_json(grp)
+        else:
+            raise CayleyError(f"'group' must be a spec string or a table object, got {grp!r}")
+        check_vertex_cap(m * group.order)
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise CayleyError("'entries' must be a list")
         blocks = {}
         diagonal = {}
-        for e in data.get("entries", ()):
-            i, j, elems = e["i"], e["j"], e["elems"]
+        for k, e in enumerate(entries):
+            if not isinstance(e, dict):
+                raise CayleyError(f"entry {k} is not an object")
+            i, j, elems = e.get("i"), e.get("j"), e.get("elems")
+            if type(i) is not int or type(j) is not int:
+                raise CayleyError(f"entry {k}: 'i' and 'j' must be integers")
+            if not isinstance(elems, list) or any(type(x) is not int for x in elems):
+                raise CayleyError(f"entry {k}: 'elems' must be a list of integers")
             if i == j:
                 diagonal[i] = elems
             elif i < j:
                 blocks[(i, j)] = elems
             else:
                 raise CayleyError(f"entry ({i}, {j}) below the diagonal")
-        return ConnectionMatrix(group, data["m"], blocks, diagonal)
+        return ConnectionMatrix(group, m, blocks, diagonal)
 
 
 def load_matrix(path: str) -> ConnectionMatrix:

@@ -7,7 +7,7 @@ then u), six bits per printable byte, offset 63.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, check_vertex_cap
 
 
 def _encode_n(n: int) -> bytes:
@@ -98,17 +98,27 @@ def to_edgelist(g: Graph) -> str:
 
 
 def from_edgelist(text: str) -> Graph:
+    """Parse 'p <n> <m>' then one 'u v' line per edge.
+
+    n is checked against the vertex cap before the graph is allocated.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("p "):
         raise ValueError("edge list must start with a 'p <n> <m>' line")
     parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed header {lines[0]!r}")
+    if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+        raise ValueError(f"malformed header {lines[0]!r}: "
+                         "n and m must be nonnegative integers")
     n, m = int(parts[1]), int(parts[2])
+    check_vertex_cap(n)
     g = Graph(n)
     for ln in lines[1:]:
-        us, vs = ln.split()
-        g.add_edge(int(us), int(vs))
+        try:
+            us, vs = ln.split()
+            u, v = int(us), int(vs)
+        except ValueError:
+            raise ValueError(f"malformed edge line {ln!r}") from None
+        g.add_edge(u, v)
     if g.edge_count() != m:
         raise ValueError(f"header claims {m} edges, file has {g.edge_count()}")
     return g

@@ -2,11 +2,42 @@
 
 Python ints are the bitsets, so all the hot set algebra (neighbourhood
 intersections, cell counts in refinement) is C-level popcount work.
+
+The vertex cap lives here too: every reader of untrusted input checks
+it before it allocates a graph, a group table or a part.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator, Optional
+
+DEFAULT_MAX_VERTICES = 1024
+
+
+class CapacityError(RuntimeError):
+    """The request exceeds a documented size cap."""
+
+
+def vertex_cap() -> int:
+    """The most vertices a graph may have: MHAAR_MAX_VERTICES, default 1024."""
+    raw = os.environ.get("MHAAR_MAX_VERTICES", "")
+    if not raw:
+        return DEFAULT_MAX_VERTICES
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MHAAR_MAX_VERTICES must be a positive integer, got {raw!r}")
+    return cap
+
+
+def check_vertex_cap(n: int) -> None:
+    cap = vertex_cap()
+    if n > cap:
+        raise CapacityError(f"graph has {n} vertices, over the cap of {cap} "
+                            "(set MHAAR_MAX_VERTICES to raise it)")
 
 
 class Graph:

@@ -18,6 +18,8 @@ import operator
 import re
 from typing import Iterable, Optional, Sequence
 
+from .graphs import CapacityError, vertex_cap
+
 MAX_RANK_SEARCH_ORDER = 512
 MAX_RANK = 6
 
@@ -27,10 +29,6 @@ _GEN_LETTERS = "xyzwvu"
 
 class GroupError(ValueError):
     """A table failed the group axioms, or an argument is not a group element."""
-
-
-class CapacityError(RuntimeError):
-    """The request exceeds a documented size cap."""
 
 
 class Group:
@@ -153,9 +151,19 @@ class Group:
     def from_json(data: dict) -> "Group":
         if not isinstance(data, dict) or "order" not in data or "table" not in data:
             raise GroupError("group JSON needs 'order' and 'table' keys")
-        if data["order"] != len(data["table"]):
+        table = data["table"]
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(type(v) is int for v in row) for row in table):
+            raise GroupError("group JSON 'table' must be a list of integer lists")
+        if data["order"] != len(table):
             raise GroupError("declared order does not match table size")
-        return Group(data["table"], names=data.get("names"), descriptor=data.get("descriptor"))
+        names, descriptor = data.get("names"), data.get("descriptor")
+        if names is not None and not (
+                isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise GroupError("group JSON 'names' must be a list of strings")
+        if descriptor is not None and not isinstance(descriptor, str):
+            raise GroupError("group JSON 'descriptor' must be a string")
+        return Group(table, names=names, descriptor=descriptor)
 
 
 def load_group(path: str) -> Group:
@@ -549,7 +557,7 @@ def catalog_group(tag: str) -> Group:
 # -- group spec parsing -------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"^(?:C(\d+)(?:\^(\d+))?|D(\d+)|Q8|A4|X27)$")
-_NAMED = {"Q8": quaternion8, "A4": alternating4, "X27": extraspecial27}
+_NAMED = {"Q8": (quaternion8, 8), "A4": (alternating4, 12), "X27": (extraspecial27, 27)}
 
 
 def parse_group_spec(spec: str) -> Group:
@@ -559,13 +567,19 @@ def parse_group_spec(spec: str) -> Group:
     and products of these joined by a lowercase "x" (spaces optional),
     e.g. "C2^2xC4" or "D8 x C3".  A spec starting with "@" names a JSON
     multiplication-table file instead.
+
+    The order follows from the grammar, and a spec whose order is over
+    the vertex cap raises CapacityError before any table is built: one
+    part of a graph over G already has |G| vertices.
     """
     spec = spec.strip()
     if not spec:
         raise GroupError("empty group spec")
     if spec.startswith("@"):
         return load_group(spec[1:])
-    factors = []
+    cap = vertex_cap()
+    plan = []  # (constructor, arguments, copies), left to right
+    order = 1
     pos = 0
     for raw in spec.split("x"):
         token = raw.strip()
@@ -577,19 +591,25 @@ def parse_group_spec(spec: str) -> Group:
                 f"bad group token {token!r} at position {at} "
                 "(expected Cn, Cn^k, Dn, Q8, A4, X27, or @file)")
         if token in _NAMED:
-            factors.append(_NAMED[token]())
+            make, size = _NAMED[token]
+            plan.append((make, (), 1))
         elif mm.group(3) is not None:
-            factors.append(dihedral(int(mm.group(3))))
+            size = int(mm.group(3))
+            plan.append((dihedral, (size,), 1))
         else:
             n = int(mm.group(1))
-            if mm.group(2) is not None:
-                k = int(mm.group(2))
-                if k < 1:
-                    raise GroupError(f"bad exponent in {token!r}")
-                if n in (2, 3):
-                    factors.append(elem_abelian(n, k))
-                else:
-                    factors.extend(cyclic(n) for _ in range(k))
+            k = 1 if mm.group(2) is None else int(mm.group(2))
+            if k < 1:
+                raise GroupError(f"bad exponent in {token!r}")
+            if mm.group(2) is not None and n in (2, 3):
+                plan.append((elem_abelian, (n, k), 1))
             else:
-                factors.append(cyclic(n))
+                plan.append((cyclic, (n,), k))
+            # n^k > cap once k reaches the bit length of cap, so no huge power
+            size = n ** k if n < 2 or k < cap.bit_length() else cap + 1
+        order *= size
+        if order > cap:
+            raise CapacityError(f"group {spec!r} has order over the vertex cap of "
+                                f"{cap} (set MHAAR_MAX_VERTICES to raise it)")
+    factors = [make(*args) for make, args, copies in plan for _ in range(copies)]
     return factors[0] if len(factors) == 1 else product(factors)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass
 from math import comb
@@ -349,6 +348,8 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
         if workers == 1:
             results = (_run_profile(group, *task) for task in tasks)
         else:
+            # imported here: only a pool needs it, and it is slow to load
+            import multiprocessing
             # leaving the pool's context terminates its workers
             pool = stack.enter_context(multiprocessing.Pool(
                 workers, initializer=_init_worker,

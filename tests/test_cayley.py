@@ -7,6 +7,7 @@ from mhaar.autos import automorphism_group
 from mhaar.cayley import (CayleyError, ConnectionMatrix, build_graph,
                           is_m_haar, load_matrix, part_elem_of,
                           right_translation, vertex_of)
+from mhaar.graphs import CapacityError
 from mhaar.groups import cyclic, dihedral, elem_abelian
 
 from conftest import battery_groups, random_matrix
@@ -154,6 +155,27 @@ def test_json_rejects_lower_triangle():
     with pytest.raises(CayleyError):
         ConnectionMatrix.from_json(
             {"group": "C3", "m": 2, "entries": [{"i": 2, "j": 1, "elems": [0]}]})
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"group": "C3", "m": "3"}, "'m'"),
+    ({"group": "C3", "m": 3.5}, "'m'"),
+    ({"group": "C3", "m": True}, "'m'"),
+    ({"group": 3, "m": 2}, "'group'"),
+    ({"group": "C3", "m": 2, "entries": {}}, "'entries'"),
+    ({"group": "C3", "m": 2, "entries": [7]}, "entry 0"),
+    ({"group": "C3", "m": 2, "entries": [{"i": 1, "j": 2}]}, "'elems'"),
+    ({"group": "C3", "m": 2, "entries": [{"i": "1", "j": 2, "elems": []}]}, "'i'"),
+    ({"group": "C3", "m": 2, "entries": [{"i": 1, "j": 2, "elems": [[1]]}]}, "'elems'"),
+])
+def test_json_names_the_malformed_field(data, field):
+    with pytest.raises(CayleyError, match=field):
+        ConnectionMatrix.from_json(data)
+
+
+def test_json_checks_the_vertex_cap_before_any_part():
+    with pytest.raises(CapacityError, match="6000000000 vertices"):
+        ConnectionMatrix.from_json({"group": "C3", "m": 2_000_000_000})
 
 
 def test_descriptor_groups_serialize_compactly():

@@ -1,9 +1,15 @@
 """Command line driver: exit codes, output shapes, file side effects."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mhaar
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, load_matrix
 from mhaar.cli import (
@@ -342,3 +348,99 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# -- fresh processes -------------------------------------------------------------
+
+SRC = Path(mhaar.__file__).resolve().parent.parent
+
+
+def fresh(*argv, code=None):
+    """Run `python -m mhaar ARGV` (or `python -c CODE ARGV`) in a new
+    interpreter with a 1 GiB address-space limit, so a regression that
+    allocates without bound fails with MemoryError instead of filling
+    the machine's memory."""
+    env = {k: v for k, v in os.environ.items() if k != "MHAAR_MAX_VERTICES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    prefix = ["-c", code] if code else ["-m", "mhaar"]
+    return subprocess.run([sys.executable, *prefix, *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit, timeout=120)
+
+
+HOSTILE = {
+    "negative-n": ("oracle-aut", "p -3 0\n", EXIT_ERROR, "'p -3 0'"),
+    "huge-n": ("oracle-aut", "p 99999999999 0\n", EXIT_CAPACITY, "99999999999 vertices"),
+    "short-edge-line": ("oracle-aut", "p 3 1\n1\n", EXIT_ERROR, "edge line '1'"),
+    "m-string": ("verify", {"group": "C3", "m": "3"}, EXIT_ERROR, "'m'"),
+    "m-float": ("verify", {"group": "C3", "m": 3.5}, EXIT_ERROR, "'m'"),
+    "no-elems": ("verify", {"group": "C3", "m": 2, "entries": [{"i": 1, "j": 2}]},
+                 EXIT_ERROR, "'elems'"),
+    "huge-m": ("verify", {"group": "C3", "m": 2000000000}, EXIT_CAPACITY,
+               "6000000000 vertices"),
+    "huge-group": ("verify", {"group": "C99999999", "m": 2}, EXIT_CAPACITY, "'C99999999'"),
+    "bad-table": ("verify", {"group": {"order": 1, "table": [5]}, "m": 2}, EXIT_ERROR,
+                  "'table'"),
+    "bad-names": ("verify", {"group": {"order": 1, "table": [[0]], "names": 5}, "m": 2},
+                  EXIT_ERROR, "'names'"),
+}
+
+
+@pytest.mark.parametrize("command, content, expected, message",
+                         HOSTILE.values(), ids=HOSTILE)
+def test_hostile_files_exit_cleanly(tmp_path, command, content, expected, message):
+    path = tmp_path / "input"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    proc = fresh(command, str(path))
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+LIST_MODULES = ("import sys, mhaar.cli\n"
+                "rc = mhaar.cli.main(sys.argv[1:])\n"
+                "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+                "sys.exit(rc)\n")
+
+
+def loaded_modules(*argv):
+    proc = fresh(*argv, code=LIST_MODULES)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    graph = tmp_path / "petersen.g6"
+    graph.write_text(petersen_g6() + "\n")
+    matrix = tmp_path / "c6.json"
+    cm = build_entry(entries(tag="C6", m=3, kind="hgr")[0])
+    matrix.write_text(json.dumps(cm.to_json()))
+
+    loaded = loaded_modules("oracle-aut", str(graph))
+    assert {m for m in loaded if m.startswith("mhaar")} == {
+        "mhaar", "mhaar.cli", "mhaar.graphs", "mhaar.formats", "mhaar.autos"}
+    assert "multiprocessing" not in loaded
+
+    loaded = loaded_modules("synthesize", "--group", "C6", "-m", "3")
+    assert "mhaar.search" not in loaded and "multiprocessing" not in loaded
+
+    loaded = loaded_modules("verify", str(matrix))
+    assert "mhaar.cayley" in loaded
+    for name in ("catalog", "constructions", "lift", "report", "search"):
+        assert f"mhaar.{name}" not in loaded
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    assert set(mhaar.__all__) == set(mhaar._MODULE_OF) | {"__version__"}
+    for name in mhaar.__all__:
+        value = getattr(mhaar, name)
+        if name != "__version__":
+            module = importlib.import_module(f"mhaar.{mhaar._MODULE_OF[name]}")
+            assert value is getattr(module, name)
+    assert set(mhaar.__all__) <= set(dir(mhaar))
+    with pytest.raises(AttributeError):
+        mhaar.no_such_name

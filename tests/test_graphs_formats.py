@@ -85,3 +85,19 @@ def test_edgelist_round_trip():
     assert h.bits == g.bits
     with pytest.raises(ValueError):
         from_edgelist("1 2\n")  # missing header
+
+
+def test_edgelist_rejects_hostile_headers_and_lines(monkeypatch):
+    from mhaar.graphs import CapacityError
+    for text in ("p -3 0\n", "p 3\n", "p x 0\n"):
+        with pytest.raises(ValueError, match="malformed header"):
+            from_edgelist(text)
+    with pytest.raises(CapacityError, match="99999999999 vertices"):
+        from_edgelist("p 99999999999 0\n")
+    for line in ("1", "1 2 3", "a b"):
+        with pytest.raises(ValueError, match=f"malformed edge line '{line}'"):
+            from_edgelist(f"p 3 1\n{line}\n")
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
+    assert from_edgelist(to_edgelist(petersen())).n == 10
+    with pytest.raises(CapacityError):
+        from_edgelist("p 11 0\n")

@@ -241,3 +241,32 @@ def test_product_order_and_commutativity():
     h = product([dihedral(6), cyclic(2)])
     assert h.order == 12
     assert not h.is_abelian()
+
+
+def test_parse_group_spec_checks_the_order_before_any_table(monkeypatch):
+    import mhaar.groups
+
+    def refuse(n):
+        raise AssertionError(f"built a table of order {n}")
+
+    monkeypatch.setattr(mhaar.groups, "cyclic", refuse)
+    for spec in ("C99999999", "C2000", "C5^99999999999", "C40xC40", "C2^11"):
+        with pytest.raises(CapacityError, match="over the vertex cap of 1024"):
+            parse_group_spec(spec)
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "8")
+    with pytest.raises(CapacityError, match="vertex cap of 8"):
+        parse_group_spec("D10")
+    assert parse_group_spec("Q8").order == 8  # exactly the cap
+    monkeypatch.undo()
+    with pytest.raises(GroupError):
+        parse_group_spec("C0xC99999999")  # the empty factor is still an error
+
+
+def test_group_json_names_the_malformed_field():
+    for table in (5, [5], [[0, "1"], [1, 0]]):
+        with pytest.raises(GroupError, match="'table'"):
+            Group.from_json({"order": 2, "table": table})
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    for field, value in (("names", 5), ("names", ["1", 2]), ("descriptor", 7)):
+        with pytest.raises(GroupError, match=f"'{field}'"):
+            Group.from_json({**c2, field: value})

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mhaar.autos
+import mhaar.cayley
 from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
@@ -255,7 +256,7 @@ def test_reverify_checks_the_vertex_cap_before_building(monkeypatch, tmp_path):
     def refuse(cm):
         raise AssertionError(f"built a graph for m={cm.m}")
 
-    monkeypatch.setattr(mhaar.autos, "build_graph", refuse)
+    monkeypatch.setattr(mhaar.cayley, "build_graph", refuse)
     with pytest.raises(CapacityError, match="4000000 vertices"):
         reverify(cert)
     path = tmp_path / "huge.json"
