@@ -230,15 +230,13 @@ class _Orbits:
         return sorted(tuple(vs) for vs in groups.values())
 
 
-def automorphism_group(graph: Graph, initial_colors: Optional[Sequence[int]] = None) -> AutResult:
+def automorphism_group(graph: Graph) -> AutResult:
     """Exact automorphism group of the graph.
 
-    initial_colors restricts automorphisms to colour-preserving ones;
-    leave it None for the plain automorphism group.  The vertex cap
-    guards against accidental huge inputs (override with the
-    MHAAR_MAX_VERTICES environment variable).
+    The vertex cap guards against accidental huge inputs (override with
+    the MHAAR_MAX_VERTICES environment variable).
     """
-    res = _search(graph, initial_colors, 0)
+    res = _search(graph, 0)
     assert res is not None  # only the decision mode stops early
     return res
 
@@ -253,11 +251,10 @@ def only_translations(graph: Graph, n: int) -> bool:
     """
     if n < 1 or graph.n % n:
         raise ValueError(f"{graph.n} vertices do not split into parts of size {n}")
-    return _search(graph, None, n) is not None
+    return _search(graph, n) is not None
 
 
-def _search(graph: Graph, initial_colors: Optional[Sequence[int]],
-            part: int) -> Optional[AutResult]:
+def _search(graph: Graph, part: int) -> Optional[AutResult]:
     """The search loop; part > 0 is the decision mode of `only_translations`,
     which returns None at the first generator instead of going on."""
     n = graph.n
@@ -266,12 +263,7 @@ def _search(graph: Graph, initial_colors: Optional[Sequence[int]],
         return AutResult(1, [], [])
     bits = graph.bits
 
-    if initial_colors is None:
-        keys: list = [(graph.degree(v), graph.triangle_count(v)) for v in range(n)]
-    else:
-        if len(initial_colors) != n:
-            raise ValueError("initial_colors length must equal vertex count")
-        keys = list(initial_colors)
+    keys = [(graph.degree(v), graph.triangle_count(v)) for v in range(n)]
     cells: list[int] = []
     h0 = 0
     for k in sorted(set(keys)):

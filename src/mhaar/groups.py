@@ -4,10 +4,11 @@ Elements are integers 0..n-1 with the identity fixed at index 0.  The table
 stores table[a][b] = a*b.  Constructors for the families used elsewhere
 (cyclic, elementary abelian, dihedral, A4, Q8, the exponent-3 extraspecial
 group of order 27, direct products) all produce documented canonical element
-orders, so the same group always comes back with the same table and the same
-named generators.  Every table is checked against the group axioms exactly
-(associativity by Light's test).  One closure, subgroup_generated, serves
-that check and every search for generators.
+orders, so the same group always comes back with the same table.  Every table
+is checked against the group axioms exactly (associativity by Light's test).
+One closure, subgroup_generated, serves that check and the one search for
+generating tuples, which the minimum generating set, the generating pair and
+the generating triple all run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from .graphs import CapacityError, vertex_cap
 
 MAX_RANK_SEARCH_ORDER = 512
-MAX_RANK = 6
 
 # generator letters used by elementary abelian naming, in canonical order
 _GEN_LETTERS = "xyzwvu"
@@ -40,7 +40,7 @@ class Group:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
-                 descriptor: Optional[str] = None, gens: Optional[dict[str, int]] = None):
+                 descriptor: Optional[str] = None):
         n = len(table)
         if n == 0:
             raise GroupError("empty table")
@@ -57,7 +57,6 @@ class Group:
         self.names = tuple(names) if names is not None else tuple(
             "1" if i == 0 else f"g{i}" for i in range(n))
         self.descriptor = descriptor
-        self.gens = dict(gens) if gens else {}
         self._validate()
         self._inv = tuple(row.index(0) for row in self.table)
         self._orders: Optional[tuple[int, ...]] = None
@@ -180,8 +179,7 @@ def cyclic(n: int) -> Group:
         raise GroupError("cyclic order must be >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
-    gens = {"x": 1 % n}
-    return Group(table, names=names, descriptor=f"C{n}", gens=gens)
+    return Group(table, names=names, descriptor=f"C{n}")
 
 
 def product(factors: Sequence[Group]) -> Group:
@@ -214,10 +212,10 @@ def product(factors: Sequence[Group]) -> Group:
 
 
 def elem_abelian(p: int, k: int) -> Group:
-    """Elementary abelian group of order p^k; canonical generators x, y, z, ...
+    """Elementary abelian group of order p^k, named in the letters x, y, z, ...
 
     Elements are exponent vectors in lexicographic order, so the factor-i
-    generator sits at index p^(k-1-i).
+    basis vector sits at index p^(k-1-i).
     """
     if p not in (2, 3):
         raise GroupError("elementary abelian constructor supports p in {2, 3}")
@@ -237,15 +235,14 @@ def elem_abelian(p: int, k: int) -> Group:
             names.append(" ".join(
                 _GEN_LETTERS[i] if c == 1 else f"{_GEN_LETTERS[i]}^{c}"
                 for i, c in enumerate(v) if c))
-    gens = {_GEN_LETTERS[i]: p ** (k - 1 - i) for i in range(k)}
-    return Group(table, names=names, descriptor=f"C{p}^{k}" if k > 1 else f"C{p}", gens=gens)
+    return Group(table, names=names, descriptor=f"C{p}^{k}" if k > 1 else f"C{p}")
 
 
 def dihedral(n: int) -> Group:
     """Dihedral group of ORDER n (even, >= 6): n/2 rotations, n/2 reflections.
 
-    Element i < n/2 is the rotation x^i; element n/2 + i is x^i y.  Generators:
-    x the rotation of order n/2, y a reflection.
+    Element i < n/2 is the rotation x^i, with x of order n/2; element
+    n/2 + i is x^i y, with y a reflection.
     """
     if n < 6 or n % 2:
         raise GroupError("dihedral order must be an even integer >= 6")
@@ -262,41 +259,25 @@ def dihedral(n: int) -> Group:
             table[idx(i, e)][idx(j, d)] = idx(i + jj, (e + d) % 2)
     names = [("1" if i == 0 else f"x^{i}" if i > 1 else "x") for i in range(r)]
     names += [("y" if i == 0 else f"x^{i} y" if i > 1 else "x y") for i in range(r)]
-    return Group(table, names=names, descriptor=f"D{n}", gens={"x": 1, "y": r})
+    return Group(table, names=names, descriptor=f"D{n}")
 
 
-def _perm_group(perms: list[tuple[int, ...]], names: list[str], descriptor: str,
-                gen_names: dict[str, tuple[int, ...]]) -> Group:
+def _perm_group(perms: list[tuple[int, ...]], names: list[str], descriptor: str) -> Group:
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     table = [[0] * n for _ in range(n)]
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             table[i][j] = index[tuple(p[q[k]] for k in range(len(p)))]
-    gens = {nm: index[p] for nm, p in gen_names.items()}
-    return Group(table, names=names, descriptor=descriptor, gens=gens)
+    return Group(table, names=names, descriptor=descriptor)
 
 
 def alternating4() -> Group:
-    """A4 as the even permutations of 4 points, identity first, lex order.
-
-    Generators: x the lexicographically least 3-cycle, y the least double
-    transposition; |x| = 3, |y| = 2 and |xy| = 3 always hold in A4.
-    """
+    """A4 as the even permutations of 4 points, identity first, lex order."""
     perms = [p for p in itertools.permutations(range(4)) if _perm_parity(p) == 0]
     perms.sort()
     names = ["1"] + ["(" + " ".join(map(str, p)) + ")" for p in perms[1:]]
-
-    def order_of(p: tuple[int, ...]) -> int:
-        q, k = p, 1
-        while q != (0, 1, 2, 3):
-            q = tuple(p[q[i]] for i in range(4))
-            k += 1
-        return k
-
-    x = next(p for p in perms if order_of(p) == 3)
-    y = next(p for p in perms if order_of(p) == 2)
-    return _perm_group(perms, names, "A4", {"x": x, "y": y})
+    return _perm_group(perms, names, "A4")
 
 
 def _perm_parity(p: Sequence[int]) -> int:
@@ -326,15 +307,15 @@ def quaternion8() -> Group:
     names = []
     for b in basis:
         names.extend([b, f"-{b}"])
-    return Group(table, names=names, descriptor="Q8", gens={"i": idx(1, "i"), "j": idx(1, "j")})
+    return Group(table, names=names, descriptor="Q8")
 
 
 def extraspecial27() -> Group:
     """The nonabelian group of order 27 and exponent 3 (Heisenberg over GF(3)).
 
     Elements are triples (a, b, c) in lex order with product
-    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'); generators x=(1,0,0),
-    y=(0,1,0), z=(0,0,1) with z central and [x, y] = z up to inversion.
+    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'), named by x=(1,0,0),
+    y=(0,1,0) and z=(0,0,1).
     """
     vecs = list(itertools.product(range(3), repeat=3))
     index = {v: i for i, v in enumerate(vecs)}
@@ -352,8 +333,7 @@ def extraspecial27() -> Group:
         else:
             names.append(" ".join(f"{l}^{c}" if c > 1 else l
                                   for l, c in zip("xyz", v) if c))
-    gens = {"x": index[(1, 0, 0)], "y": index[(0, 1, 0)], "z": index[(0, 0, 1)]}
-    return Group(table, names=names, descriptor="X27", gens=gens)
+    return Group(table, names=names, descriptor="X27")
 
 
 # -- generation-rank machinery -----------------------------------------------
@@ -377,112 +357,128 @@ def subgroup_generated(g: Group, elems: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def _check_rank_capacity(g: Group) -> None:
-    if g.order > MAX_RANK_SEARCH_ORDER:
-        raise CapacityError(
-            f"generating-rank search capped at order {MAX_RANK_SEARCH_ORDER}, got {g.order}")
+def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[tuple[int, ...]]:
+    """First t-tuple in lex order that generates g, or None; the one check
+    of the order cap, made before any O(n^2) work.
 
-
-def _find_generating_tuple(g: Group, t: int) -> Optional[tuple[int, ...]]:
-    """First lex ascending t-tuple that generates g, with closure pruning.
-
-    For the minimum rank it is safe to demand each element lie outside the
-    closure of its predecessors: otherwise it could be dropped, contradicting
-    minimality.
+    The first element has order >= first_order, each later one lies outside
+    the subgroup the earlier ones generate, and from the third on each is
+    larger than the one before.  Once a non-empty prefix generates g, the
+    rest is the identity: a cyclic g gives (x, 0) for t = 2.
     """
     n = g.order
+    if n > MAX_RANK_SEARCH_ORDER:
+        raise CapacityError(
+            f"generating-rank search capped at order {MAX_RANK_SEARCH_ORDER}, got {n}")
+    if t == 0:
+        return () if n == 1 else None
+    orders = g.element_orders()
 
-    def extend(prefix: tuple[int, ...], closure: frozenset[int], start: int) -> Optional[tuple[int, ...]]:
-        depth_left = t - len(prefix)
-        if depth_left == 0:
-            return prefix if len(closure) == n else None
-        # each proper extension at least doubles the subgroup, so the final
-        # order is >= |closure| * 2^depth_left; overshoot means no completion
-        if len(closure) << depth_left > n:
-            return None
+    def extend(prefix: tuple[int, ...], closure: frozenset[int],
+               start: int) -> Optional[tuple[int, ...]]:
+        last = len(prefix) == t - 1
         for e in range(start, n):
-            if e in closure:
+            if e in closure or (not prefix and orders[e] < first_order):
                 continue
-            res = extend(prefix + (e,), subgroup_generated(g, prefix + (e,)), e + 1)
-            if res is not None:
-                return res
+            tup = prefix + (e,)
+            sub = subgroup_generated(g, tup)
+            if len(sub) == n:
+                return tup + (0,) * (t - len(tup))
+            if not last:
+                res = extend(tup, sub, e + 1 if prefix else 1)
+                if res is not None:
+                    return res
         return None
 
     return extend((), frozenset([0]), 1)
 
 
+def _rank_lower_bound(g: Group) -> int:
+    """max over primes p of the rank of G/G'G^p, a lower bound on d(G).
+
+    G'G^p (commutators and p-th powers) is normal with an elementary abelian
+    quotient, which every generating set spans; the bound is d(G) for
+    nilpotent G (Burnside basis theorem).  A prime is skipped when the
+    p-part of |G|, or G/G^p alone, cannot raise the bound, and G' is
+    computed at most once.
+    """
+    n, table, inv = g.order, g.table, g._inv
+    bound, derived = (1 if n > 1 else 0), None
+
+    def quotient_rank(elems: set[int], p: int) -> int:  # the index is a power of p
+        index, r = n // len(subgroup_generated(g, elems)), 0
+        while index > 1:
+            index, r = index // p, r + 1
+        return r
+
+    for p in range(2, n + 1):
+        if n % p ** (bound + 1) or any(p % q == 0 for q in range(2, p)):
+            continue
+        powers = {g.power(x, p) for x in range(n)}
+        if quotient_rank(powers, p) <= bound:
+            continue
+        if derived is None:
+            derived = {table[table[inv[x]][inv[y]]][table[x][y]]
+                       for x in range(1, n) for y in range(x + 1, n)}
+        bound = max(bound, quotient_rank(powers | derived, p))
+    return bound
+
+
 def minimal_generating_size(g: Group) -> int:
-    """d(G): the least number of generators, by exhaustive pruned search."""
+    """d(G): the least number of generators."""
     return len(minimal_generating_set(g))
 
 
 def minimal_generating_set(g: Group) -> tuple[int, ...]:
     """A deterministic minimum generating tuple, cached on g.
 
-    The lex-first search runs for t = 0, 1, ... and stops at the first t
-    that generates.  Unless G is elementary abelian of exponent 2 (or
-    trivial), the first element of the result has order >= 3: when the
-    search returns only involutions, some product h_i*h_j has order >= 3
-    (otherwise the group would be elementary abelian 2), and h_i is
-    replaced by that product.
+    The lex-first search runs at t = 0, then from `_rank_lower_bound` up to
+    the first t that generates, which is at most log2 |G|; at t = d(G) no
+    element is redundant, so the tuple found is ascending.  Unless G is
+    elementary abelian of exponent 2 (or trivial), the result starts with
+    an element of order >= 3: when the search returns only involutions,
+    some product h_i*h_j has order >= 3 (otherwise G would be elementary
+    abelian 2), and h_i is replaced by that product.
     """
     if g._min_gens is None:
-        _check_rank_capacity(g)
-        for t in range(0, MAX_RANK + 1):
-            tup = _find_generating_tuple(g, t)
-            if tup is not None:
-                g._min_gens = _reorder_min_gens(g, tup)
-                break
-        else:
-            raise CapacityError(f"rank exceeds cap {MAX_RANK}")
+        # t = 0 checks the order cap before the bound's O(n^2) work
+        tup = _first_generating_tuple(g, 0)
+        if tup is None:
+            t = _rank_lower_bound(g)
+            while (tup := _first_generating_tuple(g, t)) is None:
+                t += 1
+        g._min_gens = _reorder_min_gens(g, tup)
     return g._min_gens
 
 
 def _reorder_min_gens(g: Group, tup: tuple[int, ...]) -> tuple[int, ...]:
-    if not tup:
-        return tup
-    orders = [g.element_order(h) for h in tup]
-    if max(orders) >= 3:
-        i = next(i for i, o in enumerate(orders) if o >= 3)
+    i = next((i for i, h in enumerate(tup) if g.element_order(h) >= 3), None)
+    if i is not None:
         return (tup[i],) + tup[:i] + tup[i + 1:]
-    if _is_elem_abelian_2(g):
-        return tup
+    # only involutions: if every product of two has order <= 2, they commute
+    # pairwise, and G is elementary abelian 2
     for i, j in itertools.combinations(range(len(tup)), 2):
         prod = g.table[tup[i]][tup[j]]
         if g.element_order(prod) >= 3:
             rest = tuple(h for k, h in enumerate(tup) if k != i)
             return (prod,) + rest
-    raise GroupError("exhausted involution products without finding order >= 3; "
-                     "group should have been elementary abelian 2")
-
-
-def _is_elem_abelian_2(g: Group) -> bool:
-    return g.is_abelian() and all(o <= 2 for o in g.element_orders())
+    return tup
 
 
 def pair_with_order_ge4(g: Group) -> tuple[int, int]:
-    """First generating pair (x, y) with |x| >= 4, in lex element order.
+    """First generating pair (x, y) with |x| >= 4, in lex element order;
+    (x, 0) when x alone generates.
 
     Raises GroupError naming the known exceptional types when no such pair
     exists (for 2-generated groups these are exactly C2^2, C3^2, D6, A4 and
     the order-27 exponent-3 extraspecial group).
     """
-    _check_rank_capacity(g)
-    n = g.order
-    for x in range(1, n):
-        if g.element_order(x) < 4:
-            continue
-        cx = subgroup_generated(g, [x])
-        if len(cx) == n:
-            return (x, 0)  # cyclic: x alone generates, identity completes the pair
-        for y in range(1, n):
-            if y in cx:
-                continue
-            if len(subgroup_generated(g, (x, y))) == n:
-                return (x, y)
-    raise GroupError(
-        "no generating pair with first element of order >= 4; for 2-generated "
-        "groups the only such cases are C2^2, C3^2, D6, A4 and X27")
+    pair = _first_generating_tuple(g, 2, first_order=4)
+    if pair is None:
+        raise GroupError(
+            "no generating pair with first element of order >= 4; for 2-generated "
+            "groups the only such cases are C2^2, C3^2, D6, A4 and X27")
+    return pair
 
 
 def triple_with_order_ge3(g: Group) -> tuple[int, int, int]:
@@ -493,22 +489,11 @@ def triple_with_order_ge3(g: Group) -> tuple[int, int, int]:
     """
     if minimal_generating_size(g) != 3:
         raise GroupError("triple_with_order_ge3 requires a rank-3 group")
-    n = g.order
-    for x in range(1, n):
-        if g.element_order(x) < 3:
-            continue
-        cx = subgroup_generated(g, [x])
-        for y in range(1, n):
-            if y in cx:
-                continue
-            cxy = subgroup_generated(g, (x, y))
-            for z in range(y + 1, n):
-                if z in cxy:
-                    continue
-                if len(subgroup_generated(g, (x, y, z))) == n:
-                    return (x, y, z)
-    raise GroupError("no generating triple with first element of order >= 3 "
-                     "(for rank-3 groups this means C2^3)")
+    triple = _first_generating_tuple(g, 3, first_order=3)
+    if triple is None:
+        raise GroupError("no generating triple with first element of order >= 3 "
+                         "(for rank-3 groups this means C2^3)")
+    return triple
 
 
 # -- recognition of the twelve catalog groups --------------------------------
@@ -569,8 +554,9 @@ def parse_group_spec(spec: str) -> Group:
     multiplication-table file instead.
 
     The order follows from the grammar, and a spec whose order is over
-    the vertex cap raises CapacityError before any table is built: one
-    part of a graph over G already has |G| vertices.
+    the vertex cap, or with more factors than the bit length of the cap,
+    raises CapacityError before any table is built: one part of a graph
+    over G already has |G| vertices.
     """
     spec = spec.strip()
     if not spec:
@@ -611,5 +597,11 @@ def parse_group_spec(spec: str) -> Group:
         if order > cap:
             raise CapacityError(f"group {spec!r} has order over the vertex cap of "
                                 f"{cap} (set MHAAR_MAX_VERTICES to raise it)")
+    # every factor but C1 at least doubles the order, so within the cap no
+    # spec needs more factors than the bit length of the cap
+    count = sum(copies for _, _, copies in plan)
+    if count > cap.bit_length():
+        raise CapacityError(f"group {spec!r} has {count} factors, more than the "
+                            f"{cap.bit_length()} any group within the vertex cap of {cap} needs")
     factors = [make(*args) for make, args, copies in plan for _ in range(copies)]
     return factors[0] if len(factors) == 1 else product(factors)

@@ -105,15 +105,6 @@ def test_petersen_vertex_transitive():
     assert not res.is_trivial()
 
 
-def test_initial_colors_restrict():
-    # fixing a proper coloring on C4 kills the rotations that mix the classes
-    g = cycle(4)
-    free = automorphism_group(g)
-    assert free.order == 8
-    col = automorphism_group(g, initial_colors=[0, 1, 0, 1])
-    assert col.order == 4  # the Klein subgroup preserving the bipartition
-
-
 def test_brute_force_agrees_small():
     rng = random.Random(7)
     for _ in range(60):

@@ -382,6 +382,8 @@ HOSTILE = {
     "huge-m": ("verify", {"group": "C3", "m": 2000000000}, EXIT_CAPACITY,
                "6000000000 vertices"),
     "huge-group": ("verify", {"group": "C99999999", "m": 2}, EXIT_CAPACITY, "'C99999999'"),
+    "trivial-factors": ("verify", {"group": "C1^99999999999", "m": 2}, EXIT_CAPACITY,
+                        "99999999999 factors"),
     "bad-table": ("verify", {"group": {"order": 1, "table": [5]}, "m": 2}, EXIT_ERROR,
                   "'table'"),
     "bad-names": ("verify", {"group": {"order": 1, "table": [[0]], "names": 5}, "m": 2},

@@ -20,6 +20,7 @@ from mhaar.groups import (
     cyclic,
     dihedral,
     elem_abelian,
+    parse_group_spec,
     product,
 )
 
@@ -128,6 +129,13 @@ def test_generic_three_generated_route():
         r = synthesize(g, m)
         assert r.route == "generic 3-generated recipe"
         assert r.verdict.ok and r.verdict.aut_order == 16, r.verdict.reason
+
+
+def test_generic_rank_six_route():
+    # C2^6 was out of reach of the rank search before the Frattini lower bound
+    r = synthesize(parse_group_spec("C2^6"), 3)
+    assert r.route == "generic rank-6 recipe"
+    assert r.verdict.ok and r.verdict.aut_order == 64, r.verdict.reason
 
 
 def test_generic_lift_route():

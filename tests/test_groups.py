@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from mhaar.groups import (CapacityError, Group, GroupError, catalog_group,
-                          cyclic, dihedral, elem_abelian, extraspecial27,
+from mhaar.groups import (CapacityError, Group, GroupError, _rank_lower_bound,
+                          catalog_group, cyclic, dihedral, elem_abelian, extraspecial27,
                           identify_catalog_group, load_group,
                           minimal_generating_set, minimal_generating_size,
                           pair_with_order_ge4, parse_group_spec, product,
@@ -83,7 +83,8 @@ def _span(g, elems):
 
 def test_rank_search_matches_brute_force(battery):
     # the battery has no rank-3 group with an element of order >= 3
-    rank3 = {spec: parse_group_spec(spec) for spec in ("C2^2xC4", "C2^3xC3")}
+    rank3 = {spec: parse_group_spec(spec)
+             for spec in ("C2^2xC4", "C2^3xC3", "D8xC2", "Q8xC2", "C2^2xC6")}
     for name, g in {**battery, **rank3}.items():
         n = g.order
         rank = next(t for t in range(n + 1)
@@ -116,10 +117,19 @@ def test_minimal_generating_sets_are_pinned():
 
 
 def test_rank_search_budget():
-    g = elem_abelian(3, 4)
-    t0 = time.perf_counter()
-    assert len(minimal_generating_set(g)) == 4
-    assert time.perf_counter() - t0 <= 3.0
+    for spec, rank in [("C3^4", 4), ("C2^6", 6), ("C2^3xC2^4", 7), ("D8xD8", 4)]:
+        g = parse_group_spec(spec)
+        t0 = time.perf_counter()
+        assert len(minimal_generating_set(g)) == rank, spec
+        assert time.perf_counter() - t0 <= 3.0, spec
+
+
+def test_rank_lower_bound():
+    # d(G) for the nilpotent groups; D6 and A4 have rank 2 but an abelian
+    # quotient G/G' of rank 1
+    for spec, bound in [("C2^6", 6), ("Q8", 2), ("D6", 1), ("A4", 1),
+                        ("C2^4xC3", 4), ("C1", 0)]:
+        assert _rank_lower_bound(parse_group_spec(spec)) == bound, spec
 
 
 def test_minimal_generating_sizes(battery):
@@ -140,9 +150,18 @@ def test_minimal_generating_set_generates(battery):
             assert g.element_order(gens[0]) >= 3, name
 
 
-def test_rank_capacity():
-    with pytest.raises(CapacityError):
-        minimal_generating_size(cyclic(513))
+def test_rank_capacity(monkeypatch):
+    import mhaar.groups
+
+    g = cyclic(513)  # Group() runs subgroup_generated in its axiom check
+
+    def refuse(*args):
+        raise AssertionError("closure computed above the order cap")
+
+    monkeypatch.setattr(mhaar.groups, "subgroup_generated", refuse)
+    for search in (minimal_generating_size, pair_with_order_ge4, triple_with_order_ge3):
+        with pytest.raises(CapacityError, match="capped at order 512"):
+            search(g)
 
 
 def test_pair_with_order_ge4(battery):
