@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="group spec, e.g. C6, C2^3, D8 (order 8), @table.json")
     p.add_argument("-m", type=int, required=True, dest="m",
                    help="number of parts")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check the witness with the engine (the default)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip verification; no certificate is printed")
     p.add_argument("--seed", type=int, default=0,
@@ -249,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error; --help and --version exit 0
+        if e.code:
+            return EXIT_ERROR
+        raise
     try:
         return args.func(args)
     except CapacityError as e:

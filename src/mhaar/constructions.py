@@ -24,6 +24,7 @@ from .autos import is_m_hgr
 from .catalog import (asymmetric_regular_graph, build_entry, entries,
                       lift_base_entry, matrix_from_graph)
 from .cayley import ConnectionMatrix, Verdict
+from .graphs import check_vertex_cap
 from .groups import (Group, GroupError, identify_catalog_group,
                      minimal_generating_set, pair_with_order_ge4,
                      triple_with_order_ge3)
@@ -252,6 +253,7 @@ def synthesize(group: Group, m: int, verify: bool = True, seed: int = 0) -> Synt
     if clause is not None:
         return SynthesisResult(group, m, False,
                                f"classification clause ({clause})", clause=clause)
+    check_vertex_cap(m * group.order)  # before any route builds a part
     if tag is not None:
         cm, route = _catalog_witness(tag, group, m, seed)
     else:

@@ -1,10 +1,12 @@
 """Finite groups as multiplication tables.
 
 Elements are integers 0..n-1 with the identity fixed at index 0.  The table
-stores table[a][b] = a*b.  Constructors for the families used elsewhere
-(cyclic, elementary abelian, dihedral, A4, Q8, the exponent-3 extraspecial
-group of order 27, direct products) all produce documented canonical element
-orders, so the same group always comes back with the same table.  Every table
+stores table[a][b] = a*b; a group is its table and an optional descriptor.
+Constructors for the families used elsewhere (cyclic, elementary abelian,
+dihedral, A4, Q8, the exponent-3 extraspecial group of order 27, direct
+products) all produce documented canonical element orders, so the same group
+always comes back with the same table; all but cyclic build it in one helper,
+_group_on, from a list of elements and their product.  Every table
 is checked against the group axioms exactly (associativity by Light's test).
 One closure, subgroup_generated, serves that check and the one search for
 generating tuples, which the minimum generating set, the generating pair and
@@ -23,9 +25,6 @@ from .graphs import CapacityError, vertex_cap
 
 MAX_RANK_SEARCH_ORDER = 512
 
-# generator letters used by elementary abelian naming, in canonical order
-_GEN_LETTERS = "xyzwvu"
-
 
 class GroupError(ValueError):
     """A table failed the group axioms, or an argument is not a group element."""
@@ -39,8 +38,7 @@ class Group:
     test on a greedily chosen generating set.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
-                 descriptor: Optional[str] = None):
+    def __init__(self, table: Sequence[Sequence[int]], descriptor: Optional[str] = None):
         n = len(table)
         if n == 0:
             raise GroupError("empty table")
@@ -52,10 +50,6 @@ class Group:
             for b, v in enumerate(row):
                 if not (0 <= v < n):
                     raise GroupError(f"entry table[{a}][{b}] = {v} out of range")
-        if names is not None and len(names) != n:
-            raise GroupError("names length does not match order")
-        self.names = tuple(names) if names is not None else tuple(
-            "1" if i == 0 else f"g{i}" for i in range(n))
         self.descriptor = descriptor
         self._validate()
         self._inv = tuple(row.index(0) for row in self.table)
@@ -143,8 +137,7 @@ class Group:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table],
-                "names": list(self.names)}
+        return {"order": self.order, "table": [list(r) for r in self.table]}
 
     @staticmethod
     def from_json(data: dict) -> "Group":
@@ -156,13 +149,10 @@ class Group:
             raise GroupError("group JSON 'table' must be a list of integer lists")
         if data["order"] != len(table):
             raise GroupError("declared order does not match table size")
-        names, descriptor = data.get("names"), data.get("descriptor")
-        if names is not None and not (
-                isinstance(names, list) and all(isinstance(x, str) for x in names)):
-            raise GroupError("group JSON 'names' must be a list of strings")
+        descriptor = data.get("descriptor")
         if descriptor is not None and not isinstance(descriptor, str):
             raise GroupError("group JSON 'descriptor' must be a string")
-        return Group(table, names=names, descriptor=descriptor)
+        return Group(table, descriptor=descriptor)
 
 
 def load_group(path: str) -> Group:
@@ -173,46 +163,40 @@ def load_group(path: str) -> Group:
 # -- constructors ------------------------------------------------------------
 
 
+def _group_on(elements: Sequence, mul, descriptor: Optional[str]) -> Group:
+    """The group whose element i is elements[i] (identity first), with
+    products given by mul on the elements themselves."""
+    index = {e: i for i, e in enumerate(elements)}
+    return Group([[index[mul(a, b)] for b in elements] for a in elements],
+                 descriptor=descriptor)
+
+
 def cyclic(n: int) -> Group:
     """Cyclic group of order n; element i is x^i."""
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
-    return Group(table, names=names, descriptor=f"C{n}")
+    return Group([[(a + b) % n for b in range(n)] for a in range(n)], descriptor=f"C{n}")
 
 
 def product(factors: Sequence[Group]) -> Group:
-    """Direct product with lexicographic tuple ordering of elements."""
+    """Direct product with lexicographic tuple ordering of elements.
+
+    Built from the right, one pair at a time: G x (H x K) orders its pairs
+    (g, (h, k)) as the triples (g, h, k).
+    """
     if not factors:
         return cyclic(1)
-    if len(factors) == 1:
-        return factors[0]
-    orders = [g.order for g in factors]
-    tuples = list(itertools.product(*[range(o) for o in orders]))
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    table = [[0] * n for _ in range(n)]
-    for i, ta in enumerate(tuples):
-        for j, tb in enumerate(tuples):
-            table[i][j] = index[tuple(g.table[a][b] for g, a, b in zip(factors, ta, tb))]
-    names = []
-    for t in tuples:
-        if all(c == 0 for c in t):
-            names.append("1")
-        else:
-            names.append("(" + ",".join(g.names[c] for g, c in zip(factors, t)) + ")")
-    descriptor = None
-    if all(g.descriptor for g in factors):
-        parts: list[str] = []
-        for g in factors:
-            parts.extend(g.descriptor.split("x"))  # flatten nested products
-        descriptor = "x".join(parts)
-    return Group(table, names=names, descriptor=descriptor)
+    g = factors[-1]
+    for h in reversed(factors[:-1]):
+        ht, gt = h.table, g.table
+        g = _group_on(list(itertools.product(range(h.order), range(g.order))),
+                      lambda a, b: (ht[a[0]][b[0]], gt[a[1]][b[1]]),
+                      f"{h.descriptor}x{g.descriptor}" if h.descriptor and g.descriptor else None)
+    return g
 
 
 def elem_abelian(p: int, k: int) -> Group:
-    """Elementary abelian group of order p^k, named in the letters x, y, z, ...
+    """Elementary abelian group of order p^k, the product of k copies of Cp.
 
     Elements are exponent vectors in lexicographic order, so the factor-i
     basis vector sits at index p^(k-1-i).
@@ -221,21 +205,9 @@ def elem_abelian(p: int, k: int) -> Group:
         raise GroupError("elementary abelian constructor supports p in {2, 3}")
     if k < 1:
         raise GroupError("k must be >= 1")
-    if k > len(_GEN_LETTERS):
-        raise CapacityError(f"at most {len(_GEN_LETTERS)} factors supported")
-    vecs = list(itertools.product(range(p), repeat=k))
-    index = {v: i for i, v in enumerate(vecs)}
-    n = p ** k
-    table = [[index[tuple((a + b) % p for a, b in zip(va, vb))] for vb in vecs] for va in vecs]
-    names = []
-    for v in vecs:
-        if all(c == 0 for c in v):
-            names.append("1")
-        else:
-            names.append(" ".join(
-                _GEN_LETTERS[i] if c == 1 else f"{_GEN_LETTERS[i]}^{c}"
-                for i, c in enumerate(v) if c))
-    return Group(table, names=names, descriptor=f"C{p}^{k}" if k > 1 else f"C{p}")
+    g = product([cyclic(p)] * k)
+    g.descriptor = f"C{p}^{k}" if k > 1 else f"C{p}"
+    return g
 
 
 def dihedral(n: int) -> Group:
@@ -247,93 +219,45 @@ def dihedral(n: int) -> Group:
     if n < 6 or n % 2:
         raise GroupError("dihedral order must be an even integer >= 6")
     r = n // 2
-
-    def idx(i: int, e: int) -> int:
-        return i % r + r * e
-
-    table = [[0] * n for _ in range(n)]
-    for i, e in itertools.product(range(r), range(2)):
-        for j, d in itertools.product(range(r), range(2)):
-            # (x^i y^e)(x^j y^d): move x^j past y^e
-            jj = j if e == 0 else -j
-            table[idx(i, e)][idx(j, d)] = idx(i + jj, (e + d) % 2)
-    names = [("1" if i == 0 else f"x^{i}" if i > 1 else "x") for i in range(r)]
-    names += [("y" if i == 0 else f"x^{i} y" if i > 1 else "x y") for i in range(r)]
-    return Group(table, names=names, descriptor=f"D{n}")
-
-
-def _perm_group(perms: list[tuple[int, ...]], names: list[str], descriptor: str) -> Group:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i][j] = index[tuple(p[q[k]] for k in range(len(p)))]
-    return Group(table, names=names, descriptor=descriptor)
+    # (x^i y^e)(x^j y^d) = x^(i +- j) y^(e+d): y^e inverts x^j on the way past
+    return _group_on([(i, e) for e in range(2) for i in range(r)],
+                     lambda a, b: ((a[0] + (-b[0] if a[1] else b[0])) % r, (a[1] + b[1]) % 2),
+                     f"D{n}")
 
 
 def alternating4() -> Group:
     """A4 as the even permutations of 4 points, identity first, lex order."""
-    perms = [p for p in itertools.permutations(range(4)) if _perm_parity(p) == 0]
-    perms.sort()
-    names = ["1"] + ["(" + " ".join(map(str, p)) + ")" for p in perms[1:]]
-    return _perm_group(perms, names, "A4")
-
-
-def _perm_parity(p: Sequence[int]) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    return _group_on(perms, lambda p, q: tuple(p[k] for k in q), "A4")
 
 
 def quaternion8() -> Group:
-    """Quaternion group of order 8: 1, -1, i, -i, j, -j, k, -k."""
-    basis = ["1", "i", "j", "k"]
-    mult = {  # basis products with sign
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
+    """Quaternion group of order 8: 1, -1, i, -i, j, -j, k, -k.
 
-    def idx(sign: int, b: str) -> int:
-        return 2 * basis.index(b) + (0 if sign > 0 else 1)
+    Elements are unit quaternions as coefficient vectors (1, i, j, k part),
+    multiplied by Hamilton's rule.
+    """
+    def mul(x: tuple, y: tuple) -> tuple:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    n = 8
-    table = [[0] * n for _ in range(n)]
-    for (s1, b1) in itertools.product((1, -1), basis):
-        for (s2, b2) in itertools.product((1, -1), basis):
-            s, b = mult[(b1, b2)]
-            table[idx(s1, b1)][idx(s2, b2)] = idx(s1 * s2 * s, b)
-    names = []
-    for b in basis:
-        names.extend([b, f"-{b}"])
-    return Group(table, names=names, descriptor="Q8")
+    return _group_on([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
+                     mul, "Q8")
 
 
 def extraspecial27() -> Group:
     """The nonabelian group of order 27 and exponent 3 (Heisenberg over GF(3)).
 
     Elements are triples (a, b, c) in lex order with product
-    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'), named by x=(1,0,0),
-    y=(0,1,0) and z=(0,0,1).
+    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').
     """
-    vecs = list(itertools.product(range(3), repeat=3))
-    index = {v: i for i, v in enumerate(vecs)}
-    n = 27
-    table = [[0] * n for _ in range(n)]
-    for va in vecs:
-        for vb in vecs:
-            prod = ((va[0] + vb[0]) % 3, (va[1] + vb[1]) % 3,
-                    (va[2] + vb[2] + va[0] * vb[1]) % 3)
-            table[index[va]][index[vb]] = index[prod]
-    names = []
-    for v in vecs:
-        if v == (0, 0, 0):
-            names.append("1")
-        else:
-            names.append(" ".join(f"{l}^{c}" if c > 1 else l
-                                  for l, c in zip("xyz", v) if c))
-    return Group(table, names=names, descriptor="X27")
+    return _group_on(list(itertools.product(range(3), repeat=3)),
+                     lambda u, v: ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3,
+                                   (u[2] + v[2] + u[0] * v[1]) % 3),
+                     "X27")
 
 
 # -- generation-rank machinery -----------------------------------------------

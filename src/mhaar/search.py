@@ -42,7 +42,7 @@ from typing import Iterator, Optional, Sequence
 from .autos import automorphism_group, only_translations  # noqa: F401
 from .catalog import matrix_from_graph
 from .cayley import ConnectionMatrix, build_graph
-from .graphs import Graph
+from .graphs import Graph, check_vertex_cap
 from .groups import CapacityError, Group, cyclic
 
 # automorphism_group is unused here, but the tracing test in
@@ -333,6 +333,7 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = group.order
+    check_vertex_cap(m * n)  # before the cells, the plan or a graph is built
     if n == 1:
         return _trivial_group_scan(group, m, budget, early_exit)
 

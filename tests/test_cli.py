@@ -344,6 +344,13 @@ def test_malformed_vertex_cap_env(capsys, tmp_path, monkeypatch):
     assert "MHAAR_MAX_VERTICES" in err and out == ""
 
 
+def test_usage_error_exits_1(capsys):
+    # argparse alone exits 2, the code of the m=2 boundary answer
+    code, out, err = run(capsys, "synthesize", "--group", "C6")
+    assert code == EXIT_ERROR
+    assert out == "" and "-m" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -386,8 +393,6 @@ HOSTILE = {
                         "99999999999 factors"),
     "bad-table": ("verify", {"group": {"order": 1, "table": [5]}, "m": 2}, EXIT_ERROR,
                   "'table'"),
-    "bad-names": ("verify", {"group": {"order": 1, "table": [[0]], "names": 5}, "m": 2},
-                  EXIT_ERROR, "'names'"),
 }
 
 
@@ -400,6 +405,15 @@ def test_hostile_files_exit_cleanly(tmp_path, command, content, expected, messag
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_parts_over_the_vertex_cap_exit_at_once():
+    for argv in (("synthesize", "--group", "C6", "-m", "99999999999"),
+                 ("search", "--group", "C3", "-m", "99999")):
+        proc = fresh(*argv)
+        assert proc.returncode == EXIT_CAPACITY, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "over the cap of 1024" in proc.stderr
 
 
 LIST_MODULES = ("import sys, mhaar.cli\n"

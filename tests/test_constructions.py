@@ -133,9 +133,10 @@ def test_generic_three_generated_route():
 
 def test_generic_rank_six_route():
     # C2^6 was out of reach of the rank search before the Frattini lower bound
-    r = synthesize(parse_group_spec("C2^6"), 3)
-    assert r.route == "generic rank-6 recipe"
-    assert r.verdict.ok and r.verdict.aut_order == 64, r.verdict.reason
+    for rank in (6, 7):
+        r = synthesize(parse_group_spec(f"C2^{rank}"), 3)
+        assert r.route == f"generic rank-{rank} recipe"
+        assert r.verdict.ok and r.verdict.aut_order == 2 ** rank, r.verdict.reason
 
 
 def test_generic_lift_route():
