@@ -181,19 +181,6 @@ class AutResult:
     orbits: list[tuple[int, ...]]
     nodes: int = 0
 
-    def orbit_of(self, v: int) -> tuple[int, ...]:
-        for orb in self.orbits:
-            if v in orb:
-                return orb
-        raise ValueError(f"vertex {v} not in any orbit")
-
-    def stabilizer_order(self, v: int) -> int:
-        # orbit-stabilizer: |G_v| = |G| / |orbit(v)|
-        return self.order // len(self.orbit_of(v))
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 class _Orbits:
     """Union-find over the vertices, merged by each accepted generator."""

@@ -293,13 +293,13 @@ ASYM_REGULAR_MIN_VERTICES = 10
 _PAIRING_ATTEMPT_CAP = 200000
 
 
-def asymmetric_regular_graph(m: int, degree: int = 4, seed: int = 0) -> Graph:
-    """A connected regular graph on m >= 10 vertices with trivial
+def asymmetric_regular_graph(m: int, seed: int = 0) -> Graph:
+    """A connected 4-regular graph on m >= 10 vertices with trivial
     automorphism group, by seeded random stub pairing plus rejection.
 
     No regular graph on fewer than 10 vertices is asymmetric (verified
     exhaustively by the scan in the search module), hence the floor.
-    The result is deterministic in (m, degree, seed) and is certified
+    The result is deterministic in (m, seed) and is certified
     asymmetric by the automorphism engine before being returned.
     """
     from .autos import only_translations
@@ -308,13 +308,9 @@ def asymmetric_regular_graph(m: int, degree: int = 4, seed: int = 0) -> Graph:
         raise ValueError(
             f"no asymmetric regular graph exists on {m} < "
             f"{ASYM_REGULAR_MIN_VERTICES} vertices")
-    if not 3 <= degree <= m - 4:
-        raise ValueError(f"degree {degree} cannot be asymmetric on {m} vertices")
-    if m * degree % 2:
-        raise ValueError(f"m*degree must be even, got {m}*{degree}")
-    rng = random.Random(f"{seed}:{m}:{degree}")
+    rng = random.Random(f"{seed}:{m}:4")  # seed, vertices, degree
     for _ in range(_PAIRING_ATTEMPT_CAP):
-        stubs = [v for v in range(m) for _ in range(degree)]
+        stubs = [v for v in range(m) for _ in range(4)]
         rng.shuffle(stubs)
         g = Graph(m)
         ok = True
@@ -329,7 +325,7 @@ def asymmetric_regular_graph(m: int, degree: int = 4, seed: int = 0) -> Graph:
         if only_translations(g, 1):
             return g
     raise CapacityError(  # pragma: no cover - acceptance rate is high
-        f"no asymmetric {degree}-regular graph found in "
+        "no asymmetric 4-regular graph found in "
         f"{_PAIRING_ATTEMPT_CAP} pairing attempts")
 
 

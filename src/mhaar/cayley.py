@@ -129,13 +129,6 @@ class ConnectionMatrix:
     def diagonal_empty(self) -> bool:
         return not self._diag
 
-    def edge_count(self) -> int:
-        n = self.group.order
-        off = sum(len(s) for s in self._upper.values())
-        dia = sum(len(s) for s in self._diag.values())
-        # each diagonal edge {g, t*g} arises from both t and t^-1
-        return n * off + n * dia // 2
-
     def __repr__(self) -> str:
         return (f"ConnectionMatrix({self.group!r}, m={self.m}, "
                 f"valencies={self.valencies()})")
@@ -207,17 +200,6 @@ class ConnectionMatrix:
 def load_matrix(path: str) -> ConnectionMatrix:
     with open(path, encoding="utf-8") as fh:
         return ConnectionMatrix.from_json(json.load(fh))
-
-
-# -- vertex indexing ------------------------------------------------------
-
-
-def vertex_of(part: int, elem: int, group_order: int) -> int:
-    return (part - 1) * group_order + elem
-
-
-def part_elem_of(vertex: int, group_order: int) -> tuple[int, int]:
-    return vertex // group_order + 1, vertex % group_order
 
 
 # -- the derived graph -----------------------------------------------------

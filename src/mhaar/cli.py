@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     from .groups import parse_group_spec
-    from .report import write_certificate
+    from .report import certificate_json, write_certificate
     from .search import decide_existence
     group = parse_group_spec(args.group)
     rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget,
@@ -113,7 +113,7 @@ def _cmd_search(args) -> int:
         if args.out:
             _write_witness(rep.witness, args.out, "json")
     if args.certificate and (rep.exists or rep.exhausted):
-        write_certificate(rep, args.certificate, group=group)
+        write_certificate(certificate_json(rep, group=group), args.certificate)
         print(f"certificate written to {args.certificate}")
     return EXIT_OK if rep.exists else EXIT_NEGATIVE
 
@@ -155,21 +155,22 @@ def _load_graph(path: str):
 
 
 def _cmd_oracle_aut(args) -> int:
-    from .autos import automorphism_group, brute_force_aut_order
+    from .autos import BRUTE_FORCE_LIMIT, automorphism_group, brute_force_aut_order
     graph = _load_graph(args.file)
     aut = automorphism_group(graph)
     print(f"graph: {graph.n} vertices, {graph.edge_count()} edges")
     print(f"|Aut| = {aut.order}")
     print(f"orbits: {len(aut.orbits)}")
     print(f"generators: {len(aut.generators)}")
-    if graph.n <= 9:
-        brute = brute_force_aut_order(graph, limit=9)
+    if graph.n <= BRUTE_FORCE_LIMIT:
+        brute = brute_force_aut_order(graph)
         agree = "agree" if brute == aut.order else "DISAGREE"
         print(f"brute-force cross-check: {brute} ({agree})")
         if brute != aut.order:
             return EXIT_ERROR
     else:
-        print("brute-force cross-check skipped (needs <= 9 vertices)")
+        print("brute-force cross-check skipped "
+              f"(needs <= {BRUTE_FORCE_LIMIT} vertices)")
     if args.generators:
         for p in aut.generators:
             print(" ".join(map(str, p)))

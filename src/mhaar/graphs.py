@@ -68,9 +68,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.bits[v].bit_count()
 
-    def degrees(self) -> list[int]:
-        return [b.bit_count() for b in self.bits]
-
     def neighbors(self, v: int) -> Iterator[int]:
         b = self.bits[v]
         while b:
@@ -88,10 +85,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(b.bit_count() for b in self.bits) // 2
-
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
 
     def on_triangle(self, v: int) -> bool:
         bv = self.bits[v]
@@ -125,13 +118,6 @@ class Graph:
         for u in self.neighbors(v):
             total += (self.bits[v] & self.bits[u]).bit_count()
         return total // 2
-
-    def relabeled(self, perm: list[int]) -> "Graph":
-        """Graph with vertex v renamed perm[v]."""
-        g = Graph(self.n)
-        for u, v in self.edges():
-            g.add_edge(perm[u], perm[v])
-        return g
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits

@@ -17,15 +17,16 @@ and the extension inherits |Aut| = |G|.
 
 Base requirements checked here: diagonal-free, the valency pattern for
 some k with 2 <= k <= |G|, a triangle through every base vertex, and
-(unless skipped) |Aut| = |G|.  relax_fillers=True waives k <= |G| and
-clamps the filler sizes to |G|; the result then loses regularity but
-keeps |Aut| = |G| for the bases shipped in the catalog.
+|Aut| = |G|.  The fillers are the lexicographically least subsets of
+G of their size.  relax_fillers=True waives k <= |G| and clamps the
+filler sizes to |G|; the result then loses regularity but keeps
+|Aut| = |G| for the bases shipped in the catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .autos import automorphism_group
 from .cayley import CayleyError, ConnectionMatrix, build_graph
@@ -73,18 +74,17 @@ def _pattern_k(valencies: tuple[int, ...]) -> Optional[int]:
     return None
 
 
-def triangle_profile(cm: ConnectionMatrix) -> tuple[str, ...]:
-    """Which vertices of each part lie on 3-cycles: 'all', 'none', 'mixed'.
+def triangle_profile(graph: Graph, n: int) -> tuple[str, ...]:
+    """Which vertices of each n-vertex part lie on 3-cycles: 'all', 'none', 'mixed'.
 
     The extension works because triangles exist through every base
-    vertex and through no chain vertex: base parts must read 'all' (the
-    precondition plan_lift checks) and chain parts 'none' on the result.
+    vertex and through no chain vertex: plan_lift requires 'all' on
+    every part of the base graph, and a lift reads 'none' on its chain
+    parts.
     """
-    graph = build_graph(cm)
-    n = cm.group.order
     out = []
-    for i in range(cm.m):
-        flags = [graph.on_triangle(i * n + a) for a in range(n)]
+    for base in range(0, graph.n, n):
+        flags = [graph.on_triangle(v) for v in range(base, base + n)]
         out.append("all" if all(flags) else "none" if not any(flags) else "mixed")
     return tuple(out)
 
@@ -93,25 +93,21 @@ def triangle_profile(cm: ConnectionMatrix) -> tuple[str, ...]:
 class LiftPlan:
     """Resolved parameters of a chain extension."""
 
-    base_parts: int
-    m: int
     k: int
     filler_small: frozenset[int]
     filler_large: frozenset[int]
-    relaxed: bool
-    layout: dict  # chain_filler_layout(base_parts, m)
+    layout: dict  # chain_filler_layout(base parts, m)
     graph: Graph  # the base graph, built once for the triangle and PGSR checks
 
 
 def plan_lift(base: ConnectionMatrix, m: int,
-              filler_small: Optional[Iterable[int]] = None,
-              filler_large: Optional[Iterable[int]] = None,
               relax_fillers: bool = False) -> LiftPlan:
-    """Validate the base shape and resolve filler sets.
+    """Validate the base shape and resolve the filler sets.
 
-    Defaults are the lexicographically least subsets of the right size.
-    Every violated hypothesis is reported by name; the part count and
-    the target m come first, before the base graph is built.
+    The fillers are the lexicographically least subsets of sizes k-1
+    and k, clamped to |G| when relax_fillers waives k <= |G|.  Every
+    violated hypothesis is reported by name; the part count and the
+    target m come first, before the base graph is built.
     """
     b = base.m
     layout = chain_filler_layout(b, m)
@@ -131,47 +127,29 @@ def plan_lift(base: ConnectionMatrix, m: int,
             f"base violates the hypothesis k <= |G| (k={k}, |G|={n}); "
             "pass relax_fillers=True to clamp the filler sizes instead")
     graph = build_graph(base)
-    bad = [i + 1 for i in range(b)
-           if not all(graph.on_triangle(i * n + a) for a in range(n))]
+    bad = [i + 1 for i, p in enumerate(triangle_profile(graph, n)) if p != "all"]
     if bad:
         raise LiftError(
             "base violates the triangle hypothesis: parts "
             f"{bad} have vertices on no 3-cycle")
-    size_small = min(k - 1, n) if relax_fillers else k - 1
-    size_large = min(k, n) if relax_fillers else k
-    if filler_small is None:
-        small = frozenset(range(size_small))
-    else:
-        small = frozenset(filler_small)
-        if len(small) != size_small:
-            raise LiftError(f"filler_small must have {size_small} elements, got {len(small)}")
-    if filler_large is None:
-        large = frozenset(range(size_large))
-    else:
-        large = frozenset(filler_large)
-        if len(large) != size_large:
-            raise LiftError(f"filler_large must have {size_large} elements, got {len(large)}")
-    return LiftPlan(b, m, k, small, large, relax_fillers, layout, graph)
+    # k <= n unless relaxed, so the clamp only bites on relaxed bases
+    return LiftPlan(k, frozenset(range(min(k - 1, n))), frozenset(range(min(k, n))),
+                    layout, graph)
 
 
 def lift_base(base: ConnectionMatrix, m: int,
-              filler_small: Optional[Iterable[int]] = None,
-              filler_large: Optional[Iterable[int]] = None,
-              relax_fillers: bool = False,
-              check_base: bool = True) -> ConnectionMatrix:
+              relax_fillers: bool = False) -> ConnectionMatrix:
     """Extend a 3/4/5-part PGSR base to an m-part connection matrix.
 
     plan_lift checks the base's shape, its triangles and the target m;
-    with check_base=True the base must also have |Aut| equal to the
-    group order.
+    the base must also have |Aut| equal to the group order.
     """
-    plan = plan_lift(base, m, filler_small, filler_large, relax_fillers)
-    if check_base:
-        aut = automorphism_group(plan.graph)
-        if aut.order != base.group.order:
-            raise LiftError(
-                f"base is not a PGSR: |Aut|={aut.order}, group order "
-                f"{base.group.order}")
+    plan = plan_lift(base, m, relax_fillers)
+    aut = automorphism_group(plan.graph)
+    if aut.order != base.group.order:
+        raise LiftError(
+            f"base is not a PGSR: |Aut|={aut.order}, group order "
+            f"{base.group.order}")
     layout = plan.layout
     blocks: dict[tuple[int, int], frozenset[int]] = {}
     for i, j, s in base.upper_items():

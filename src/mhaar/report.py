@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import __version__
 from .autos import (CLAIM_KINDS, Evidence, automorphism_group,  # noqa: F401
                     check_claim, evidence)
 from .cayley import CayleyError, ConnectionMatrix
@@ -27,7 +28,6 @@ from .groups import Group, GroupError
 # perfbench/test_perfbench.py expects this module to bind it
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 _KINDS = CLAIM_KINDS + ("nonexistence-search", "nonexistence-classified")
 
@@ -50,7 +50,7 @@ class CertificateCheck:
 def _header(kind: str, group: Group, m: int, route: Optional[str]) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "kind": kind,
         "group": {
             "descriptor": group.descriptor,
@@ -120,15 +120,13 @@ def search_certificate(report, group: Group) -> dict:
             "evidence": _search_evidence(report, group)}
 
 
-def emit(outcome, kind: str = "hgr", group: Optional[Group] = None) -> dict:
-    """Certificate for any toolkit verdict.
+def emit(outcome, group: Optional[Group] = None) -> dict:
+    """Certificate for a toolkit verdict.
 
-    Accepts a ConnectionMatrix (claim picked by `kind`), a
-    SynthesisResult (witness or classified nonexistence), or a
-    SearchReport (witness or searched nonexistence; needs `group`).
+    Accepts a SynthesisResult (witness or classified nonexistence) or a
+    SearchReport (witness or searched nonexistence; needs `group`).  A
+    bare ConnectionMatrix goes to make_certificate, which names its claim.
     """
-    if isinstance(outcome, ConnectionMatrix):
-        return make_certificate(outcome, kind)
     if hasattr(outcome, "route") and hasattr(outcome, "exists"):
         if outcome.exists:
             # a verified result carries the evidence its check computed
@@ -143,21 +141,18 @@ def emit(outcome, kind: str = "hgr", group: Optional[Group] = None) -> dict:
     raise TypeError(f"cannot certify a {type(outcome).__name__}")
 
 
-def certificate_json(outcome, **kw) -> str:
-    return json.dumps(emit(outcome, **kw), indent=2) + "\n"
+def certificate_json(outcome, group: Optional[Group] = None) -> str:
+    return json.dumps(emit(outcome, group), indent=2) + "\n"
 
 
-def write_certificate(outcome, path: str, **kw) -> str:
-    """Write the certificate of `outcome` to path and return its JSON text.
+def write_certificate(text: str, path: str) -> None:
+    """Write certificate text, as certificate_json returns it, to path.
 
-    A str outcome is taken as certificate text already built by
-    certificate_json, so a caller that printed it writes the same bytes
-    without recomputing the evidence.
+    The caller builds the text once, so printing it and writing it give
+    the same bytes without recomputing the evidence.
     """
-    text = outcome if isinstance(outcome, str) else certificate_json(outcome, **kw)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return text
 
 
 def load_certificate(path: str) -> dict:
@@ -276,6 +271,12 @@ def reverify(cert: Union[dict, str]) -> CertificateCheck:
                 f"claimed {gspec.get('order')}, table has {group.order}")
         if not isinstance(cert["evidence"], dict):
             return CertificateCheck(False, "evidence", "not a JSON object")
+        # the classification covers m >= 3 only
+        least = 3 if kind == "nonexistence-classified" else 2
+        m = cert["m"]
+        if type(m) is not int or m < least:
+            return CertificateCheck(False, "m", f"must be an integer >= {least}, "
+                                    f"got {m!r}")
         if kind in CLAIM_KINDS:
             return _reverify_witness(cert, group, kind)
         if kind == "nonexistence-classified":

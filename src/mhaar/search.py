@@ -33,6 +33,7 @@ first automorphism that is not a translation instead of computing |Aut|.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -154,7 +155,6 @@ class SearchReport:
     witness: Optional[ConnectionMatrix]
     exhausted: bool
     elapsed: float
-    workers: int = 1
 
     def __str__(self) -> str:
         head = (f"{self.group_name} m={self.m} [{self.mode}] "
@@ -254,20 +254,14 @@ def c1_regular_asymmetric_scan(m: int, budget: int = DEFAULT_BUDGET,
     return _trivial_group_scan(cyclic(1), m, budget, early_exit)
 
 
-# -- worker plumbing -----------------------------------------------------------
-
-_WORKER_GROUP: Optional[Group] = None
-
-
-def _init_worker(table: list[list[int]], descriptor: Optional[str]) -> None:
-    global _WORKER_GROUP
-    _WORKER_GROUP = Group(table, descriptor=descriptor)
+# -- one profile at a time -----------------------------------------------------
 
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
-                 profile: Profile, forced: frozenset[int],
-                 early_exit: bool) -> tuple[int, int, Optional[dict]]:
-    """Scan one profile; returns (examined, witnesses, first blocks)."""
+                 early_exit: bool, planned: tuple[Profile, frozenset[int], int]
+                 ) -> tuple[int, int, Optional[dict]]:
+    """Scan one planned profile; returns (examined, witnesses, first blocks)."""
+    profile, forced, _ = planned
     target = group.order
     examined = witnesses = 0
     first = None
@@ -282,12 +276,6 @@ def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
             if early_exit:
                 break
     return examined, witnesses, first
-
-
-def _profile_task(args: tuple) -> tuple[int, int, Optional[dict]]:
-    m, cells, profile, forced, early_exit = args
-    assert _WORKER_GROUP is not None
-    return _run_profile(_WORKER_GROUP, m, cells, profile, forced, early_exit)
 
 
 def _check_mode(mode: str) -> None:
@@ -338,24 +326,23 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
         return _trivial_group_scan(group, m, budget, early_exit)
 
     t0 = time.perf_counter()
+    # counted first, so an oversized space is refused before any candidate
+    profiles, total = space_size(group, m, mode, budget)
     cells = _cells(m)
-    plans = list(_plan(group, m, cells, mode, budget))
-    total = sum(space for _, _, space in plans)
+    plan = _plan(group, m, cells, mode, budget)
+    run = functools.partial(_run_profile, group, m, cells, early_exit)
 
     examined = witnesses = 0
     witness_blocks = None
-    tasks = [(m, cells, profile, forced, early_exit) for profile, forced, _ in plans]
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            results = (_run_profile(group, *task) for task in tasks)
+            results = map(run, plan)
         else:
             # imported here: only a pool needs it, and it is slow to load
             import multiprocessing
             # leaving the pool's context terminates its workers
-            pool = stack.enter_context(multiprocessing.Pool(
-                workers, initializer=_init_worker,
-                initargs=(group.table, group.descriptor)))
-            results = pool.imap(_profile_task, tasks)
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap(run, plan)
         for ex, wit, first in results:
             examined += ex
             witnesses += wit
@@ -367,11 +354,10 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
                else ConnectionMatrix(group, m, witness_blocks))
     return SearchReport(
         group_name=group.label, order=n, m=m, mode=mode,
-        exists=witness is not None, profiles=len(plans), total_space=total,
+        exists=witness is not None, profiles=profiles, total_space=total,
         examined=examined, witnesses=witnesses, witness=witness,
         exhausted=not (early_exit and witness is not None),
-        elapsed=time.perf_counter() - t0,
-        workers=workers)
+        elapsed=time.perf_counter() - t0)
 
 
 def space_size(group: Group, m: int, mode: str = "normalized",

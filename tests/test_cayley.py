@@ -5,8 +5,7 @@ import pytest
 
 from mhaar.autos import automorphism_group
 from mhaar.cayley import (CayleyError, ConnectionMatrix, build_graph,
-                          is_m_haar, load_matrix, part_elem_of,
-                          right_translation, vertex_of)
+                          is_m_haar, load_matrix, right_translation)
 from mhaar.graphs import CapacityError
 from mhaar.groups import cyclic, dihedral, elem_abelian
 
@@ -52,21 +51,6 @@ def test_two_part_matching():
     cm = ConnectionMatrix(g, 2, {(1, 2): [0]})
     graph = build_graph(cm)
     assert sorted(graph.edges()) == [(0, 2), (1, 3)]
-
-
-def test_vertex_indexing_round_trip():
-    for part in (1, 2, 5):
-        for e in (0, 3):
-            v = vertex_of(part, e, 4)
-            assert part_elem_of(v, 4) == (part, e)
-
-
-def test_edge_count_matches_graph():
-    rng = random.Random(5)
-    for g in (cyclic(5), dihedral(8), elem_abelian(2, 2)):
-        for m in (2, 3, 4):
-            cm = random_matrix(g, m, rng, diagonal=True)
-            assert cm.edge_count() == build_graph(cm).edge_count()
 
 
 def test_valencies_count_all_blocks():

@@ -276,13 +276,29 @@ def test_reverify_catches_tampering(capsys, tmp_path):
     assert "certificate fails at 'evidence.aut_order'" in out
 
 
-@pytest.mark.parametrize("key", ["aut_generators", "evidence"])
-def test_reverify_names_malformed_fields(capsys, tmp_path, key):
+# one certificate of each kind the commands write
+CERT_COMMANDS = {
+    "witness": ("synthesize", "--group", "C6", "-m", "3"),
+    "classified": ("synthesize", "--group", "D6", "-m", "3"),
+    "search": ("search", "--group", "C2", "-m", "3"),
+}
+MALFORMED_M = {
+    "witness": [3.5, "3", True, 1],
+    "classified": [[], {}, "3", 3.5, 2, True],
+    "search": [[], "3", 3.5, 1],
+}
+
+
+@pytest.mark.parametrize("cert_kind,key,value", [
+    pytest.param("witness", "aut_generators", 5, id="aut_generators"),
+    pytest.param("witness", "evidence", 5, id="evidence"),
+] + [pytest.param(kind, "m", value, id=f"{kind}-m-{value!r}")
+     for kind, values in MALFORMED_M.items() for value in values])
+def test_reverify_names_malformed_fields(capsys, tmp_path, cert_kind, key, value):
     cert_path = tmp_path / "cert.json"
-    run(capsys, "synthesize", "--group", "C6", "-m", "3",
-        "--certificate", str(cert_path))
+    run(capsys, *CERT_COMMANDS[cert_kind], "--certificate", str(cert_path))
     cert = json.loads(cert_path.read_text())
-    cert[key] = 5
+    cert[key] = value
     cert_path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, "reverify", str(cert_path))
     assert code == EXIT_NEGATIVE

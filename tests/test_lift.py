@@ -85,20 +85,10 @@ def test_layout_parity_and_floor():
 
 def test_plan_resolves_defaults():
     plan = plan_lift(base_c6(), 7)
-    assert (plan.base_parts, plan.m, plan.k) == (3, 7, 3)
+    assert plan.k == 3
+    assert plan.layout == chain_filler_layout(3, 7)
     assert plan.filler_small == frozenset([0, 1])
     assert plan.filler_large == frozenset([0, 1, 2])
-    assert not plan.relaxed
-
-
-def test_plan_explicit_fillers():
-    plan = plan_lift(base_c6(), 5, filler_small=[2, 4], filler_large=[1, 3, 5])
-    assert plan.filler_small == frozenset([2, 4])
-    assert plan.filler_large == frozenset([1, 3, 5])
-    with pytest.raises(LiftError, match="filler_small must have 2"):
-        plan_lift(base_c6(), 5, filler_small=[0])
-    with pytest.raises(LiftError, match="filler_large must have 3"):
-        plan_lift(base_c6(), 5, filler_large=[0, 1])
 
 
 def test_plan_rejects_bad_shapes():
@@ -119,7 +109,6 @@ def test_plan_rejects_oversized_k():
     with pytest.raises(LiftError, match=r"k <= \|G\|"):
         plan_lift(base, 6)
     plan = plan_lift(base, 6, relax_fillers=True)
-    assert plan.relaxed
     assert len(plan.filler_small) == 3  # clamped from k-1=4 to |G|=3
     assert len(plan.filler_large) == 3  # clamped from k=5
 
@@ -128,7 +117,7 @@ def test_plan_rejects_triangle_free_base():
     # right pattern, empty diagonal, k fine, but no vertex is on a 3-cycle
     g = cyclic(6)
     base = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (1, 3): [2, 3], (2, 3): [5]})
-    assert triangle_profile(base) == ("none", "none", "none")
+    assert triangle_profile(build_graph(base), 6) == ("none", "none", "none")
     with pytest.raises(LiftError, match="triangle hypothesis"):
         plan_lift(base, 5)
 
@@ -137,12 +126,9 @@ def test_lift_base_rejects_excess_symmetry():
     # triangles everywhere, but |Aut| = 768 over a group of order 6
     g = cyclic(6)
     base = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (1, 3): [0, 5], (2, 3): [5]})
-    assert triangle_profile(base) == ("all", "all", "all")
+    assert triangle_profile(build_graph(base), 6) == ("all", "all", "all")
     with pytest.raises(LiftError, match="not a PGSR"):
         lift_base(base, 5)
-    # skipping the base check still yields a well-formed regular matrix
-    out = lift_base(base, 5, check_base=False)
-    assert out.is_regular() and out.valencies()[0] == 4
 
 
 # -- full extensions -----------------------------------------------------------
@@ -190,9 +176,9 @@ def test_lift_builds_the_base_graph_once(monkeypatch):
 
 def test_triangles_stay_in_the_base():
     out = lift_base(base_c6(), 9)
-    assert triangle_profile(out) == ("all",) * 3 + ("none",) * 6
+    assert triangle_profile(build_graph(out), 6) == ("all",) * 3 + ("none",) * 6
     out = lift_base(base_c2cubed(), 6)
-    assert triangle_profile(out) == ("all",) * 4 + ("none",) * 2
+    assert triangle_profile(build_graph(out), 8) == ("all",) * 4 + ("none",) * 2
 
 
 def test_relaxed_lift_keeps_aut_order():
@@ -206,7 +192,7 @@ def test_regularity_along_the_chain():
     # every extension length keeps (k+1)-regularity, not only the small ones
     base = base_c6()
     for m in (5, 7, 9, 11, 13):
-        out = lift_base(base, m, check_base=False)
+        out = lift_base(base, m)
         assert out.valencies() == (4,) * m
         assert all(not out.block(i, i) for i in range(1, m + 1))
 

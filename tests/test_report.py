@@ -1,11 +1,13 @@
 """Certificates: emission, serialization, and adversarial re-verification."""
 
 import copy
+import hashlib
 import json
 import sys
 
 import pytest
 
+import mhaar
 import mhaar.autos
 import mhaar.cayley
 from mhaar.autos import automorphism_group
@@ -14,10 +16,9 @@ from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.cli import EXIT_CAPACITY, main
 from mhaar.constructions import synthesize
 from mhaar.formats import to_graph6
-from mhaar.groups import CapacityError, cyclic, dihedral
+from mhaar.groups import CapacityError, cyclic, dihedral, parse_group_spec
 from mhaar.report import (
     SCHEMA_VERSION,
-    TOOL_VERSION,
     CertificateCheck,
     certificate_json,
     emit,
@@ -51,7 +52,7 @@ def c6_cert(c6_witness):
 def test_witness_certificate_shape(c6_cert):
     assert list(c6_cert.keys()) == KEY_ORDER
     assert c6_cert["schema"] == SCHEMA_VERSION == 1
-    assert c6_cert["tool_version"] == TOOL_VERSION
+    assert c6_cert["tool_version"] == mhaar.__version__ == "0.1.0"
     assert c6_cert["kind"] == "hgr"
     assert c6_cert["route"] == "unit test"
     assert c6_cert["group"]["descriptor"] == "C6"
@@ -128,11 +129,27 @@ def test_search_certificate_refuses_early_stop():
         search_certificate(partial, cyclic(2))
 
 
+# the certificate text of one outcome per route: catalog, generic recipes of
+# rank 2 and 5, chain extension, the order-1 and order-2 templates, both
+# classified negatives, and a searched nonexistence and witness
+CERTIFICATE_DIGEST = "2cd9a45b9fb3705fdc132d76a44a0ae8ec7999bc620317db0fcd2eb107722e6a"
+
+
+def test_certificates_are_pinned():
+    sha = hashlib.sha256()
+    for spec, m in [("C6", 3), ("Q8", 3), ("C2^5", 4), ("D8xC3", 6), ("A4", 5),
+                    ("X27", 12), ("C2", 10), ("C1", 12), ("D6", 3), ("C2", 5)]:
+        sha.update(certificate_json(synthesize(parse_group_spec(spec), m)).encode())
+    for spec, m in [("C2^2", 3), ("C6", 3)]:
+        g = parse_group_spec(spec)
+        sha.update(certificate_json(decide_existence(g, m), group=g).encode())
+    assert sha.hexdigest() == CERTIFICATE_DIGEST
+
+
 # -- emit dispatch --------------------------------------------------------------
 
 
-def test_emit_dispatch(c6_witness):
-    assert emit(c6_witness)["kind"] == "hgr"
+def test_emit_dispatch():
     r = synthesize(cyclic(6), 3)
     cert = emit(r)
     assert cert["kind"] == "hgr" and cert["route"].startswith("catalog entry")
@@ -165,15 +182,15 @@ def test_witness_certificate_runs_the_engine_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_json_and_file_round_trip(c6_witness, tmp_path):
-    text = certificate_json(c6_witness, kind="hgr")
+def test_json_and_file_round_trip(tmp_path):
+    text = certificate_json(synthesize(cyclic(6), 3))
     assert text.endswith("\n")
     assert reverify(text).ok  # JSON string input
     path = tmp_path / "cert.json"
-    written = write_certificate(c6_witness, str(path), kind="hgr")
-    assert written == text == path.read_text()
+    write_certificate(text, str(path))
+    assert path.read_text() == text
     loaded = load_certificate(str(path))
-    assert loaded == json.loads(written)
+    assert loaded == json.loads(text)
     assert reverify(loaded).ok
 
 
@@ -233,7 +250,7 @@ def test_reverify_rejects_honest_evidence_of_excess_symmetry():
     aut = automorphism_group(graph)
     assert aut.order == 8
     cert = {
-        "schema": SCHEMA_VERSION, "tool_version": TOOL_VERSION, "kind": "hgr",
+        "schema": SCHEMA_VERSION, "tool_version": mhaar.__version__, "kind": "hgr",
         "group": {"descriptor": "C2", "order": 2,
                   "table": [list(row) for row in g.table]},
         "m": 2, "route": None,
@@ -289,9 +306,9 @@ def test_reverify_catches_missing_fields(c6_cert):
     check = reverify(tampered(c6_cert, graph6=None))
     assert not check.ok and check.field == "graph6"
     assert check.detail == "field missing"
-    # a missing m already breaks the matrix rebuild
     check = reverify(tampered(c6_cert, m=None))
-    assert not check.ok and check.field == "matrix"
+    assert not check.ok and check.field == "m"
+    assert check.detail == "field missing"
 
 
 def test_reverify_rejects_broken_group_tables(c6_cert):
