@@ -27,7 +27,16 @@ MAX_RANK_SEARCH_ORDER = 512
 
 
 class GroupError(ValueError):
-    """A table failed the group axioms, or an argument is not a group element."""
+    """A table failed the group axioms, or an argument is not a group element.
+
+    `field` names the key of group JSON at fault when Group.from_json
+    raises ("table", "order" or "descriptor"); it is None when the JSON
+    is not an object with both keys, and for every other error.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class Group:
@@ -146,13 +155,19 @@ class Group:
         table = data["table"]
         if not isinstance(table, list) or not all(
                 isinstance(row, list) and all(type(v) is int for v in row) for row in table):
-            raise GroupError("group JSON 'table' must be a list of integer lists")
-        if data["order"] != len(table):
-            raise GroupError("declared order does not match table size")
+            raise GroupError("group JSON 'table' must be a list of integer lists", "table")
+        order = data["order"]
+        if type(order) is not int or order != len(table):
+            raise GroupError(f"declared order {order!r} does not match the "
+                             f"{len(table)} rows of the table", "order")
         descriptor = data.get("descriptor")
         if descriptor is not None and not isinstance(descriptor, str):
-            raise GroupError("group JSON 'descriptor' must be a string")
-        return Group(table, descriptor=descriptor)
+            raise GroupError("group JSON 'descriptor' must be a string", "descriptor")
+        try:
+            return Group(table, descriptor=descriptor)
+        except GroupError as e:
+            e.field = "table"
+            raise
 
 
 def load_group(path: str) -> Group:

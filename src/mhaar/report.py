@@ -260,15 +260,11 @@ def reverify(cert: Union[dict, str]) -> CertificateCheck:
         kind = cert["kind"]
         if kind not in _KINDS:
             return CertificateCheck(False, "kind", f"unknown kind {kind!r}")
-        gspec = cert["group"]
         try:
-            group = Group(gspec["table"], descriptor=gspec.get("descriptor"))
-        except (GroupError, KeyError, TypeError) as e:
-            return CertificateCheck(False, "group.table", str(e))
-        if gspec.get("order") != group.order:
+            group = Group.from_json(cert["group"])
+        except GroupError as e:
             return CertificateCheck(
-                False, "group.order",
-                f"claimed {gspec.get('order')}, table has {group.order}")
+                False, "group" if e.field is None else f"group.{e.field}", str(e))
         if not isinstance(cert["evidence"], dict):
             return CertificateCheck(False, "evidence", "not a JSON object")
         # the classification covers m >= 3 only

@@ -28,6 +28,21 @@ Every candidate graph has the right translations as automorphisms, so
 it is a witness exactly when they are all of Aut; each candidate asks
 the engine only that (`autos.only_translations`), which stops at the
 first automorphism that is not a translation instead of computing |Aut|.
+
+Both streams also skip the engine for a candidate that a known
+isomorphism maps onto an earlier candidate of the same stream.  In
+normalized mode the maps are the part translations above that keep
+the identity in every forest block, and the order is the lexicographic
+order of the block tuple; in the degree scan they are the swaps of two
+adjacent vertices of N(0) or of its complement, and the order is that
+of (N+(1), ..., N+(m-1)), where N+(u) holds the neighbours above u.
+This is sound: a skipped candidate is isomorphic to an earlier one, so
+by induction to a candidate the engine answered "no".  The first
+witness has no earlier image (it would be an earlier witness), so it is
+reached at the same position, and `examined` still counts every
+candidate.  Skipping stops at the first witness of a profile (or
+degree), so counts of all witnesses are unchanged too.  Exhaustive mode
+skips nothing and stays a literal check.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
 from .catalog import matrix_from_graph
@@ -52,6 +67,7 @@ from .groups import CapacityError, Group, cyclic
 DEFAULT_BUDGET = 10 ** 8
 
 Profile = tuple[int, ...]  # block sizes along lex-ordered cells (i, j), i < j
+Blocks = tuple[tuple[int, ...], ...]  # one candidate: a sorted block per cell
 
 
 def _cells(m: int) -> list[tuple[int, int]]:
@@ -130,7 +146,7 @@ def _profile_space(n: int, profile: Profile, forced: frozenset[int]) -> int:
 
 
 def _profile_candidates(n: int, profile: Profile,
-                        forced: frozenset[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+                        forced: frozenset[int]) -> Iterator[Blocks]:
     pools = []
     for idx, s in enumerate(profile):
         if idx in forced:
@@ -172,15 +188,19 @@ def _regular_graphs_seeded(m: int, d: int) -> Iterator[Graph]:
     """All d-regular graphs on m vertices with N(0) = {1..d}, streamed.
 
     Every d-regular graph is isomorphic to one of these, so the stream
-    decides any isomorphism-invariant existence question.
+    decides any isomorphism-invariant existence question.  The graphs
+    come in strictly increasing order of (N+(1), ..., N+(m-1)), each
+    N+(u) = {v > u : uv an edge} compared as a sorted tuple.
     """
-    fixed = [(0, v) for v in range(1, d + 1)]
+    bits = [0] * m
+    bits[0] = (2 << d) - 2
+    for v in range(1, d + 1):
+        bits[v] = 1
     rem = [0] + [d - 1] * d + [d] * (m - d - 1)
-    chosen: list[tuple[int, int]] = []
 
     def rec(u: int) -> Iterator[Graph]:
         if u == m:
-            yield Graph.from_edges(m, fixed + chosen)
+            yield Graph(m, list(bits))
             return
         need = rem[u]
         if need == 0:
@@ -196,14 +216,44 @@ def _regular_graphs_seeded(m: int, d: int) -> Iterator[Graph]:
             tail = sum(rem[u + 1:])
             # every unfinished vertex must find enough distinct partners
             if tail % 2 == 0 and tail >= 2 * max(rem[u + 1:], default=0):
-                chosen.extend((u, v) for v in combo)
+                row = bits[u]
+                for v in combo:
+                    bits[u] |= 1 << v
+                    bits[v] |= 1 << u
                 yield from rec(u + 1)
-                del chosen[-need:]
+                bits[u] = row
+                for v in combo:
+                    bits[v] ^= 1 << u
             rem[u] = need
             for v in combo:
                 rem[v] += 1
 
     yield from rec(1)
+
+
+def _swap_gives_earlier(bits: list[int], m: int, d: int) -> bool:
+    """Whether swapping vertices k, k+1, both in {1..d} or both in
+    {d+1..m-1}, maps the graph to an earlier one of the seeded stream.
+
+    The swap fixes 0 and N(0), so the image is in the stream.  Rows
+    N+(u) with u < k change only where u sees exactly one of k, k+1;
+    then rows k and k+1 trade their parts above k+1; later rows keep.
+    Rows compare as bitmasks: of two equal-size sets, the smaller holds
+    the lowest bit of their XOR.
+    """
+    for k in itertools.chain(range(1, d), range(d + 1, m - 1)):
+        pair = 3 << k
+        for u in range(1, k):
+            seen = bits[u] & pair
+            if seen and seen != pair:
+                if seen >> k == 2:  # u sees k+1 only: its image row gets k
+                    return True
+                break
+        else:
+            diff = (bits[k] ^ bits[k + 1]) >> (k + 2)
+            if diff and bits[k + 1] >> (k + 2) & diff & -diff:
+                return True
+    return False
 
 
 def _trivial_group_scan(group: Group, m: int, budget: int,
@@ -217,13 +267,17 @@ def _trivial_group_scan(group: Group, m: int, budget: int,
     for d in range(3, (m - 1) // 2 + 1):
         if m * d % 2:
             continue
+        seen_witness = False
         for graph in _regular_graphs_seeded(m, d):
             examined += 1
             if examined > budget:
                 raise CapacityError(
                     f"degree scan exceeded budget {budget} at degree {d}")
+            if not seen_witness and _swap_gives_earlier(graph.bits, m, d):
+                continue
             if only_translations(graph, 1):
                 witnesses += 1
+                seen_witness = True
                 if witness is None:
                     witness = matrix_from_graph(group, graph)
                 if early_exit:
@@ -257,16 +311,99 @@ def c1_regular_asymmetric_scan(m: int, budget: int = DEFAULT_BUDGET,
 # -- one profile at a time -----------------------------------------------------
 
 
+def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
+                       profile: Profile, forced: frozenset[int]
+                       ) -> Callable[[Blocks], bool]:
+    """A test for whether a part translation maps a candidate of this
+    profile onto an earlier one.
+
+    Translating part i by a_i maps block (i, j) to a_j * T_ij * a_i^-1.
+    The image is a candidate of the profile when every forced block
+    still holds the identity (a_j^-1 * a_i in T_ij), and it is earlier
+    when its block tuple is lexicographically smaller.  The a_i are
+    chosen in part order; blocks are compared in cell order as soon as
+    their parts are set, so a larger leading block prunes.  Moving every
+    part by one central element fixes every block, so part 1 only needs
+    one a_1 per coset of the centre.
+    """
+    n = group.order
+    table = group.table
+    inv = [group.inv(a) for a in range(n)]
+    centre = [z for z, column in enumerate(zip(*table)) if table[z] == column]
+    starts: list[int] = []  # the least element of each coset of the centre
+    covered: set[int] = set()
+    for x in range(n):
+        if x not in covered:
+            starts.append(x)
+            covered.update(table[x][z] for z in centre)
+    # the live blocks in cell order, and the forced ones by their later part
+    order = [(c, *cells[c]) for c in range(len(cells)) if profile[c]]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+    for c, i, j in order:
+        if c in forced:
+            into[j].append((c, i))
+    # the first forced block into part j fixes a_j up to its elements;
+    # the identity stays in that block by construction
+    anchor = [into[j].pop(0) if into[j] else None for j in range(m + 1)]
+    a = [0] * (m + 1)
+
+    def earlier(choice: Blocks) -> bool:
+        def rec(j: int, pos: int, below: bool) -> bool:
+            # parts before j are set; the live blocks order[:pos] match
+            # the candidate's, unless the image is already below it
+            if j == 1:
+                options = starts
+            elif anchor[j] is None:
+                options = range(n)
+            else:
+                c, i = anchor[j]
+                row = table[a[i]]
+                options = [row[inv[t]] for t in choice[c]]
+            for x in options:
+                a[j] = x
+                if into[j]:
+                    row = table[inv[x]]
+                    if any(row[a[i]] not in choice[c] for c, i in into[j]):
+                        continue
+                p, lower = pos, below
+                while not lower and p < len(order) and order[p][2] <= j:
+                    c, i, k = order[p]
+                    row, back = table[a[k]], inv[a[i]]
+                    block = tuple(sorted([table[row[t]][back] for t in choice[c]]))
+                    if block != choice[c]:
+                        if block > choice[c]:
+                            break
+                        lower = True
+                    p += 1
+                else:
+                    if lower if j == m else rec(j + 1, p, lower):
+                        return True
+            return False
+
+        return rec(1, 0, False)
+
+    return earlier
+
+
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
-                 early_exit: bool, planned: tuple[Profile, frozenset[int], int]
+                 early_exit: bool, skip: bool,
+                 planned: tuple[Profile, frozenset[int], int]
                  ) -> tuple[int, int, Optional[dict]]:
-    """Scan one planned profile; returns (examined, witnesses, first blocks)."""
-    profile, forced, _ = planned
+    """Scan one planned profile; returns (examined, witnesses, first blocks).
+
+    With skip, a candidate that a part translation maps to an earlier
+    one is counted but not decided, until the profile's first witness.
+    """
+    profile, forced, space = planned
     target = group.order
+    earlier = (_translation_check(group, m, cells, profile, forced)
+               if skip and space > 1 else None)
     examined = witnesses = 0
     first = None
     for choice in _profile_candidates(target, profile, forced):
         examined += 1
+        if earlier is not None and first is None and earlier(choice):
+            continue
         blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
         cm = ConnectionMatrix(group, m, blocks)
         if only_translations(build_graph(cm), target):
@@ -330,7 +467,8 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     profiles, total = space_size(group, m, mode, budget)
     cells = _cells(m)
     plan = _plan(group, m, cells, mode, budget)
-    run = functools.partial(_run_profile, group, m, cells, early_exit)
+    run = functools.partial(_run_profile, group, m, cells, early_exit,
+                            mode == "normalized")
 
     examined = witnesses = 0
     witness_blocks = None

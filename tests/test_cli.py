@@ -305,6 +305,33 @@ def test_reverify_names_malformed_fields(capsys, tmp_path, cert_kind, key, value
     assert f"certificate fails at '{key}'" in out
 
 
+# a malformed group is named in the words of Group.from_json
+MALFORMED_GROUP = [
+    pytest.param({}, "group", "needs 'order' and 'table' keys", id="empty"),
+    pytest.param([], "group", "needs 'order' and 'table' keys", id="list"),
+    pytest.param({"order": 2, "table": [[0, "1"], ["1", 0]]}, "group.table",
+                 "must be a list of integer lists", id="str-entries"),
+    pytest.param({"order": 2, "table": [[0, 1], [1, 1]]}, "group.table",
+                 "not a permutation", id="not-latin"),
+    pytest.param({"order": "2", "table": [[0, 1], [1, 0]]}, "group.order",
+                 "does not match", id="order-str"),
+]
+
+
+@pytest.mark.parametrize("cert_kind", sorted(CERT_COMMANDS))
+@pytest.mark.parametrize("value,field,words", MALFORMED_GROUP)
+def test_reverify_names_a_malformed_group(capsys, tmp_path, cert_kind, value,
+                                          field, words):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, *CERT_COMMANDS[cert_kind], "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["group"] = value
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_NEGATIVE and not err
+    assert f"certificate fails at '{field}': " in out and words in out
+
+
 # -- oracle-aut ------------------------------------------------------------------
 
 

@@ -1,11 +1,25 @@
 """Exhaustive search: candidate counting, both modes, and the trivial group."""
 
+import itertools
+
 import pytest
 
-from mhaar.autos import is_m_hgr
-from mhaar.groups import CapacityError, cyclic, dihedral, elem_abelian, quaternion8
+import mhaar.search
+from mhaar.autos import is_m_hgr, only_translations
+from mhaar.catalog import matrix_from_graph
+from mhaar.cayley import ConnectionMatrix, build_graph
+from mhaar.graphs import Graph
+from mhaar.groups import (CapacityError, cyclic, dihedral, elem_abelian,
+                          parse_group_spec, quaternion8)
 from mhaar.search import (
+    DEFAULT_BUDGET,
     SearchReport,
+    _cells,
+    _plan,
+    _profile_candidates,
+    _regular_graphs_seeded,
+    _swap_gives_earlier,
+    _translation_check,
     c1_regular_asymmetric_scan,
     decide_existence,
     space_size,
@@ -163,3 +177,199 @@ def test_report_str_shapes():
     s = SearchReport("C2", 2, 3, "normalized", False, 3, 4, 2, 0, None,
                      False, 0.0)
     assert str(s).endswith("none seen")
+
+
+# -- skipping candidates that map to earlier ones ---------------------------------
+#
+# The references below are the search without the skip: the same streams,
+# one engine call per candidate.
+
+
+def literal_search(group, m, early_exit=True):
+    cells = _cells(m)
+    examined = witnesses = 0
+    first = None
+    for profile, forced, _ in _plan(group, m, cells, "normalized", DEFAULT_BUDGET):
+        for choice in _profile_candidates(group.order, profile, forced):
+            examined += 1
+            blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
+            cm = ConnectionMatrix(group, m, blocks)
+            if only_translations(build_graph(cm), group.order):
+                witnesses += 1
+                if first is None:
+                    first = cm
+                if early_exit:
+                    break
+        if first is not None and early_exit:
+            break
+    return (first is not None, examined, witnesses,
+            not (early_exit and first is not None),
+            None if first is None else first.upper_items())
+
+
+def literal_scan(m):
+    group = cyclic(1)
+    examined = witnesses = 0
+    first = None
+    for d in range(3, (m - 1) // 2 + 1):
+        if m * d % 2:
+            continue
+        for graph in _regular_graphs_seeded(m, d):
+            examined += 1
+            if only_translations(graph, 1):
+                witnesses += 1
+                first = matrix_from_graph(group, graph)
+                break
+        if first is not None:
+            break
+    return (first is not None, examined, witnesses, first is None,
+            None if first is None else first.upper_items())
+
+
+def outcome(r):
+    return (r.exists, r.examined, r.witnesses, r.exhausted,
+            None if r.witness is None else r.witness.upper_items())
+
+
+# every group the parser names up to order 8, as written in specs
+ORDER_AT_MOST_8 = ["C1", "C2", "C3", "C4", "C2^2", "C5", "C6", "C2xC3", "D6",
+                   "C7", "C8", "C2xC4", "C4xC2", "C2^3", "C2xC2xC2", "D8", "Q8"]
+
+
+@pytest.mark.parametrize("spec,m", [(spec, 2) for spec in ORDER_AT_MOST_8] + [
+    ("C2", 3), ("C2", 4), ("C2", 5), ("C2", 6), ("C3", 3), ("C3", 4),
+    ("C5", 3), ("C2^2", 3), ("C4", 3), ("D6", 3)])
+def test_skip_agrees_with_the_literal_loop(spec, m):
+    group = parse_group_spec(spec)
+    expected = (literal_scan(m) if group.order == 1
+                else literal_search(group, m))
+    assert outcome(decide_existence(group, m)) == expected
+
+
+def test_skip_keeps_every_witness_counted():
+    expected = literal_search(cyclic(6), 3, early_exit=False)
+    assert expected[:3] == (True, 4033, 672)
+    for workers in (1, 2):
+        r = decide_existence(cyclic(6), 3, workers=workers, early_exit=False)
+        assert outcome(r) == expected
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_degree_scan_skip_agrees_with_the_literal_loop(m):
+    assert outcome(c1_regular_asymmetric_scan(m)) == literal_scan(m)
+
+
+def test_degree_scan_skip_keeps_every_witness_counted(monkeypatch):
+    # a stand-in engine that answers an isomorphism invariant: the 96
+    # triangle-free cubic graphs on 8 vertices, the first at position 249
+    def triangle_free(graph, n):
+        return not any(graph.on_triangle(v) for v in range(graph.n))
+
+    expected_first = next(graph for graph in _regular_graphs_seeded(8, 3)
+                          if triangle_free(graph, 1))
+    monkeypatch.setattr(mhaar.search, "only_translations", triangle_free)
+    r = c1_regular_asymmetric_scan(8, early_exit=False)
+    assert (r.exists, r.examined, r.witnesses, r.exhausted) == (True, 553, 96, True)
+    first = r.witness
+    assert first == matrix_from_graph(cyclic(1), expected_first)
+    r = c1_regular_asymmetric_scan(8)
+    assert (r.examined, r.witnesses, r.witness) == (249, 1, first)
+
+
+def translation_gives_earlier(group, m, cells, forced, choice):
+    """Try every part translation, without pruning or the centre."""
+    table = group.table
+    for a in itertools.product(range(group.order), repeat=m):
+        image = tuple(
+            tuple(sorted(table[table[a[j - 1]][t]][group.inv(a[i - 1])]
+                         for t in block))
+            for (i, j), block in zip(cells, choice))
+        if image < choice and all(0 in image[c] for c in forced):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("group,m,largest", [
+    (cyclic(2), 5, 100), (quaternion8(), 2, 100),
+    (dihedral(6), 3, 375)])
+def test_translation_check_matches_every_translation(group, m, largest):
+    cells = _cells(m)
+    for profile, forced, space in _plan(group, m, cells, "normalized", DEFAULT_BUDGET):
+        if space > largest:
+            continue
+        earlier = _translation_check(group, m, cells, profile, forced)
+        for choice in _profile_candidates(group.order, profile, forced):
+            assert earlier(choice) == translation_gives_earlier(
+                group, m, cells, forced, choice), (profile, choice)
+
+
+def swap_gives_earlier(graph, d):
+    """Swap each adjacent pair of {1..d} and of {d+1..m-1}, then compare."""
+    n = graph.n
+    for k in itertools.chain(range(1, d), range(d + 1, n - 1)):
+        swap = {k: k + 1, k + 1: k}
+        image = Graph.from_edges(n, [(swap.get(u, u), swap.get(v, v))
+                                     for u, v in graph.edges()])
+        if rows_above(image) < rows_above(graph):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("m,d", [(8, 3), (9, 4), (10, 3)])
+def test_swap_check_matches_every_swap(m, d):
+    for graph in itertools.islice(_regular_graphs_seeded(m, d), 2000):
+        assert _swap_gives_earlier(graph.bits, m, d) == swap_gives_earlier(graph, d)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    calls = []
+
+    def counting(graph, n):
+        calls.append(n)
+        return only_translations(graph, n)
+
+    monkeypatch.setattr(mhaar.search, "only_translations", counting)
+    return calls
+
+
+def test_skip_cuts_engine_calls(engine_calls):
+    # a tenfold cut for D6/3; the maps leave 114 calls of 4033
+    assert decide_existence(dihedral(6), 3).examined == 4033
+    assert len(engine_calls) <= 403
+    engine_calls.clear()
+    # the degree scan leaves 81 calls of 14,634
+    assert c1_regular_asymmetric_scan(9).examined == 14634
+    assert len(engine_calls) <= 1463
+
+
+def test_exhaustive_mode_decides_every_candidate(engine_calls):
+    r = decide_existence(elem_abelian(2, 2), 3, mode="exhaustive")
+    assert r.examined == len(engine_calls) == 346
+
+
+@pytest.mark.parametrize("group,m,mode", [
+    (dihedral(6), 3, "normalized"), (cyclic(2), 5, "normalized"),
+    (elem_abelian(2, 2), 3, "exhaustive"), (quaternion8(), 2, "normalized")])
+def test_profile_candidates_come_in_increasing_order(group, m, mode):
+    # the skip's "earlier" is tuple order within a profile
+    for profile, forced, space in _plan(group, m, _cells(m), mode, DEFAULT_BUDGET):
+        stream = list(_profile_candidates(group.order, profile, forced))
+        assert len(stream) == space
+        assert all(a < b for a, b in zip(stream, stream[1:]))
+
+
+def rows_above(graph):
+    return tuple(tuple(v for v in graph.neighbors(u) if v > u)
+                 for u in range(1, graph.n))
+
+
+@pytest.mark.parametrize("m,d,count", [(8, 3, 553), (9, 4, 14634)])
+def test_seeded_regular_graphs_come_in_increasing_order(m, d, count):
+    graphs = list(_regular_graphs_seeded(m, d))
+    assert len(graphs) == len(set(graphs)) == count
+    for graph in graphs:
+        assert all(graph.degree(v) == d for v in range(m))
+        assert list(graph.neighbors(0)) == list(range(1, d + 1))
+    keys = [rows_above(graph) for graph in graphs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
