@@ -63,6 +63,7 @@ compiling or loading any group or matrix code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -99,18 +100,58 @@ def _is_automorphism(bits: list[int], p: Sequence[int]) -> bool:
     return True
 
 
+# -- the ordered partition -----------------------------------------------------
+
+
+class _Partition:
+    """An ordered partition of the vertices, refined in place.
+
+    `cells` are the cells in order, as bitmasks, and `starts` their first
+    positions.  `wide` holds the non-singleton cells, in the same order,
+    and `wstarts` their starts.  Each split is recorded on `trail` as
+    (cell index, index in wide, the cell, parts, non-singleton parts), and
+    `undo(mark)` takes the splits back in reverse order until `trail` has
+    `mark` entries again.
+    """
+
+    __slots__ = ("cells", "starts", "wide", "wstarts", "trail")
+
+    def __init__(self, cells: Sequence[int]):
+        self.cells = list(cells)
+        self.starts = []
+        self.wide = []
+        self.wstarts = []
+        self.trail: list[tuple[int, int, int, int, int]] = []
+        s = 0
+        for c in cells:
+            self.starts.append(s)
+            if c & (c - 1):
+                self.wide.append(c)
+                self.wstarts.append(s)
+            s += c.bit_count()
+
+    def undo(self, mark: int) -> None:
+        cells, starts, wide, wstarts, trail = (
+            self.cells, self.starts, self.wide, self.wstarts, self.trail)
+        while len(trail) > mark:
+            ci, k, cell, np, nw = trail.pop()
+            cells[ci : ci + np] = [cell]
+            del starts[ci + 1 : ci + np]
+            wide[k : k + nw] = [cell]
+            wstarts[k : k + nw] = [starts[ci]]
+
+
 # -- equitable refinement -----------------------------------------------------
 
 
-def _refine(bits: list[int], cells: list[int], worklist: list[int], h: int) -> int:
-    """Refine cells in place to equitability; returns the updated trace hash."""
-    n = len(bits)
+def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> int:
+    """Refine the partition in place to equitability; returns the updated
+    trace hash."""
+    cells, starts, wide, wstarts, trail = (
+        ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail)
     wl = list(worklist)
     qi = 0
-    # vertices of the non-singleton cells, the only ones a splitter can
-    # move; collected when the first splitter with neighbours comes up
-    free = -1
-    while qi < len(wl) and len(cells) < n:
+    while qi < len(wl) and wide:
         splitter = wl[qi]
         qi += 1
         single = not splitter & (splitter - 1)
@@ -125,16 +166,11 @@ def _refine(bits: list[int], cells: list[int], worklist: list[int], h: int) -> i
                 b ^= low
         if not touched:
             continue
-        if free < 0:
-            # the cells are disjoint, so their sum is their union
-            free = sum(c for c in cells if c & (c - 1))
-        touched &= free
-        if not touched:
-            continue
         shift = 0
-        for ci in [i for i, c in enumerate(cells) if c & touched]:
-            ci += shift
-            cell = cells[ci]
+        # only the non-singleton cells can split
+        for k in [k for k, c in enumerate(wide) if c & touched]:
+            k += shift
+            cell = wide[k]
             hit = cell & touched
             rest = cell ^ hit
             if single:
@@ -152,20 +188,31 @@ def _refine(bits: list[int], cells: list[int], worklist: list[int], h: int) -> i
                     b ^= low
                 if len(buckets) == 1:
                     continue
-            counts = sorted(buckets)
-            parts = [buckets[c] for c in counts]
-            cells[ci : ci + 1] = parts
+            start = wstarts[k]
+            ci = bisect_left(starts, start)
             h = _hmix(h, ci)
-            for c in counts:
+            parts, pstarts, wparts, wpstarts = [], [], [], []
+            for c in sorted(buckets):
+                p = buckets[c]
+                size = p.bit_count()
                 h = _hmix(h, c)
-                h = _hmix(h, buckets[c].bit_count())
-            if len(cells) == n:
+                h = _hmix(h, size)
+                parts.append(p)
+                pstarts.append(start)
+                if size > 1:
+                    wparts.append(p)
+                    wpstarts.append(start)
+                start += size
+            # recorded before the discrete return, so that undo restores it
+            trail.append((ci, k, cell, len(parts), len(wparts)))
+            cells[ci : ci + 1] = parts
+            starts[ci : ci + 1] = pstarts
+            wide[k : k + 1] = wparts
+            wstarts[k : k + 1] = wpstarts
+            if not wide:
                 return h
-            for part in parts:
-                if not part & (part - 1):
-                    free ^= part
             wl.extend(parts)
-            shift += len(parts) - 1
+            shift += len(wparts) - 1
     return h
 
 
@@ -260,7 +307,10 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
                 mask |= 1 << v
         cells.append(mask)
         h0 = _hmix(h0, mask.bit_count())
-    h0 = _refine(bits, cells, list(cells), h0)
+    ptn = _Partition(cells)
+    h0 = _refine(bits, ptn, cells, h0)
+    cells, starts, wide, wstarts, trail = (
+        ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail)
 
     identity = tuple(range(n))
     found: list[tuple[int, ...]] = []
@@ -271,21 +321,21 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
     order = 1
     nodes = 0
     # stack[d] is the non-leaf node at depth d of the current path:
-    # [cells, hash, on_first, anchor, target, unvisited target vertices, tried]
+    # [trail length, hash, on_first, anchor, target, unvisited target
+    # vertices, tried]; undoing the trail to its length restores its partition
     stack: list[list] = []
-    # the node to enter next: cells, hash, on_first, anchor, where to
-    # start looking for the target cell (every cell before it is a singleton)
-    node: Optional[tuple] = (cells, h0, True, 0, 0)
+    # the node to enter next, whose partition ptn holds: hash, on_first, anchor
+    node: Optional[tuple] = (h0, True, 0)
     while node is not None:
-        cells, h, on_first, anchor, start = node
+        h, on_first, anchor = node
         nodes += 1
         if on_first and first_leaf is None:
             first_invs.append(h)  # the first path's trace, one hash per depth
-        target = start
-        while target < len(cells) and not cells[target] & (cells[target] - 1):
-            target += 1
-        if target < len(cells):
-            stack.append([cells, h, on_first, anchor, target, cells[target], []])
+        if wide:
+            # every cell before the first non-singleton one is a singleton,
+            # so its index is its start
+            target = wstarts[0]
+            stack.append([len(trail), h, on_first, anchor, target, wide[0], []])
         elif first_leaf is None:
             first_leaf = [c.bit_length() - 1 for c in cells]
         else:
@@ -303,7 +353,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
         node = None
         while node is None and stack:
             frame = stack[-1]
-            cells, h, on_first, anchor, target, b, tried = frame
+            mark, h, on_first, anchor, target, b, tried = frame
             depth = len(stack) - 1
             if not b:
                 stack.pop()
@@ -329,15 +379,26 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
                 if seen:
                     continue
             tried.append(v)
-            child = list(cells)
-            child[target : target + 1] = [low, cells[target] ^ low]
+            ptn.undo(mark)
+            # individualize v: the target cell is wide[0]
+            cell = cells[target]
+            rest = cell ^ low
+            cells[target : target + 1] = [low, rest]
+            starts.insert(target + 1, target + 1)
+            if rest & (rest - 1):
+                trail.append((target, 0, cell, 2, 1))
+                wide[0] = rest
+                wstarts[0] = target + 1
+            else:
+                trail.append((target, 0, cell, 2, 0))
+                del wide[0], wstarts[0]
             ch = _hmix(h, target)
-            ch = _refine(bits, child, [low], ch)
-            ch = _hmix(ch, len(child))
+            ch = _refine(bits, ptn, [low], ch)
+            ch = _hmix(ch, len(cells))
             if first:
-                node = (child, ch, True, depth + 1, target + 1)
+                node = (ch, True, depth + 1)
             elif depth + 1 < len(first_invs) and ch == first_invs[depth + 1]:
-                node = (child, ch, False, anchor, target + 1)
+                node = (ch, False, anchor)
     return AutResult(order, found, orbits.orbits(), nodes)
 
 

@@ -44,21 +44,18 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
+# the printable byte of each 6-bit chunk, keyed by its binary digits
+_SIX_BITS = {format(w, "06b"): chr(w + 63) for w in range(64)}
+
+
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for v in range(g.n):
-        for u in range(v):
-            bits.append(g.bits[u] >> v & 1)
-    # pad to a multiple of 6
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(_encode_n(g.n))
-    for k in range(0, len(bits), 6):
-        word = 0
-        for b in bits[k : k + 6]:
-            word = word << 1 | b
-        out.append(word + 63)
-    return out.decode("ascii")
+    # column v holds bits u = 0..v-1 of row v (the adjacency is symmetric),
+    # lowest u first
+    body = "".join(format(g.bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                   for v in range(1, g.n))
+    body += "0" * (-len(body) % 6)
+    return _encode_n(g.n).decode("ascii") + "".join(
+        _SIX_BITS[body[k : k + 6]] for k in range(0, len(body), 6))
 
 
 def from_graph6(s: str) -> Graph:

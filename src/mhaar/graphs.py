@@ -114,9 +114,13 @@ class Graph:
 
     def triangle_count(self, v: int) -> int:
         """Number of triangles through v."""
+        bits = self.bits
+        bv = b = bits[v]
         total = 0
-        for u in self.neighbors(v):
-            total += (self.bits[v] & self.bits[u]).bit_count()
+        while b:
+            low = b & -b
+            total += (bv & bits[low.bit_length() - 1]).bit_count()
+            b ^= low
         return total // 2
 
     def __eq__(self, other: object) -> bool:

@@ -11,6 +11,7 @@ import pytest
 from mhaar.autos import (
     BRUTE_FORCE_LIMIT,
     _hmix,
+    _Partition,
     _refine,
     automorphism_group,
     brute_force_aut_order,
@@ -219,11 +220,12 @@ def _refine_full_scan(bits, cells, worklist, h):
     return h
 
 
-def test_refine_matches_full_scan():
-    rng = random.Random(4242)
+def _refinement_cases(seed, count):
+    """(graph, cells, worklist, hash) on random graphs and partitions."""
+    rng = random.Random(seed)
     groups = battery_groups()
     names = sorted(groups)
-    for trial in range(200):
+    for trial in range(count):
         if trial % 2:
             cm = random_matrix(groups[rng.choice(names)], rng.randint(2, 4), rng,
                                diagonal=rng.random() < 0.5, density=rng.random())
@@ -246,11 +248,40 @@ def test_refine_matches_full_scan():
             worklist = [1 << rng.randrange(n)]
         else:
             worklist = [rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 3))]
-        h = rng.getrandbits(64)
-        ours, ref = list(cells), list(cells)
-        assert _refine(graph.bits, ours, worklist, h) == \
+        yield graph, cells, worklist, rng.getrandbits(64)
+
+
+def _state(ptn):
+    return list(ptn.cells), list(ptn.starts), list(ptn.wide), list(ptn.wstarts)
+
+
+def test_refine_matches_full_scan():
+    for graph, cells, worklist, h in _refinement_cases(4242, 200):
+        ptn, ref = _Partition(cells), list(cells)
+        assert _refine(graph.bits, ptn, worklist, h) == \
             _refine_full_scan(graph.bits, ref, worklist, h)
-        assert ours == ref
+        assert ptn.cells == ref
+        # the starts and the non-singleton cells follow the cells
+        assert _state(ptn) == _state(_Partition(ref))
+
+
+def test_undo_restores_the_partition():
+    rng = random.Random(99)
+    for graph, cells, worklist, h in _refinement_cases(2024, 200):
+        ptn = _Partition(cells)
+        before = _state(ptn)
+        _refine(graph.bits, ptn, worklist, h)
+        # a second refinement below the first, as a child of the search does
+        mark, middle = len(ptn.trail), _state(ptn)
+        if ptn.wide:
+            cell = ptn.wide[rng.randrange(len(ptn.wide))]
+            _refine(graph.bits, ptn, [cell & -cell], h)
+        ptn.undo(mark)
+        assert _state(ptn) == middle
+        ptn.undo(0)
+        assert _state(ptn) == before
+        assert ptn.trail == []
+
 
 # -- exact orders against closed forms and independent oracles ----------------
 

@@ -71,6 +71,43 @@ def test_graph6_round_trip_random():
         assert h.n == g.n and h.bits == g.bits
 
 
+def _to_graph6_per_bit(g: Graph) -> str:
+    """The encoder before whole columns: one bit per vertex pair."""
+    bits = []
+    for v in range(g.n):
+        for u in range(v):
+            bits.append(g.bits[u] >> v & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    n = g.n
+    out = bytearray([n + 63] if n <= 62 else
+                    [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    for k in range(0, len(bits), 6):
+        word = 0
+        for b in bits[k : k + 6]:
+            word = word << 1 | b
+        out.append(word + 63)
+    return out.decode("ascii")
+
+
+def test_graph6_matches_the_per_bit_encoder():
+    rng = random.Random(12)
+    graphs = [random_graph(n, rng.random(), rng) for n in range(71)]
+    graphs.append(random_graph(300, 0.3, rng))
+    for g in graphs:
+        assert to_graph6(g) == _to_graph6_per_bit(g), g.n
+
+
+def test_triangle_count_matches_the_definition():
+    rng = random.Random(13)
+    for n in (1, 3, 12, 30):
+        g = random_graph(n, rng.random(), rng)
+        for v in range(n):
+            assert g.triangle_count(v) == sum(
+                g.has_edge(v, a) and g.has_edge(v, b) and g.has_edge(a, b)
+                for a in range(n) for b in range(a + 1, n))
+
+
 def test_graph6_rejects_garbage():
     with pytest.raises(ValueError):
         from_graph6("")
