@@ -65,6 +65,7 @@ class Group:
         self._orders: Optional[tuple[int, ...]] = None
         self._abelian: Optional[bool] = None
         self._min_gens: Optional[tuple[int, ...]] = None
+        self._quotients: Optional[list] = None
 
     def _validate(self) -> None:
         n, t = self.order, self.table
@@ -304,6 +305,12 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
     the subgroup the earlier ones generate, and from the third on each is
     larger than the one before.  Once a non-empty prefix generates g, the
     rest is the identity: a cyclic g gives (x, 0) for t = 2.
+
+    A prefix of length L whose image in a quotient G/G'G^p of rank r has
+    rank below L - (t - r) is cut: the t - L elements still to come raise
+    that rank by at most t - L, and a generating tuple spans the quotient.
+    So the cut removes only subtrees without a solution, and the tuple found
+    does not depend on it.
     """
     n = g.order
     if n > MAX_RANK_SEARCH_ORDER:
@@ -312,55 +319,88 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
     if t == 0:
         return () if n == 1 else None
     orders = g.element_orders()
+    table = g.table
+    quotients = _frattini_quotients(g)
 
-    def extend(prefix: tuple[int, ...], closure: frozenset[int],
+    def extend(prefix: tuple[int, ...], closure: frozenset[int], images: list,
                start: int) -> Optional[tuple[int, ...]]:
-        last = len(prefix) == t - 1
+        left = t - len(prefix) - 1  # elements still to come after e
         for e in range(start, n):
             if e in closure or (not prefix and orders[e] < first_order):
                 continue
-            tup = prefix + (e,)
-            sub = subgroup_generated(g, tup)
-            if len(sub) == n:
-                return tup + (0,) * (t - len(tup))
-            if not last:
-                res = extend(tup, sub, e + 1 if prefix else 1)
-                if res is not None:
-                    return res
+            grown = []
+            for (p, r, labels, reps), image in zip(quotients, images):
+                if labels[e] not in image:
+                    # the quotient is elementary abelian: add the multiples
+                    # of e's coset to the image, one coset of it at a time
+                    more, y = set(image), e
+                    for _ in range(p - 1):
+                        more.update(labels[table[reps[s]][y]] for s in image)
+                        y = table[y][e]
+                    image = more
+                if len(image) * p ** left < p ** r:
+                    break
+                grown.append(image)
+            else:
+                tup = prefix + (e,)
+                sub = subgroup_generated(g, tup)
+                if len(sub) == n:
+                    return tup + (0,) * left
+                if left:
+                    res = extend(tup, sub, grown, e + 1 if prefix else 1)
+                    if res is not None:
+                        return res
         return None
 
-    return extend((), frozenset([0]), 1)
+    return extend((), frozenset([0]), [{0}] * len(quotients), 1)
+
+
+def _frattini_quotients(g: Group) -> list[tuple[int, int, list[int], list[int]]]:
+    """The quotients G/G'G^p of rank r >= 2, cached on g: for each, the
+    prime p, r, the coset label of every element and a representative of
+    every coset (label 0 is the identity's).
+
+    G'G^p (commutators and p-th powers) is normal with an elementary abelian
+    quotient, which every generating set spans.  A prime is skipped when
+    p^2 does not divide |G|, or when G/G^p alone has rank below 2, and G'
+    is computed at most once.
+    """
+    if g._quotients is None:
+        n, table, inv = g.order, g.table, g._inv
+        derived = None
+        g._quotients = []
+        for p in range(2, n + 1):
+            if n % (p * p) or any(p % q == 0 for q in range(2, p)):
+                continue
+            powers = {g.power(x, p) for x in range(n)}
+            if n // len(subgroup_generated(g, powers)) < p * p:
+                continue
+            if derived is None:
+                derived = {table[table[inv[x]][inv[y]]][table[x][y]]
+                           for x in range(1, n) for y in range(x + 1, n)}
+            kernel = subgroup_generated(g, powers | derived)
+            index, r = n // len(kernel), 0  # the index is a power of p
+            while index > 1:
+                index, r = index // p, r + 1
+            if r < 2:
+                continue
+            labels, reps = [-1] * n, []
+            for x in range(n):
+                if labels[x] < 0:
+                    for k in kernel:
+                        labels[table[x][k]] = len(reps)
+                    reps.append(x)
+            g._quotients.append((p, r, labels, reps))
+    return g._quotients
 
 
 def _rank_lower_bound(g: Group) -> int:
-    """max over primes p of the rank of G/G'G^p, a lower bound on d(G).
+    """max over primes p of the rank of G/G'G^p, a lower bound on d(G),
+    and 1 for a nontrivial G.
 
-    G'G^p (commutators and p-th powers) is normal with an elementary abelian
-    quotient, which every generating set spans; the bound is d(G) for
-    nilpotent G (Burnside basis theorem).  A prime is skipped when the
-    p-part of |G|, or G/G^p alone, cannot raise the bound, and G' is
-    computed at most once.
+    The bound is d(G) for nilpotent G (Burnside basis theorem).
     """
-    n, table, inv = g.order, g.table, g._inv
-    bound, derived = (1 if n > 1 else 0), None
-
-    def quotient_rank(elems: set[int], p: int) -> int:  # the index is a power of p
-        index, r = n // len(subgroup_generated(g, elems)), 0
-        while index > 1:
-            index, r = index // p, r + 1
-        return r
-
-    for p in range(2, n + 1):
-        if n % p ** (bound + 1) or any(p % q == 0 for q in range(2, p)):
-            continue
-        powers = {g.power(x, p) for x in range(n)}
-        if quotient_rank(powers, p) <= bound:
-            continue
-        if derived is None:
-            derived = {table[table[inv[x]][inv[y]]][table[x][y]]
-                       for x in range(1, n) for y in range(x + 1, n)}
-        bound = max(bound, quotient_rank(powers | derived, p))
-    return bound
+    return max([int(g.order > 1)] + [r for _, r, _, _ in _frattini_quotients(g)])
 
 
 def minimal_generating_size(g: Group) -> int:

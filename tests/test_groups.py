@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from mhaar.groups import (CapacityError, Group, GroupError, _rank_lower_bound,
+from mhaar import groups as groups_module
+from mhaar.groups import (CapacityError, Group, GroupError, _first_generating_tuple,
+                          _frattini_quotients, _rank_lower_bound,
                           catalog_group, cyclic, dihedral, elem_abelian, extraspecial27,
                           identify_catalog_group, load_group,
                           minimal_generating_set, minimal_generating_size,
@@ -136,11 +138,31 @@ def test_group_tables_are_pinned():
 
 
 def test_rank_search_budget():
-    for spec, rank in [("C3^4", 4), ("C2^6", 6), ("C2^3xC2^4", 7), ("D8xD8", 4)]:
+    # the last seven took over 30 s each before the quotient cut
+    for spec, rank in [("C3^4", 4), ("C2^6", 6), ("C2^3xC2^4", 7), ("D8xD8", 4),
+                       ("Q8xQ8xC8", 5), ("C2^3xD18", 4), ("C2^4xA4", 4),
+                       ("C2^4xC3^2", 4), ("C2^4xD10", 5), ("C2^4xD6", 5),
+                       ("C2^4xQ8", 6)]:
         g = parse_group_spec(spec)
         t0 = time.perf_counter()
         assert len(minimal_generating_set(g)) == rank, spec
         assert time.perf_counter() - t0 <= 3.0, spec
+
+
+def test_quotient_cut_keeps_the_first_tuple(monkeypatch):
+    specs = ("C2^4xC3", "D8xC2", "Q8xC4", "A4xC2^2", "C3^3", "D6xD6", "X27xC3")
+    groups = [parse_group_spec(spec) for spec in specs]
+    for g in groups:
+        for p, r, labels, reps in _frattini_quotients(g):
+            # the labels are a homomorphism onto a group of order p^r
+            assert len(reps) == p ** r and labels[0] == 0
+            assert all(labels[g.mul(x, y)] == labels[g.mul(reps[labels[x]], reps[labels[y]])]
+                       for x in range(g.order) for y in range(g.order))
+    cut = {(spec, t, f): _first_generating_tuple(g, t, f)
+           for spec, g in zip(specs, groups) for t in range(1, 5) for f in (1, 3, 4)}
+    monkeypatch.setattr(groups_module, "_frattini_quotients", lambda g: [])
+    for (spec, t, f), tup in cut.items():
+        assert _first_generating_tuple(parse_group_spec(spec), t, f) == tup, (spec, t, f)
 
 
 def test_rank_lower_bound():
