@@ -14,6 +14,15 @@ first leaf fixes a reference ordering; every later leaf proposes the
 map carrying the reference ordering to its own, which is accepted only
 if it verifiably preserves adjacency.
 
+One partition serves the whole search (`_Partition`).  Beside the cells
+in order, as bitmasks, it keeps the start position of each cell and,
+in a second list, the non-singleton cells with their starts; a splitter
+looks only at that second list, and finds a cell's index from its start
+by bisection.  Each split, individualizing a vertex included, is made
+in place and recorded on a trail.  A node's frame keeps the trail's
+length, and before making its next child it undoes the splits made
+since, so no child copies the partition.
+
 The tree is searched depth first in one loop over an explicit stack,
 one frame per non-leaf node on the current path, so no recursion and no
 recursion limit is involved.  Every accepted generator truncates the
