@@ -73,8 +73,7 @@ compiling or loading any group or matrix code.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 
@@ -228,8 +227,7 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> in
 # -- the search ----------------------------------------------------------------
 
 
-@dataclass
-class AutResult:
+class AutResult(NamedTuple):
     """Automorphism group of a graph: exact order, verified generators."""
 
     order: int
@@ -467,14 +465,16 @@ def brute_force_aut_order(graph: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:
 CLAIM_KINDS = ("hgr", "pgsr")
 
 
-@dataclass(repr=False, eq=False)  # keeps a Verdict's repr short
-class Evidence:
+class Evidence(NamedTuple):
     """What a witness certificate records about a connection matrix."""
 
     matrix: ConnectionMatrix
     graph: Graph
     aut: AutResult
     fields: dict  # the nine certificate evidence entries, in order
+
+    def __repr__(self) -> str:  # keeps a Verdict's repr short
+        return f"Evidence(|Aut|={self.aut.order}, vertices={self.graph.n})"
 
 
 def evidence(cm: ConnectionMatrix) -> Evidence:

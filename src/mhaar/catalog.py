@@ -17,8 +17,7 @@ group (27 and 144 candidates), hence the 4- and 5-part shapes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cayley import ConnectionMatrix
 from .graphs import Graph
@@ -72,8 +71,7 @@ def g0_generators(g: Group, tag: str) -> dict[str, int]:
     raise GroupError(f"unknown catalog tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     tag: str
     m: int
     kind: str     # "hgr" or "pgsr"

@@ -13,8 +13,7 @@ is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 from .groups import Group, GroupError, parse_group_spec
@@ -241,8 +240,7 @@ def right_translation(cm: ConnectionMatrix, g: int) -> list[int]:
 # -- structural checks -------------------------------------------------------
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a claim check; a failure names its certificate field.
 
     aut_order is None when no engine ran.  A check that ran the engine

@@ -15,7 +15,6 @@ default 1024-vertex cap.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -23,7 +22,12 @@ from . import __version__
 from .graphs import CapacityError
 
 # Each command imports the modules it runs inside its _cmd_ function, so
-# a fresh `mhaar` process loads and compiles only those.
+# a fresh `mhaar` process loads and compiles only those.  Beside cli and
+# graphs, oracle-aut loads formats and autos, and no json; verify loads
+# groups, cayley and autos; search adds search, plus catalog only for a
+# degree-scan witness and report only for --certificate; synthesize and
+# reverify load report and whatever the claim reruns.  No command loads
+# dataclasses: the result records are NamedTuples.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,6 +37,8 @@ EXIT_CAPACITY = 4
 
 
 def _write_witness(cm, path: str, fmt: str) -> None:
+    import json
+
     from .cayley import build_graph
     from .formats import to_edgelist, to_graph6
     if fmt == "json":
@@ -99,7 +105,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     from .groups import parse_group_spec
-    from .report import certificate_json, write_certificate
     from .search import decide_existence
     group = parse_group_spec(args.group)
     rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget,
@@ -113,6 +118,7 @@ def _cmd_search(args) -> int:
         if args.out:
             _write_witness(rep.witness, args.out, "json")
     if args.certificate and (rep.exists or rep.exhausted):
+        from .report import certificate_json, write_certificate
         write_certificate(certificate_json(rep, group=group), args.certificate)
         print(f"certificate written to {args.certificate}")
     return EXIT_OK if rep.exists else EXIT_NEGATIVE

@@ -17,8 +17,7 @@ does so by default and refuses to return an unverified failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .autos import is_m_hgr
 from .catalog import (asymmetric_regular_graph, build_entry, entries,
@@ -194,8 +193,7 @@ def generic_base(group: Group, parts: int) -> tuple[ConnectionMatrix, str]:
 # -- the decision procedure ----------------------------------------------------
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     group: Group
     m: int
     exists: bool

@@ -68,13 +68,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.bits[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        b = self.bits[v]
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             b = self.bits[u] >> (u + 1) << (u + 1)  # only v > u

@@ -25,8 +25,7 @@ filler sizes to |G|; the result then loses regularity but keeps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .autos import automorphism_group
 from .cayley import CayleyError, ConnectionMatrix, build_graph
@@ -89,8 +88,7 @@ def triangle_profile(graph: Graph, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass
-class LiftPlan:
+class LiftPlan(NamedTuple):
     """Resolved parameters of a chain extension."""
 
     k: int

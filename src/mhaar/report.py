@@ -14,8 +14,7 @@ also catches hand-edited files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import __version__
 from .autos import (CLAIM_KINDS, Evidence, automorphism_group,  # noqa: F401
@@ -32,8 +31,7 @@ SCHEMA_VERSION = 1
 _KINDS = CLAIM_KINDS + ("nonexistence-search", "nonexistence-classified")
 
 
-@dataclass
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     field: Optional[str] = None
     detail: str = ""

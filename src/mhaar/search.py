@@ -51,12 +51,10 @@ import contextlib
 import functools
 import itertools
 import time
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
-from .catalog import matrix_from_graph
 from .cayley import ConnectionMatrix, build_graph
 from .graphs import Graph, check_vertex_cap
 from .groups import CapacityError, Group, cyclic
@@ -157,8 +155,7 @@ def _profile_candidates(n: int, profile: Profile,
     return itertools.product(*pools)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     group_name: str
     order: int
     m: int
@@ -279,6 +276,7 @@ def _trivial_group_scan(group: Group, m: int, budget: int,
                 witnesses += 1
                 seen_witness = True
                 if witness is None:
+                    from .catalog import matrix_from_graph  # only on a witness
                     witness = matrix_from_graph(group, graph)
                 if early_exit:
                     break

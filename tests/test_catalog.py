@@ -161,8 +161,9 @@ def test_matrix_from_graph_disjoint_copies():
     # one copy of the template per group element: reach from vertex 0 is half
     seen, stack = {0}, [0]
     while stack:
-        for w in graph.neighbors(stack.pop()):
-            if w not in seen:
+        u = stack.pop()
+        for w in range(graph.n):
+            if graph.has_edge(u, w) and w not in seen:
                 seen.add(w)
                 stack.append(w)
     assert len(seen) == 10

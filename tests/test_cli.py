@@ -465,10 +465,14 @@ LIST_MODULES = ("import sys, mhaar.cli\n"
                 "sys.exit(rc)\n")
 
 
-def loaded_modules(*argv):
+def loaded_modules(*argv, expect=EXIT_OK):
+    """The modules a fresh `mhaar ARGV` has loaded when it exits; no
+    command loads dataclasses (with inspect, ast and dis behind it)."""
     proc = fresh(*argv, code=LIST_MODULES)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    assert proc.returncode == expect, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "dataclasses" not in loaded, argv
+    return loaded
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -477,19 +481,62 @@ def test_each_command_loads_only_its_modules(tmp_path):
     matrix = tmp_path / "c6.json"
     cm = build_entry(entries(tag="C6", m=3, kind="hgr")[0])
     matrix.write_text(json.dumps(cm.to_json()))
+    witness, classified, searched = (str(tmp_path / f"{name}.cert")
+                                     for name in ("witness", "classified", "search"))
 
     loaded = loaded_modules("oracle-aut", str(graph))
     assert {m for m in loaded if m.startswith("mhaar")} == {
         "mhaar", "mhaar.cli", "mhaar.graphs", "mhaar.formats", "mhaar.autos"}
-    assert "multiprocessing" not in loaded
+    assert "multiprocessing" not in loaded and "json" not in loaded
 
-    loaded = loaded_modules("synthesize", "--group", "C6", "-m", "3")
+    loaded = loaded_modules("synthesize", "--group", "C6", "-m", "3",
+                            "--certificate", witness)
     assert "mhaar.search" not in loaded and "multiprocessing" not in loaded
+    loaded_modules("synthesize", "--group", "D6", "-m", "3", "--certificate", classified,
+                   expect=EXIT_NEGATIVE)
 
     loaded = loaded_modules("verify", str(matrix))
     assert "mhaar.cayley" in loaded
     for name in ("catalog", "constructions", "lift", "report", "search"):
         assert f"mhaar.{name}" not in loaded
+
+    # the degree scan imports catalog only for a witness, and search
+    # imports report only to write a certificate
+    loaded = loaded_modules("search", "--group", "C4", "-m", "3", expect=EXIT_NEGATIVE)
+    assert "mhaar.catalog" not in loaded and "mhaar.report" not in loaded
+    loaded_modules("search", "--group", "C4", "-m", "3", "--certificate", searched,
+                   expect=EXIT_NEGATIVE)
+
+    for cert in (witness, classified, searched):
+        loaded_modules("reverify", cert)
+
+
+def test_printed_records_are_pinned():
+    # the lines the commands print from each result record, passing and failing
+    from mhaar.autos import is_m_hgr
+    from mhaar.constructions import synthesize
+    from mhaar.groups import dihedral
+    from mhaar.report import certificate_json
+    from mhaar.search import decide_existence
+
+    assert [str(synthesize(g, 3)) for g in (cyclic(6), dihedral(6))] == [
+        "C6 m=3: witness via catalog entry [C6 m=3 hgr/recorded v=(4, 4, 4)], |Aut|=6",
+        "D6 m=3: no witness exists (classification clause a)"]
+    assert [str(decide_existence(cyclic(n), 3)) for n in (6, 4)] == [
+        "C6 m=3 [normalized] examined 25/4033: witness found (1 seen)",
+        "C4 m=3 [normalized] examined 96/96: none exist"]
+    hgr, pgsr = (entries(tag="C6", m=3, kind=kind)[0] for kind in ("hgr", "pgsr"))
+    assert [str(hgr), str(pgsr)] == ["C6 m=3 hgr/recorded v=(4, 4, 4)",
+                                     "C6 m=3 pgsr/recorded k=3 v=(4, 3, 3)"]
+    assert [bool(is_m_hgr(build_entry(e))) for e in (hgr, pgsr)] == [True, False]
+    cert = json.loads(certificate_json(synthesize(cyclic(6), 3)))
+    good = reverify(cert)
+    cert["evidence"]["aut_order"] = 12
+    bad = reverify(cert)
+    assert [bool(good), bool(bad)] == [True, False]
+    assert [str(good), str(bad)] == [
+        "certificate verifies",
+        "certificate fails at 'evidence.aut_order': claimed 12, recomputed 6"]
 
 
 def test_every_exported_name_resolves():
