@@ -23,9 +23,9 @@ from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.graphs import Graph
 from mhaar.groups import CapacityError, cyclic, elem_abelian
-from mhaar.search import _regular_graphs_seeded
 
 from conftest import battery_groups, random_matrix
+from test_search import _regular_graphs_seeded
 
 
 def cycle(n):

@@ -1,5 +1,6 @@
 """Exhaustive search: candidate counting, both modes, and the trivial group."""
 
+import functools
 import itertools
 
 import pytest
@@ -15,10 +16,9 @@ from mhaar.search import (
     DEFAULT_BUDGET,
     SearchReport,
     _cells,
+    _graph_count,
     _plan,
     _profile_candidates,
-    _regular_graphs_seeded,
-    _swap_gives_earlier,
     _translation_check,
     c1_regular_asymmetric_scan,
     decide_existence,
@@ -177,6 +177,118 @@ def test_report_str_shapes():
     s = SearchReport("C2", 2, 3, "normalized", False, 3, 4, 2, 0, None,
                      False, 0.0)
     assert str(s).endswith("none seen")
+
+
+# -- the degree scan before it cut row prefixes -----------------------------------
+#
+# The full stream and the swap check on whole graphs.  The orderly scan in
+# mhaar.search must examine, decide and find exactly what they do.
+
+
+def _regular_graphs_seeded(m, d):
+    """All d-regular graphs on m vertices with N(0) = {1..d}, streamed.
+
+    Every d-regular graph is isomorphic to one of these, so the stream
+    decides any isomorphism-invariant existence question.  The graphs
+    come in strictly increasing order of (N+(1), ..., N+(m-1)), each
+    N+(u) = {v > u : uv an edge} compared as a sorted tuple.
+    """
+    bits = [0] * m
+    bits[0] = (2 << d) - 2
+    for v in range(1, d + 1):
+        bits[v] = 1
+    rem = [0] + [d - 1] * d + [d] * (m - d - 1)
+
+    def rec(u):
+        if u == m:
+            yield Graph(m, list(bits))
+            return
+        need = rem[u]
+        if need == 0:
+            yield from rec(u + 1)
+            return
+        pool = [v for v in range(u + 1, m) if rem[v] > 0]
+        if len(pool) < need:
+            return
+        for combo in itertools.combinations(pool, need):
+            for v in combo:
+                rem[v] -= 1
+            rem[u] = 0
+            tail = sum(rem[u + 1:])
+            # every unfinished vertex must find enough distinct partners
+            if tail % 2 == 0 and tail >= 2 * max(rem[u + 1:], default=0):
+                row = bits[u]
+                for v in combo:
+                    bits[u] |= 1 << v
+                    bits[v] |= 1 << u
+                yield from rec(u + 1)
+                bits[u] = row
+                for v in combo:
+                    bits[v] ^= 1 << u
+            rem[u] = need
+            for v in combo:
+                rem[v] += 1
+
+    yield from rec(1)
+
+
+def _swap_gives_earlier(bits, m, d):
+    """Whether swapping vertices k, k+1, both in {1..d} or both in
+    {d+1..m-1}, maps the graph to an earlier one of the seeded stream.
+
+    The swap fixes 0 and N(0), so the image is in the stream.  Rows
+    N+(u) with u < k change only where u sees exactly one of k, k+1;
+    then rows k and k+1 trade their parts above k+1; later rows keep.
+    Rows compare as bitmasks: of two equal-size sets, the smaller holds
+    the lowest bit of their XOR.
+    """
+    for k in itertools.chain(range(1, d), range(d + 1, m - 1)):
+        pair = 3 << k
+        for u in range(1, k):
+            seen = bits[u] & pair
+            if seen and seen != pair:
+                if seen >> k == 2:  # u sees k+1 only: its image row gets k
+                    return True
+                break
+        else:
+            diff = (bits[k] ^ bits[k + 1]) >> (k + 2)
+            if diff and bits[k + 1] >> (k + 2) & diff & -diff:
+                return True
+    return False
+
+
+@functools.cache
+def seeded_stream(m, d):
+    return tuple(_regular_graphs_seeded(m, d))
+
+
+def reference_scan(m, early_exit, engine):
+    """The degree scan on the full stream: every graph is examined, and
+    the engine decides each one that no swap maps to an earlier graph,
+    until the degree's first witness."""
+    group = cyclic(1)
+    examined = witnesses = calls = 0
+    first = None
+    for d in range(3, (m - 1) // 2 + 1):
+        if m * d % 2:
+            continue
+        seen_witness = False
+        for graph in seeded_stream(m, d):
+            examined += 1
+            if not seen_witness and _swap_gives_earlier(graph.bits, m, d):
+                continue
+            calls += 1
+            if engine(graph, 1):
+                witnesses += 1
+                seen_witness = True
+                if first is None:
+                    first = matrix_from_graph(group, graph)
+                if early_exit:
+                    break
+        if first is not None and early_exit:
+            break
+    return (examined, witnesses, calls,
+            None if first is None else first.upper_items())
 
 
 # -- skipping candidates that map to earlier ones ---------------------------------
@@ -373,3 +485,68 @@ def test_seeded_regular_graphs_come_in_increasing_order(m, d, count):
         assert graph.bits[0] == (2 << d) - 2  # N(0) = {1..d}
     keys = [rows_above(graph) for graph in graphs]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# -- the orderly degree scan ------------------------------------------------------
+
+
+def triangle_free(graph, n):
+    return not any(graph.on_triangle(v) for v in range(graph.n))
+
+
+def all_on_a_triangle(graph, n):
+    return all(graph.on_triangle(v) for v in range(graph.n))
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+@pytest.mark.parametrize("engine", [only_translations, triangle_free,
+                                    all_on_a_triangle],
+                         ids=["engine", "triangle-free", "all-on-a-triangle"])
+@pytest.mark.parametrize("m", range(3, 10))
+def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine, early_exit):
+    # the stand-ins answer isomorphism invariants, so the cut prefixes are
+    # sound for them too; they give the scan witnesses to count past
+    calls = []
+
+    def counting(graph, n):
+        calls.append(n)
+        return engine(graph, n)
+
+    monkeypatch.setattr(mhaar.search, "only_translations", counting)
+    r = c1_regular_asymmetric_scan(m, early_exit=early_exit)
+    got = (r.examined, r.witnesses, len(calls),
+           None if r.witness is None else r.witness.upper_items())
+    assert got == reference_scan(m, early_exit, engine)
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(2, 10) for d in range(m)]
+                         + [(10, 3)])
+def test_graph_count_counts_the_full_stream(m, d):
+    # a cut prefix is counted, not walked; from the root the count is the
+    # whole stream, 0 when m*d is odd
+    assert _graph_count([d - 1] * d + [d] * (m - d - 1), {}) == sum(
+        1 for _ in _regular_graphs_seeded(m, d))
+
+
+def test_c1_scan_m10_is_pinned(engine_calls):
+    r = c1_regular_asymmetric_scan(10)
+    assert (r.exists, r.examined, r.witnesses) == (True, 137182, 1)
+    assert len(engine_calls) == 207
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4),
+             (2, 6), (3, 5), (3, 7), (4, 7), (4, 8), (5, 8), (5, 9), (6, 7),
+             (6, 8), (6, 9), (7, 9), (8, 9)]
+    assert r.witness == matrix_from_graph(cyclic(1), Graph.from_edges(10, edges))
+
+
+def test_c1_scan_budget_covers_the_counted_graphs():
+    # 14,634 graphs at C1/9, nearly all counted in cut prefixes
+    assert c1_regular_asymmetric_scan(9, budget=14634).examined == 14634
+    with pytest.raises(CapacityError, match="degree scan exceeded budget"):
+        c1_regular_asymmetric_scan(9, budget=14633)
+    with pytest.raises(CapacityError, match="degree scan exceeded budget"):
+        c1_regular_asymmetric_scan(9, budget=100)
+
+
+def test_search_package_keeps_no_full_stream():
+    assert not hasattr(mhaar.search, "_regular_graphs_seeded")
+    assert not hasattr(mhaar.search, "_swap_gives_earlier")
