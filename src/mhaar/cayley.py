@@ -12,7 +12,6 @@ is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
@@ -197,6 +196,8 @@ class ConnectionMatrix:
 
 
 def load_matrix(path: str) -> ConnectionMatrix:
+    import json  # here, so that a command that reads no file never loads it
+
     with open(path, encoding="utf-8") as fh:
         return ConnectionMatrix.from_json(json.load(fh))
 

@@ -25,8 +25,9 @@ from .graphs import CapacityError
 # a fresh `mhaar` process loads and compiles only those.  Beside cli and
 # graphs, oracle-aut loads formats and autos, and no json; verify loads
 # groups, cayley and autos; search adds search, plus catalog only for a
-# degree-scan witness and report only for --certificate; synthesize and
-# reverify load report and whatever the claim reruns.  No command loads
+# degree-scan witness and report only for --certificate, and no json
+# without a file to read or write; synthesize and reverify load report
+# and whatever the claim reruns.  No command loads
 # dataclasses: the result records are NamedTuples.
 
 EXIT_OK = 0

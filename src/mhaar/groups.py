@@ -16,7 +16,6 @@ the generating triple all run.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 import re
 from typing import Iterable, Optional, Sequence
@@ -172,6 +171,8 @@ class Group:
 
 
 def load_group(path: str) -> Group:
+    import json  # here, so that a command that reads no file never loads it
+
     with open(path, encoding="utf-8") as fh:
         return Group.from_json(json.load(fh))
 

@@ -504,6 +504,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # imports report only to write a certificate
     loaded = loaded_modules("search", "--group", "C4", "-m", "3", expect=EXIT_NEGATIVE)
     assert "mhaar.catalog" not in loaded and "mhaar.report" not in loaded
+    assert "json" not in loaded
     loaded_modules("search", "--group", "C4", "-m", "3", "--certificate", searched,
                    expect=EXIT_NEGATIVE)
 
