@@ -59,7 +59,7 @@ import contextlib
 import functools
 import itertools
 import time
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
@@ -80,46 +80,55 @@ def _cells(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
 
 
-def _profiles(m: int, n: int) -> Iterator[Profile]:
+def _profiles(m: int, n: int, budget: int) -> Iterator[Profile]:
     """Equal-row-sum size assignments, ascending by valency then lex.
 
-    The DFS fills cells row by row; a row closes when its later cells
-    are all chosen, at which point its sum must hit the target valency.
+    The walk fills cells row by row; a row closes at its last cell, whose
+    size must bring the row's sum to the target valency.  Each size it
+    sets is a step, and more than `budget` steps raise CapacityError: the
+    profile family alone can be far too large to walk.
     """
     cells = _cells(m)
-    if not cells:
-        yield ()
-        return
-    row_cells: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
+    last: dict[int, int] = {}  # each row's last cell
     for idx, (i, j) in enumerate(cells):
-        row_cells[i].append(idx)
-        row_cells[j].append(idx)
-    last_touch = {i: max(row_cells[i]) for i in row_cells}
-
+        last[i] = last[j] = idx
+    closing = [[r for r in cell if last[r] == idx] for idx, cell in enumerate(cells)]
+    steps = 0
     for d in range(0, n * (m - 1) + 1):
-        out: list[int] = []
-
-        def rec(idx: int, sums: list[int]) -> Iterator[Profile]:
+        sums = [0] * (m + 1)
+        out: list[int] = []  # the sizes set so far, one per cell
+        tops: list[int] = []  # the largest size each of those cells allows
+        while True:
+            idx = len(out)
             if idx == len(cells):
                 yield tuple(out)
-                return
-            i, j = cells[idx]
-            hi = min(n, d - sums[i], d - sums[j])
-            for s in range(0, hi + 1):
-                sums[i] += s
-                sums[j] += s
-                ok = True
-                for r in (i, j):
-                    if last_touch[r] == idx and sums[r] != d:
-                        ok = False
-                if ok:
-                    out.append(s)
-                    yield from rec(idx + 1, sums)
-                    out.pop()
+                lo, hi = 1, 0
+            else:
+                i, j = cells[idx]
+                lo, hi = 0, min(n, d - sums[i], d - sums[j])
+                for r in closing[idx]:
+                    lo = max(lo, d - sums[r])
+                    hi = min(hi, d - sums[r])
+            # set the least size here, or else the next size of the
+            # deepest earlier cell that has one
+            while lo > hi and out:
+                s, hi = out.pop(), tops.pop()
+                idx = len(out)
+                i, j = cells[idx]
                 sums[i] -= s
                 sums[j] -= s
-
-        yield from rec(0, [0] * (m + 1))
+                lo = s + 1
+            if lo > hi:
+                break
+            steps += 1
+            if steps > budget:
+                raise CapacityError(
+                    f"the block-size profiles for m={m}, |G|={n} take over "
+                    f"{budget} steps to enumerate")
+            out.append(lo)
+            tops.append(hi)
+            sums[i] += lo
+            sums[j] += lo
 
 
 def _support_forest(m: int, cells: Sequence[tuple[int, int]],
@@ -467,15 +476,18 @@ def _plan(group: Group, m: int, cells: Sequence[tuple[int, int]], mode: str,
           budget: int) -> Iterator[tuple[Profile, frozenset[int], int]]:
     """Each profile with its forced cells and its candidate count."""
     n = group.order
+    # each Hamiltonian cycle through the parts, with blocks of size 1, is
+    # a profile, so the space has at least (m-1)!/2 candidates
+    floor = factorial(m - 1) // 2 if m >= 3 else 0
     total = 0
-    for profile in _profiles(m, n):
+    for profile in _profiles(m, n, budget):
         forced = (_support_forest(m, cells, profile)
                   if mode == "normalized" else frozenset())
         space = _profile_space(n, profile, forced)
         total += space
         # checked per profile: enumerating the profile family itself can
         # blow up long before the candidate total is known exactly
-        if total > budget:
+        if max(total, floor) > budget:
             raise CapacityError(
                 f"search space for {group.label}, m={m} in {mode} mode "
                 f"exceeds the budget of {budget} candidates")

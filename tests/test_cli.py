@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,17 @@ def test_parts_over_the_vertex_cap_exit_at_once():
         assert proc.returncode == EXIT_CAPACITY, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "over the cap of 1024" in proc.stderr
+
+
+def test_search_with_many_parts_exits_4_at_once():
+    # C2/50 has over 10^31 block-size profiles; the walk used to recurse
+    # once per cell and end in a RecursionError
+    start = time.perf_counter()
+    proc = fresh("search", "--group", "C2", "-m", "50")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "exceeds the budget of 100000000 candidates" in proc.stderr
 
 
 LIST_MODULES = ("import sys, mhaar.cli\n"

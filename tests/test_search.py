@@ -19,6 +19,7 @@ from mhaar.search import (
     _graph_count,
     _plan,
     _profile_candidates,
+    _profiles,
     _translation_check,
     c1_regular_asymmetric_scan,
     decide_existence,
@@ -55,6 +56,33 @@ def test_space_size_budget():
         space_size(cyclic(6), 3, "exhaustive", budget=1000)
     with pytest.raises(ValueError, match="mode"):
         space_size(cyclic(2), 3, "fast")
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 4)])
+def test_profiles_are_every_equal_row_sum_assignment(m, n):
+    cells = _cells(m)
+    expected = sorted(
+        (sizes for sizes in itertools.product(range(n + 1), repeat=len(cells))
+         if len({sum(s for s, cell in zip(sizes, cells) if r in cell)
+                 for r in range(1, m + 1)}) <= 1),
+        key=lambda sizes: (sum(s for s, cell in zip(sizes, cells) if 1 in cell),
+                           sizes))
+    assert list(_profiles(m, n, DEFAULT_BUDGET)) == expected
+
+
+def test_profile_walk_has_a_step_budget():
+    # the 7,245 profiles of C2/6 take 115,814 steps
+    assert sum(1 for _ in _profiles(6, 2, 115814)) == 7245
+    with pytest.raises(CapacityError, match="over 115813 steps"):
+        list(_profiles(6, 2, 115813))
+
+
+def test_space_size_refuses_many_parts_at_once():
+    # (m-1)!/2 Hamiltonian cycles through the parts are profiles of
+    # their own: 12!/2 > 10^8 at m = 13, 49!/2 at m = 50
+    for m in (13, 50):
+        with pytest.raises(CapacityError, match="exceeds the budget"):
+            space_size(cyclic(2), m)
 
 
 # -- negative verdicts ---------------------------------------------------------
