@@ -461,8 +461,8 @@ def test_parts_over_the_vertex_cap_exit_at_once():
 
 
 def test_search_with_many_parts_exits_4_at_once():
-    # C2/50 has over 10^31 block-size profiles; the walk used to recurse
-    # once per cell and end in a RecursionError
+    # C2/50 has over 10^31 block-size profiles in 1,225 cells: the plan
+    # must refuse it without walking them, and without a recursion per cell
     start = time.perf_counter()
     proc = fresh("search", "--group", "C2", "-m", "50")
     assert time.perf_counter() - start < 5
