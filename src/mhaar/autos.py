@@ -3,7 +3,19 @@
 The search keeps an ordered partition of the vertices, refined to
 equitability: each splitter on the worklist splits every cell by the
 neighbour counts of its vertices in the splitter, subcells ordered by
-count, and every fragment joins the worklist.  A splitter only reaches
+count, and every fragment but the last joins the worklist.  Dropping
+the last is exact, after Hopcroft (1971), because refinement starts
+from a worklist on which every cell not queued is one the partition is
+already equitable against: the root queues every initial cell but the
+last, and the vertex set is accounted for because the initial key
+includes the degree; a child starts from an equitable partition and
+queues only the vertex it individualizes.  When a cell X splits into
+P1..Pk, X is accounted for or still queued, so by the time Pk would be
+dequeued from the FIFO worklist, X and P1..Pk-1 have been processed.
+Each vertex's count into Pk is then its count into X less its counts
+into P1..Pk-1, constant on every cell, so Pk would split nothing; as
+the trace hash mixes only on splits, every result is the same as with
+Pk queued.  A splitter only reaches
 the cells that hold its neighbours, so the rest are never counted: a
 splitter with no neighbour in a non-singleton cell is skipped, in a hit
 cell the vertices outside the neighbourhood go straight to count 0, and
@@ -148,13 +160,37 @@ class _Partition:
             wide[k : k + nw] = [cell]
             wstarts[k : k + nw] = [starts[ci]]
 
+    def individualize(self, low: int) -> int:
+        """Split the vertex bit `low` off the front of the first non-singleton
+        cell, on the trail; returns that cell's index, which is its start
+        because every cell before it is a singleton."""
+        cells, wide, wstarts = self.cells, self.wide, self.wstarts
+        target = wstarts[0]
+        cell = cells[target]
+        rest = cell ^ low
+        cells[target : target + 1] = [low, rest]
+        self.starts.insert(target + 1, target + 1)
+        if rest & (rest - 1):
+            self.trail.append((target, 0, cell, 2, 1))
+            wide[0] = rest
+            wstarts[0] = target + 1
+        else:
+            self.trail.append((target, 0, cell, 2, 0))
+            del wide[0], wstarts[0]
+        return target
+
 
 # -- equitable refinement -----------------------------------------------------
 
 
 def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> int:
     """Refine the partition in place to equitability; returns the updated
-    trace hash."""
+    trace hash.
+
+    Precondition: every cell not on the worklist is one the partition is
+    already equitable against (the last fragment of a split is not
+    queued, see the module docstring).
+    """
     cells, starts, wide, wstarts, trail = (
         ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail)
     wl = list(worklist)
@@ -219,7 +255,8 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> in
             wstarts[k : k + 1] = wpstarts
             if not wide:
                 return h
-            wl.extend(parts)
+            # the last part would split nothing by the time it came up
+            wl.extend(parts[:-1])
             shift += len(wparts) - 1
     return h
 
@@ -295,6 +332,30 @@ def only_translations(graph: Graph, n: int) -> bool:
     return _search(graph, n) is not None
 
 
+def _root_partition(graph: Graph) -> tuple[_Partition, int]:
+    """The root's equitable partition and its trace hash.
+
+    The initial cells are the classes of (degree, triangle count), in key
+    order.  All but the last are queued.  That meets `_refine`'s
+    precondition: every cell has one degree, so the partition is already
+    equitable against the vertex set, and the last cell is the vertex
+    set less the queued ones.
+    """
+    n = graph.n
+    keys = [(graph.degree(v), graph.triangle_count(v)) for v in range(n)]
+    cells: list[int] = []
+    h = 0
+    for k in sorted(set(keys)):
+        mask = 0
+        for v in range(n):
+            if keys[v] == k:
+                mask |= 1 << v
+        cells.append(mask)
+        h = _hmix(h, mask.bit_count())
+    ptn = _Partition(cells)
+    return ptn, _refine(graph.bits, ptn, cells[:-1], h)
+
+
 def _search(graph: Graph, part: int) -> Optional[AutResult]:
     """The search loop; part > 0 is the decision mode of `only_translations`,
     which returns None at the first generator instead of going on."""
@@ -303,21 +364,8 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
-
-    keys = [(graph.degree(v), graph.triangle_count(v)) for v in range(n)]
-    cells: list[int] = []
-    h0 = 0
-    for k in sorted(set(keys)):
-        mask = 0
-        for v in range(n):
-            if keys[v] == k:
-                mask |= 1 << v
-        cells.append(mask)
-        h0 = _hmix(h0, mask.bit_count())
-    ptn = _Partition(cells)
-    h0 = _refine(bits, ptn, cells, h0)
-    cells, starts, wide, wstarts, trail = (
-        ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail)
+    ptn, h0 = _root_partition(graph)
+    cells, wide, trail = ptn.cells, ptn.wide, ptn.trail
 
     identity = tuple(range(n))
     found: list[tuple[int, ...]] = []
@@ -328,8 +376,9 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
     order = 1
     nodes = 0
     # stack[d] is the non-leaf node at depth d of the current path:
-    # [trail length, hash, on_first, anchor, target, unvisited target
-    # vertices, tried]; undoing the trail to its length restores its partition
+    # [trail length, hash, on_first, anchor, unvisited vertices of the first
+    # non-singleton cell, tried]; undoing the trail to its length restores
+    # its partition
     stack: list[list] = []
     # the node to enter next, whose partition ptn holds: hash, on_first, anchor
     node: Optional[tuple] = (h0, True, 0)
@@ -339,10 +388,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
         if on_first and first_leaf is None:
             first_invs.append(h)  # the first path's trace, one hash per depth
         if wide:
-            # every cell before the first non-singleton one is a singleton,
-            # so its index is its start
-            target = wstarts[0]
-            stack.append([len(trail), h, on_first, anchor, target, wide[0], []])
+            stack.append([len(trail), h, on_first, anchor, wide[0], []])
         elif first_leaf is None:
             first_leaf = [c.bit_length() - 1 for c in cells]
         else:
@@ -360,7 +406,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
         node = None
         while node is None and stack:
             frame = stack[-1]
-            mark, h, on_first, anchor, target, b, tried = frame
+            mark, h, on_first, anchor, b, tried = frame
             depth = len(stack) - 1
             if not b:
                 stack.pop()
@@ -371,7 +417,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
                 continue
             low = b & -b
             v = low.bit_length() - 1
-            frame[5] = b ^ low
+            frame[4] = b ^ low
             first = on_first and first_leaf is None
             if first:
                 first_branch.append(v)
@@ -387,19 +433,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
                     continue
             tried.append(v)
             ptn.undo(mark)
-            # individualize v: the target cell is wide[0]
-            cell = cells[target]
-            rest = cell ^ low
-            cells[target : target + 1] = [low, rest]
-            starts.insert(target + 1, target + 1)
-            if rest & (rest - 1):
-                trail.append((target, 0, cell, 2, 1))
-                wide[0] = rest
-                wstarts[0] = target + 1
-            else:
-                trail.append((target, 0, cell, 2, 0))
-                del wide[0], wstarts[0]
-            ch = _hmix(h, target)
+            ch = _hmix(h, ptn.individualize(low))
             ch = _refine(bits, ptn, [low], ch)
             ch = _hmix(ch, len(cells))
             if first:

@@ -13,6 +13,7 @@ from mhaar.autos import (
     _hmix,
     _Partition,
     _refine,
+    _root_partition,
     automorphism_group,
     brute_force_aut_order,
     is_m_hgr,
@@ -21,8 +22,9 @@ from mhaar.autos import (
 )
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
+from mhaar.constructions import synthesize
 from mhaar.graphs import Graph
-from mhaar.groups import CapacityError, cyclic, elem_abelian
+from mhaar.groups import CapacityError, cyclic, elem_abelian, parse_group_spec
 
 from conftest import battery_groups, random_matrix
 from test_search import _regular_graphs_seeded
@@ -160,7 +162,7 @@ def test_recursion_limit_restored(monkeypatch):
 ENGINE_DIGEST = "269ddac5373b53519dd45d985fbbbef2eb1b10760760926b247a8a7a4fbe7de2"
 
 
-def _engine_digest():
+def _digest_graphs():
     rng = random.Random(31337)
     graphs = []
     for _ in range(300):
@@ -173,8 +175,12 @@ def _engine_digest():
         graphs.append(build_graph(random_matrix(
             groups[name], rng.randint(2, 4), rng, diagonal=rng.random() < 0.5,
             density=rng.random())))
+    return graphs
+
+
+def _engine_digest():
     sha = hashlib.sha256()
-    for graph in graphs:
+    for graph in _digest_graphs():
         res = automorphism_group(graph)
         sha.update(repr((res.order, res.generators, res.orbits, res.nodes)).encode())
     return sha.hexdigest()
@@ -241,13 +247,25 @@ def _refinement_cases(seed, count):
         cells = [sum(1 << v for v in range(n) if label[v] == c) for c in range(k)]
         cells = [c for c in cells if c]
         rng.shuffle(cells)
+        # every worklist meets _refine's precondition: a cell left off it
+        # is one the partition is already equitable against
         kind = trial % 3
         if kind == 0:
             worklist = list(cells)
         elif kind == 1:
-            worklist = [1 << rng.randrange(n)]
+            # the engine's child step: an equitable partition with one vertex
+            # of a non-singleton cell individualized, and that vertex queued
+            _refine_full_scan(graph.bits, cells, cells, 0)
+            wide = [i for i, c in enumerate(cells) if c & (c - 1)]
+            worklist = []
+            if wide:
+                i = rng.choice(wide)
+                low = 1 << rng.choice([v for v in range(n) if cells[i] >> v & 1])
+                cells[i : i + 1] = [low, cells[i] ^ low]
+                worklist = [low]
         else:
             worklist = [rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 3))]
+            worklist += cells
         yield graph, cells, worklist, rng.getrandbits(64)
 
 
@@ -281,6 +299,43 @@ def test_undo_restores_the_partition():
         ptn.undo(0)
         assert _state(ptn) == before
         assert ptn.trail == []
+
+
+def _assert_equitable(bits, cells):
+    """Every vertex of a cell has the same number of neighbours in each cell."""
+    wide = [[v for v in range(len(bits)) if c >> v & 1] for c in cells if c & (c - 1)]
+    for d in cells:
+        for vs in wide:
+            assert len({(bits[v] & d).bit_count() for v in vs}) == 1
+
+
+def _witness_graphs():
+    """The largest witness graphs of the `synthesize` benchmark (seed 3)."""
+    for spec, m in [("C2^4xC3", 8), ("C7xC7", 9), ("X27", 12), ("C2", 400)]:
+        res = synthesize(parse_group_spec(spec), m, verify=False, seed=3)
+        yield build_graph(res.matrix)
+
+
+def test_refinement_is_equitable_at_the_root_and_below():
+    """Checked directly, not against a reference: the root's partition, and
+    each child's along random paths, is equitable.  The root leaves its
+    last initial cell off the worklist, which is exact only because the
+    initial key includes the degree."""
+    rng = random.Random(7)
+    for graph in itertools.chain(_digest_graphs(), _witness_graphs()):
+        ptn, _ = _root_partition(graph)
+        _assert_equitable(graph.bits, ptn.cells)
+        mark = len(ptn.trail)
+        for _ in range(2):
+            for _ in range(3):
+                if not ptn.wide:
+                    break
+                cell = ptn.wide[0]
+                low = 1 << rng.choice([v for v in range(graph.n) if cell >> v & 1])
+                ptn.individualize(low)
+                _refine(graph.bits, ptn, [low], 0)
+                _assert_equitable(graph.bits, ptn.cells)
+            ptn.undo(mark)
 
 
 # -- exact orders against closed forms and independent oracles ----------------
