@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
-from .groups import Group, GroupError, parse_group_spec
+from .groups import Group, GroupError, parse_group_spec, read_json
 
 if TYPE_CHECKING:
     from .autos import Evidence
@@ -196,10 +196,7 @@ class ConnectionMatrix:
 
 
 def load_matrix(path: str) -> ConnectionMatrix:
-    import json  # here, so that a command that reads no file never loads it
-
-    with open(path, encoding="utf-8") as fh:
-        return ConnectionMatrix.from_json(json.load(fh))
+    return ConnectionMatrix.from_json(read_json(path))
 
 
 # -- the derived graph -----------------------------------------------------

@@ -170,11 +170,23 @@ class Group:
             raise
 
 
-def load_group(path: str) -> Group:
+def read_json(path: str):
+    """The JSON value in a file; the one reader behind every file the CLI
+    loads.  Malformed or too deeply nested JSON raises ValueError naming
+    the file, not a bare decoder error or RecursionError."""
     import json  # here, so that a command that reads no file never loads it
 
     with open(path, encoding="utf-8") as fh:
-        return Group.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: invalid JSON: {e}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_group(path: str) -> Group:
+    return Group.from_json(read_json(path))
 
 
 # -- constructors ------------------------------------------------------------

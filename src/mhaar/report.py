@@ -21,7 +21,7 @@ from .autos import (CLAIM_KINDS, Evidence, automorphism_group,  # noqa: F401
                     check_claim, evidence)
 from .cayley import CayleyError, ConnectionMatrix
 from .formats import to_graph6
-from .groups import Group, GroupError
+from .groups import Group, GroupError, read_json
 
 # automorphism_group is unused here, but the tracing test in
 # perfbench/test_perfbench.py expects this module to bind it
@@ -154,8 +154,7 @@ def write_certificate(text: str, path: str) -> None:
 
 
 def load_certificate(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cert = json.load(fh)
+    cert = read_json(path)
     if not isinstance(cert, dict):
         raise ValueError("certificate file does not hold a JSON object")
     return cert
@@ -246,7 +245,7 @@ def reverify(cert: Union[dict, str]) -> CertificateCheck:
     if isinstance(cert, str):
         try:
             cert = json.loads(cert)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             return CertificateCheck(False, "json", str(e))
     if not isinstance(cert, dict):
         return CertificateCheck(False, "json", "certificate is not an object")

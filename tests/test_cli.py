@@ -451,6 +451,24 @@ def test_hostile_files_exit_cleanly(tmp_path, command, content, expected, messag
     assert message in proc.stderr
 
 
+# every command that reads a JSON file reads it with groups.read_json
+DEEP_JSON_READERS = {
+    "verify": ("verify", "{}"),
+    "reverify": ("reverify", "{}"),
+    "search-group-file": ("search", "--group", "@{}", "-m", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", DEEP_JSON_READERS.values(), ids=DEEP_JSON_READERS)
+def test_deeply_nested_json_exits_1(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = fresh(*(arg.format(path) for arg in argv))
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {path}: JSON nested too deeply" in proc.stderr
+
+
 def test_parts_over_the_vertex_cap_exit_at_once():
     for argv in (("synthesize", "--group", "C6", "-m", "99999999999"),
                  ("search", "--group", "C3", "-m", "99999")):
