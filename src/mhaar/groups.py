@@ -171,15 +171,16 @@ class Group:
 
 
 def read_json(path: str):
-    """The JSON value in a file; the one reader behind every file the CLI
-    loads.  Malformed or too deeply nested JSON raises ValueError naming
-    the file, not a bare decoder error or RecursionError."""
+    """The JSON value in a file; the one reader behind every JSON file the
+    CLI loads.  A file that is not UTF-8 JSON, or is nested too deeply for
+    the decoder, raises ValueError naming the file, not a bare decoder
+    error or RecursionError."""
     import json  # here, so that a command that reads no file never loads it
 
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON: {e}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None

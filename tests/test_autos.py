@@ -255,7 +255,7 @@ def _refinement_cases(seed, count):
         elif kind == 1:
             # the engine's child step: an equitable partition with one vertex
             # of a non-singleton cell individualized, and that vertex queued
-            _refine_full_scan(graph.bits, cells, cells, 0)
+            _refine_full_scan(graph.bits, cells, list(cells), 0)
             wide = [i for i, c in enumerate(cells) if c & (c - 1)]
             worklist = []
             if wide:
