@@ -3,28 +3,30 @@
 The search keeps an ordered partition of the vertices, refined to
 equitability: each splitter on the worklist splits every cell by the
 neighbour counts of its vertices in the splitter, subcells ordered by
-count, and every fragment but the last joins the worklist.  Dropping
-the last is exact, after Hopcroft (1971), because refinement starts
-from a worklist on which every cell not queued is one the partition is
-already equitable against: the root queues every initial cell but the
-last, and the vertex set is accounted for because the initial key
-includes the degree; a child starts from an equitable partition and
-queues only the vertex it individualizes.  When a cell X splits into
-P1..Pk, X is accounted for or still queued, so by the time Pk would be
-dequeued from the FIFO worklist, X and P1..Pk-1 have been processed.
-Each vertex's count into Pk is then its count into X less its counts
-into P1..Pk-1, constant on every cell, so Pk would split nothing; as
-the trace hash mixes only on splits, every result is the same as with
-Pk queued.  A splitter only reaches
-the cells that hold its neighbours, so the rest are never counted: a
-splitter with no neighbour in a non-singleton cell is skipped, in a hit
-cell the vertices outside the neighbourhood go straight to count 0, and
-a singleton splitter splits a cell with one AND.  Refinement stops as
-soon as the partition is discrete (McKay 1981; McKay & Piperno 2014).
-Non-discrete partitions branch on the first non-singleton cell.  The
-first leaf fixes a reference ordering; every later leaf proposes the
-map carrying the reference ordering to its own, which is accepted only
-if it verifiably preserves adjacency.
+count, and every fragment but the last joins the worklist.  A splitter
+only reaches the cells that hold its neighbours, so the rest are never
+counted: a splitter with no neighbour in a non-singleton cell is
+skipped, in a hit cell the vertices outside the neighbourhood go
+straight to count 0, and a singleton splitter splits a cell with one
+AND.  Refinement stops as soon as the partition is discrete (McKay
+1981; McKay & Piperno 2014).  Non-discrete partitions branch on the
+first non-singleton cell.  The first leaf fixes a reference ordering;
+every later leaf proposes the map carrying the reference ordering to
+its own, which is accepted only if it verifiably preserves adjacency.
+
+Leaving the last fragment off the worklist is exact, after Hopcroft
+(1971), under one precondition that every refinement keeps: each cell
+not on the worklist is one the partition is already equitable against.
+The root queues every initial cell but the last; every cell has one
+degree, because the initial key includes it, so the partition is
+equitable against the vertex set.  A child starts from an equitable
+partition and queues only the vertex it individualizes.  When a cell X
+splits into P1..Pk, X is accounted for or still queued, so by the time
+Pk would be dequeued from the FIFO worklist, X and P1..Pk-1 have been
+processed.  Each vertex's count into Pk is then its count into X less
+its counts into P1..Pk-1, constant on every cell, so Pk would split
+nothing.  The trace hash mixes only on splits, so every result is the
+same as with Pk queued.
 
 One partition serves the whole search (`_Partition`).  Beside the cells
 in order, as bitmasks, it keeps the start position of each cell and,
