@@ -64,21 +64,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutResult", "CapacityError", "CatalogEntry", "CayleyError",
-    "CertificateCheck", "ConnectionMatrix", "Evidence", "Graph", "Group",
-    "GroupError", "HGR_MIN_PARTS", "LiftError", "SearchReport",
-    "SynthesisError", "SynthesisResult", "Verdict",
-    "asymmetric_regular_graph", "automorphism_group",
-    "brute_force_aut_order", "build_entry", "build_graph",
-    "c1_regular_asymmetric_scan", "certificate_json", "check_claim",
-    "cyclic", "decide_existence", "dihedral", "elem_abelian", "emit",
-    "entries", "evidence", "from_edgelist", "from_graph6", "generic_base",
-    "generic_hgr", "is_m_haar", "is_m_hgr", "is_m_pgsr",
-    "lift_base", "lift_base_entry", "load_certificate", "load_group",
-    "load_matrix", "make_certificate", "matrix_from_graph",
-    "nonexistence_certificate", "nonexistence_clause", "parse_group_spec",
-    "product", "reverify", "right_translation",
-    "search_certificate", "space_size", "synthesize", "to_edgelist",
-    "to_graph6", "write_certificate", "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

@@ -1,10 +1,30 @@
 """Curated connection matrices for the twelve special small groups.
 
-Every entry is stored as a recipe over named generators, so it applies
-to any isomorphic copy of its group (including groups ingested from
-multiplication-table files): g0_generators locates suitable generators
-by element orders, and all valid choices are equivalent under some
-automorphism of the group, so the resulting graphs are isomorphic.
+Every entry is a recipe over named generators, so it applies to any
+isomorphic copy of its group (including groups ingested from
+multiplication-table files).  `_RECIPES` states each entry once: for
+each family of tags, its recipes keyed by (m, kind, source), each
+carrying one number and its blocks.  The number is the valency of an
+hgr entry, or the pattern parameter k of a pgsr entry, whose valencies
+are k+1 on every part but the last two and k on those.  `ENTRIES`
+lists the families' tags and recipes in table order.
+
+Blocks are words over the named generators x, y, z:
+
+  * `1` is the identity, a lower-case letter is a generator and its
+    capital is the inverse; a word is the product of its letters from
+    left to right, so `xY` is x*y^-1;
+  * an item `PAIRS=WORDS` gives every part pair in the comma-separated
+    PAIRS (two digits i < j each) the set of the comma-separated WORDS,
+    and a recipe is its whitespace-separated items.  Unlisted pairs are
+    empty.
+
+g0_generators names the generators by one rule: each is the least
+element of its order in `_GENERATOR_ORDERS` outside the subgroup
+generated by the earlier ones.  X27 is the exception: its x, y are the
+first pair of order-3 elements that do not commute.  All choices that
+satisfy a tag's rule are equivalent under some automorphism of the
+group, so every copy yields an isomorphic graph.
 
 Entries with source "recorded" are hand-checked matrices; the three
 "derived" entries are replacement chain-extension bases found by
@@ -24,12 +44,74 @@ from .graphs import Graph
 from .groups import (CapacityError, Group, GroupError, catalog_group,
                      identify_catalog_group, subgroup_generated)
 
+# family of tags -> {(m, kind, source): (valency or k, blocks)}
+_RECIPES = {
+    ("C2",): {
+        (6, "hgr", "recorded"): (5, "12,16,35,46=1,x 15,23,25,36,45=1 24,34=x"),
+        (7, "hgr", "recorded"): (4, "12=1,x 13,17,23,47,56,57,67=x 26,34,35,45,46=1"),
+        (8, "hgr", "recorded"): (4, "12=1,x 17,18,34,38,45,46,58=1 23,26,35,47,56,67,78=x"),
+        (9, "hgr", "recorded"): (4, "12,89=1,x 17,19,34,38,45,46,59=1 23,26,35,47,56,67,78=x"),
+    },
+    ("C3",): {
+        (5, "hgr", "recorded"): (4, "12=1,x 13,45=1,X 24=1 25,34,35=x"),
+        (4, "pgsr", "recorded"): (5, "12,13,14,23=1,x 24=x,X 34=x"),
+        (5, "pgsr", "recorded"): (5, "12,13,23,45=1,x 14,15=1 24,34=X 25,35=x"),
+        (4, "pgsr", "derived"): (3, "12=1,x 13,14,23,34=1 24=x"),
+        (5, "pgsr", "derived"): (3, "12,13,24,25=1 15=1,x 23=x 34=1,xx"),
+    },
+    ("C4", "C5", "C6"): {
+        (4, "hgr", "recorded"): (5, "12,13=1,x 14=1 23=x 24,34=x,X"),
+        (3, "pgsr", "recorded"): (3, "12=1,x 13=x,X 23=1"),
+        (4, "pgsr", "recorded"): (4, "12,13=1,x 14=1 23=x 24=x,xx 34=X"),
+    },
+    ("C6",): {
+        (3, "hgr", "recorded"): (4, "12=1,xxx 13=1,X 23=x,X"),
+    },
+    ("C2^2",): {
+        (4, "hgr", "recorded"): (5, "12,23,34=1,x 13=x 14=x,y 24=y"),
+        (5, "hgr", "recorded"): (4, "12=1,x 13=x,y 23,35=1 24=y 45=1,x,y"),
+        (4, "pgsr", "recorded"): (4, "12,23=1,x 13,34=x 14=x,y 24=y"),
+        (5, "pgsr", "recorded"): (5, "12,13,45=1,x,y 23,24=x 25=xy 34,35=y"),
+        (5, "pgsr", "derived"): (3, "12,13,24,25=1 15=1,y 23=y 34=y,x"),
+    },
+    ("C2^3",): {
+        (3, "hgr", "recorded"): (8, "12=1,x,z,xy 13=z,xy,xz,xyz 23=y,z,xy,xz"),
+        (4, "hgr", "recorded"): (5, "12=1,x 13,34=x,z 14,23=x 24=x,y"),
+        (3, "pgsr", "recorded"): (5, "12=1,x,y 13=1,xz,xyz 23=xz,yz"),
+        (4, "pgsr", "recorded"): (4, "12=1,x 13=x,z 14,23=x 24=x,y 34=y"),
+    },
+    ("C3^2", "A4", "X27"): {
+        (3, "hgr", "recorded"): (6, "12=1,x,y 13=1,x,xy 23=1,X,yx"),
+    },
+    ("C3^2", "D6", "A4", "X27"): {
+        (4, "hgr", "recorded"): (5, "12=1,y 13,24=1,x 14,23=1 34=x,y"),
+        (3, "pgsr", "recorded"): (5, "12=1,x,y 13=1,x,xy 23=1,yx"),
+        (4, "pgsr", "recorded"): (4, "12=1,y 13,24=1,x 14,23=1 34=x"),
+    },
+}
 
-def _least_of_order(g: Group, order: int, exclude: frozenset[int] = frozenset()) -> int:
-    for e in range(g.order):
-        if e not in exclude and g.element_order(e) == order:
-            return e
-    raise GroupError(f"no element of order {order} found")
+# the orders of the named generators x, y, z of each tag but X27
+_GENERATOR_ORDERS = {
+    "C1": (), "C2": (2,), "C3": (3,), "C4": (4,), "C5": (5,), "C6": (6,),
+    "C2^2": (2, 2), "C2^3": (2, 2, 2), "C3^2": (3, 3), "D6": (3, 2), "A4": (3, 2),
+}
+
+
+def word_blocks(g: Group, gens: dict[str, int], recipe: str) -> dict[tuple[int, int], list[int]]:
+    """The blocks of a recipe in the word grammar of the module docstring."""
+    def word(w: str) -> int:
+        e = 0
+        for c in w.replace("1", ""):
+            e = g.mul(e, gens[c] if c.islower() else g.inv(gens[c.lower()]))
+        return e
+
+    blocks = {}
+    for item in recipe.split():
+        pairs, words = item.split("=")
+        elems = [word(w) for w in words.split(",")]
+        for p in pairs.split(","):
+            blocks[(int(p[0]), int(p[1]))] = elems
+    return blocks
 
 
 def g0_generators(g: Group, tag: str) -> dict[str, int]:
@@ -39,36 +121,23 @@ def g0_generators(g: Group, tag: str) -> dict[str, int]:
     so catalog recipes built on them yield isomorphic graphs.
     """
     n = g.order
-    if tag == "C1":
-        return {}
-    if tag in ("C2", "C3", "C4", "C5", "C6"):
-        return {"x": _least_of_order(g, n)}
-    if tag == "C2^2":
-        x = _least_of_order(g, 2)
-        y = _least_of_order(g, 2, frozenset([x]))
-        return {"x": x, "y": y}
-    if tag == "C2^3":
-        x = _least_of_order(g, 2)
-        y = _least_of_order(g, 2, frozenset([x]))
-        span = subgroup_generated(g, (x, y))
-        z = next(e for e in range(n) if e not in span and g.element_order(e) == 2)
-        return {"x": x, "y": y, "z": z}
-    if tag == "C3^2":
-        x = _least_of_order(g, 3)
-        span = subgroup_generated(g, (x,))
-        y = next(e for e in range(n) if e not in span and g.element_order(e) == 3)
-        return {"x": x, "y": y}
-    if tag in ("D6", "A4"):
-        return {"x": _least_of_order(g, 3), "y": _least_of_order(g, 2)}
     if tag == "X27":
-        for x in range(n):
-            if g.element_order(x) != 3:
-                continue
-            for y in range(n):
-                if g.element_order(y) == 3 and g.mul(x, y) != g.mul(y, x):
-                    return {"x": x, "y": y}
-        raise GroupError("no noncommuting order-3 pair found")
-    raise GroupError(f"unknown catalog tag {tag!r}")
+        pair = next(((x, y) for x in range(n) for y in range(n)
+                     if g.element_order(x) == g.element_order(y) == 3
+                     and g.mul(x, y) != g.mul(y, x)), None)
+        if pair is None:
+            raise GroupError("no noncommuting order-3 pair found")
+        return dict(zip("xy", pair))
+    if tag not in _GENERATOR_ORDERS:
+        raise GroupError(f"unknown catalog tag {tag!r}")
+    gens: dict[str, int] = {}
+    for name, order in zip("xyz", _GENERATOR_ORDERS[tag]):
+        span = subgroup_generated(g, gens.values())
+        found = [e for e in range(n) if e not in span and g.element_order(e) == order]
+        if not found:
+            raise GroupError(f"no element of order {order} found")
+        gens[name] = found[0]
+    return gens
 
 
 class CatalogEntry(NamedTuple):
@@ -76,161 +145,28 @@ class CatalogEntry(NamedTuple):
     m: int
     kind: str     # "hgr" or "pgsr"
     source: str   # "recorded" or "derived"
-    valencies: tuple[int, ...]
-    k: Optional[int] = None  # pgsr pattern parameter
+    degree: int   # the valency of every part (hgr), or the pattern parameter k (pgsr)
+    blocks: str   # in the word grammar of the module docstring
+
+    @property
+    def k(self) -> Optional[int]:
+        return self.degree if self.kind == "pgsr" else None
+
+    @property
+    def valencies(self) -> tuple[int, ...]:
+        if self.kind == "hgr":
+            return (self.degree,) * self.m
+        return (self.degree + 1,) * (self.m - 2) + (self.degree,) * 2
 
     def __str__(self) -> str:
         extra = f" k={self.k}" if self.k is not None else ""
         return f"{self.tag} m={self.m} {self.kind}/{self.source}{extra} v={self.valencies}"
 
 
-def _blocks_for(tag: str, g: Group, d: dict[str, int],
-                m: int, kind: str, source: str) -> Optional[dict]:
-    mul, inv = g.mul, g.inv
-    key = (m, kind, source)
-    if tag == "C2":
-        x = d["x"]
-        if key == (6, "hgr", "recorded"):
-            return {(1, 2): [0, x], (1, 6): [0, x], (3, 5): [0, x], (4, 6): [0, x],
-                    (1, 5): [0], (2, 3): [0], (2, 5): [0], (3, 6): [0], (4, 5): [0],
-                    (2, 4): [x], (3, 4): [x]}
-        if key == (7, "hgr", "recorded"):
-            return {(1, 2): [0, x],
-                    (1, 3): [x], (1, 7): [x], (2, 3): [x], (4, 7): [x],
-                    (5, 6): [x], (5, 7): [x], (6, 7): [x],
-                    (2, 6): [0], (3, 4): [0], (3, 5): [0], (4, 5): [0], (4, 6): [0]}
-        if key == (8, "hgr", "recorded"):
-            return {(1, 2): [0, x],
-                    (1, 7): [0], (1, 8): [0], (3, 4): [0], (3, 8): [0],
-                    (4, 5): [0], (4, 6): [0], (5, 8): [0],
-                    (2, 3): [x], (2, 6): [x], (3, 5): [x], (4, 7): [x],
-                    (5, 6): [x], (6, 7): [x], (7, 8): [x]}
-        if key == (9, "hgr", "recorded"):
-            return {(1, 2): [0, x], (8, 9): [0, x],
-                    (1, 7): [0], (1, 9): [0], (3, 4): [0], (3, 8): [0],
-                    (4, 5): [0], (4, 6): [0], (5, 9): [0],
-                    (2, 3): [x], (2, 6): [x], (3, 5): [x], (4, 7): [x],
-                    (5, 6): [x], (6, 7): [x], (7, 8): [x]}
-    if tag == "C3":
-        x = d["x"]
-        xi = inv(x)
-        if key == (5, "hgr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [0, xi], (4, 5): [0, xi],
-                    (2, 4): [0], (2, 5): [x], (3, 4): [x], (3, 5): [x]}
-        if key == (4, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [0, x], (1, 4): [0, x], (2, 3): [0, x],
-                    (2, 4): [x, xi], (3, 4): [x]}
-        if key == (5, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [0, x], (2, 3): [0, x], (4, 5): [0, x],
-                    (1, 4): [0], (1, 5): [0],
-                    (2, 4): [xi], (3, 4): [xi], (2, 5): [x], (3, 5): [x]}
-        if key == (4, "pgsr", "derived"):
-            return {(1, 2): [0, x], (1, 3): [0], (1, 4): [0], (2, 3): [0],
-                    (2, 4): [x], (3, 4): [0]}
-        if key == (5, "pgsr", "derived"):
-            return {(1, 2): [0], (1, 3): [0], (1, 5): [0, x], (2, 3): [x],
-                    (2, 4): [0], (2, 5): [0], (3, 4): [0, mul(x, x)]}
-    if tag in ("C4", "C5", "C6"):
-        x = d["x"]
-        xi = inv(x)
-        if key == (4, "hgr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [0, x], (1, 4): [0], (2, 3): [x],
-                    (2, 4): [x, xi], (3, 4): [x, xi]}
-        if key == (3, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [x, xi], (2, 3): [0]}
-        if key == (4, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [0, x], (1, 4): [0], (2, 3): [x],
-                    (2, 4): [x, mul(x, x)], (3, 4): [xi]}
-        if tag == "C6" and key == (3, "hgr", "recorded"):
-            return {(1, 2): [0, g.power(x, 3)], (1, 3): [0, xi], (2, 3): [x, xi]}
-    if tag == "C2^2":
-        x, y = d["x"], d["y"]
-        xy = mul(x, y)
-        if key == (4, "hgr", "recorded"):
-            return {(1, 2): [0, x], (2, 3): [0, x], (3, 4): [0, x],
-                    (1, 3): [x], (1, 4): [x, y], (2, 4): [y]}
-        if key == (5, "hgr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [x, y], (2, 3): [0], (3, 5): [0],
-                    (2, 4): [y], (4, 5): [0, x, y]}
-        if key == (4, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (2, 3): [0, x], (1, 3): [x], (3, 4): [x],
-                    (1, 4): [x, y], (2, 4): [y]}
-        if key == (5, "pgsr", "recorded"):
-            return {(1, 2): [0, x, y], (1, 3): [0, x, y], (4, 5): [0, x, y],
-                    (2, 3): [x], (2, 4): [x], (2, 5): [xy], (3, 4): [y], (3, 5): [y]}
-        if key == (5, "pgsr", "derived"):
-            return {(1, 2): [0], (1, 3): [0], (1, 5): [0, y], (2, 3): [y],
-                    (2, 4): [0], (2, 5): [0], (3, 4): [y, x]}
-    if tag == "C2^3":
-        x, y, z = d["x"], d["y"], d["z"]
-        xy, xz, yz = mul(x, y), mul(x, z), mul(y, z)
-        xyz = mul(xy, z)
-        if key == (3, "hgr", "recorded"):
-            return {(1, 2): [0, x, z, xy], (1, 3): [z, xy, xz, xyz],
-                    (2, 3): [y, z, xy, xz]}
-        if key == (4, "hgr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [x, z], (1, 4): [x], (2, 3): [x],
-                    (2, 4): [x, y], (3, 4): [x, z]}
-        if key == (3, "pgsr", "recorded"):
-            return {(1, 2): [0, x, y], (1, 3): [0, xz, xyz], (2, 3): [xz, yz]}
-        if key == (4, "pgsr", "recorded"):
-            return {(1, 2): [0, x], (1, 3): [x, z], (1, 4): [x], (2, 3): [x],
-                    (2, 4): [x, y], (3, 4): [y]}
-    if tag in ("C3^2", "D6", "A4", "X27"):
-        x, y = d["x"], d["y"]
-        xi = inv(x)
-        xy, yx = mul(x, y), mul(y, x)
-        if key == (3, "hgr", "recorded") and tag != "D6":
-            return {(1, 2): [0, x, y], (1, 3): [0, x, xy], (2, 3): [0, xi, yx]}
-        if key == (4, "hgr", "recorded"):
-            return {(1, 2): [0, y], (1, 3): [0, x], (2, 4): [0, x], (1, 4): [0],
-                    (2, 3): [0], (3, 4): [x, y]}
-        if key == (3, "pgsr", "recorded"):
-            return {(1, 2): [0, x, y], (1, 3): [0, x, xy], (2, 3): [0, yx]}
-        if key == (4, "pgsr", "recorded"):
-            return {(1, 2): [0, y], (1, 3): [0, x], (2, 4): [0, x], (1, 4): [0],
-                    (2, 3): [0], (3, 4): [x]}
-    return None
-
-
-def _entry_list() -> list[CatalogEntry]:
-    out = []
-
-    def add(tag, m, kind, source, vals, k=None):
-        out.append(CatalogEntry(tag, m, kind, source, tuple(vals), k))
-
-    add("C2", 6, "hgr", "recorded", (5,) * 6)
-    for m in (7, 8, 9):
-        add("C2", m, "hgr", "recorded", (4,) * m)
-    add("C3", 5, "hgr", "recorded", (4,) * 5)
-    add("C3", 4, "pgsr", "recorded", (6, 6, 5, 5), 5)
-    add("C3", 5, "pgsr", "recorded", (6, 6, 6, 5, 5), 5)
-    add("C3", 4, "pgsr", "derived", (4, 4, 3, 3), 3)
-    add("C3", 5, "pgsr", "derived", (4, 4, 4, 3, 3), 3)
-    for tag in ("C4", "C5", "C6"):
-        add(tag, 4, "hgr", "recorded", (5,) * 4)
-        add(tag, 3, "pgsr", "recorded", (4, 3, 3), 3)
-        add(tag, 4, "pgsr", "recorded", (5, 5, 4, 4), 4)
-    add("C6", 3, "hgr", "recorded", (4,) * 3)
-    add("C2^2", 4, "hgr", "recorded", (5,) * 4)
-    add("C2^2", 5, "hgr", "recorded", (4,) * 5)
-    add("C2^2", 4, "pgsr", "recorded", (5, 5, 4, 4), 4)
-    add("C2^2", 5, "pgsr", "recorded", (6, 6, 6, 5, 5), 5)
-    add("C2^2", 5, "pgsr", "derived", (4, 4, 4, 3, 3), 3)
-    add("C2^3", 3, "hgr", "recorded", (8,) * 3)
-    add("C2^3", 4, "hgr", "recorded", (5,) * 4)
-    add("C2^3", 3, "pgsr", "recorded", (6, 5, 5), 5)
-    add("C2^3", 4, "pgsr", "recorded", (5, 5, 4, 4), 4)
-    for tag in ("C3^2", "A4", "X27"):
-        add(tag, 3, "hgr", "recorded", (6,) * 3)
-    for tag in ("C3^2", "D6", "A4", "X27"):
-        add(tag, 4, "hgr", "recorded", (5,) * 4)
-        add(tag, 3, "pgsr", "recorded", (6, 5, 5), 5)
-        add(tag, 4, "pgsr", "recorded", (5, 5, 4, 4), 4)
-    return out
-
-
-ENTRIES: tuple[CatalogEntry, ...] = tuple(_entry_list())
+ENTRIES: tuple[CatalogEntry, ...] = tuple(
+    CatalogEntry(tag, m, kind, source, degree, blocks)
+    for tags, recipes in _RECIPES.items() for tag in tags
+    for (m, kind, source), (degree, blocks) in recipes.items())
 
 
 def entries(tag: Optional[str] = None, m: Optional[int] = None,
@@ -255,10 +191,7 @@ def build_entry(entry: CatalogEntry, group: Optional[Group] = None) -> Connectio
         if found != entry.tag:
             raise GroupError(
                 f"group identifies as {found!r}, entry needs {entry.tag!r}")
-    gens = g0_generators(group, entry.tag)
-    blocks = _blocks_for(entry.tag, group, gens, entry.m, entry.kind, entry.source)
-    if blocks is None:  # pragma: no cover - ENTRIES and _blocks_for stay in sync
-        raise GroupError(f"no recipe for entry {entry}")
+    blocks = word_blocks(group, g0_generators(group, entry.tag), entry.blocks)
     cm = ConnectionMatrix(group, entry.m, blocks)
     if cm.valencies() != entry.valencies:
         raise GroupError(
@@ -277,8 +210,7 @@ def lift_base_entry(tag: str, m: int) -> CatalogEntry:
     want_parts = (3, 5) if m % 2 else (4,)
     order = catalog_group(tag).order
     cands = [e for e in entries(tag=tag, kind="pgsr")
-             if e.m in want_parts and e.k is not None and e.k <= order
-             and e.m + 2 <= m]
+             if e.m in want_parts and e.k <= order and e.m + 2 <= m]
     if not cands:
         raise GroupError(f"no usable chain-extension base for {tag} toward m={m}")
     cands.sort(key=lambda e: (e.m, e.source != "recorded", e.k))

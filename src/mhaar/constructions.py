@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .autos import is_m_hgr
 from .catalog import (asymmetric_regular_graph, build_entry, entries,
-                      lift_base_entry, matrix_from_graph)
+                      lift_base_entry, matrix_from_graph, word_blocks)
 from .cayley import ConnectionMatrix, Verdict
 from .graphs import check_vertex_cap
 from .groups import (Group, GroupError, identify_catalog_group,
@@ -70,47 +70,19 @@ def nonexistence_clause(group: Group, m: int) -> Optional[str]:
 # -- generic recipes, by minimal generating size -------------------------------
 
 
-def _two_gen_elements(g: Group) -> tuple[int, int]:
-    x, y = pair_with_order_ge4(g)
-    if y == 0:
-        y = g.power(x, 3)  # cyclic: the cube is independent enough of x
-    return x, y
-
-
-def _two_gen_hgr(g: Group, m: int) -> dict:
-    x, y = _two_gen_elements(g)
-    xi, yi = g.inv(x), g.inv(y)
-    if m == 3:
-        return {(1, 2): [0, x, yi], (1, 3): [0, x, xi], (2, 3): [x, xi, y]}
-    return {(1, 2): [0, x], (1, 3): [0, x], (2, 4): [0, x],
-            (1, 4): [0], (2, 3): [0], (3, 4): [x, y]}
-
-
-def _two_gen_base(g: Group, parts: int) -> dict:
-    x, y = _two_gen_elements(g)
-    xi, yi = g.inv(x), g.inv(y)
-    if parts == 3:
-        return {(1, 2): [0, x, yi], (1, 3): [0, x, xi], (2, 3): [x, xi]}
-    return {(1, 2): [0, x], (1, 3): [0, x], (2, 4): [0, x],
-            (1, 4): [0], (2, 3): [0], (3, 4): [y]}
-
-
-def _three_gen_hgr(g: Group, m: int) -> dict:
-    x, y, z = triple_with_order_ge3(g)
-    xi, yi = g.inv(x), g.inv(y)
-    if m == 3:
-        return {(1, 2): [0, x, xi], (1, 3): [0, yi, z], (2, 3): [0, xi, z]}
-    return {(1, 2): [0, x], (1, 3): [0, x], (1, 4): [0], (2, 3): [0],
-            (2, 4): [0, y], (3, 4): [y, z]}
-
-
-def _three_gen_base(g: Group, parts: int) -> dict:
-    x, y, z = triple_with_order_ge3(g)
-    xi = g.inv(x)
-    if parts == 3:
-        return {(1, 2): [0, x, y], (1, 3): [0, y, z], (2, 3): [0, z]}
-    return {(1, 2): [0, x], (1, 3): [0, z], (1, 4): [0], (2, 3): [xi],
-            (2, 4): [0, y], (3, 4): [x]}
+# blocks in the word grammar of the catalog module, over the lex-first
+# (x, y) with |x| >= 4 of a 2-generated group or (x, y, z) with |x| >= 3
+# of a 3-generated one; "hgr" is a witness, "base" a chain-extension base
+_WORD_RECIPES = {
+    (2, "hgr", 3): "12=1,x,Y 13=1,x,X 23=x,X,y",
+    (2, "hgr", 4): "12,13,24=1,x 14,23=1 34=x,y",
+    (2, "base", 3): "12=1,x,Y 13=1,x,X 23=x,X",
+    (2, "base", 4): "12,13,24=1,x 14,23=1 34=y",
+    (3, "hgr", 3): "12=1,x,X 13=1,Y,z 23=1,X,z",
+    (3, "hgr", 4): "12,13=1,x 14,23=1 24=1,y 34=y,z",
+    (3, "base", 3): "12=1,x,y 13=1,y,z 23=1,z",
+    (3, "base", 4): "12=1,x 13=1,z 14=1 23=X 24=1,y 34=x",
+}
 
 
 def _spanning_sets(g: Group) -> dict[str, list[int]]:
@@ -146,48 +118,44 @@ def _spanning_sets(g: Group) -> dict[str, list[int]]:
     return sets
 
 
-def _high_rank_hgr(g: Group, m: int) -> dict:
-    s = _spanning_sets(g)
-    if m == 3:
-        return {(1, 2): s["full"], (1, 3): s["skew"], (2, 3): s["diffs"]}
-    return {(1, 2): s["full"], (1, 4): s["full"], (3, 4): s["full"],
-            (1, 3): s["skew"], (2, 3): s["diffs"], (2, 4): s["mix"]}
-
-
-def _high_rank_base(g: Group, parts: int) -> dict:
+def _high_rank(g: Group, parts: int, kind: str) -> dict:
     s = _spanning_sets(g)
     if parts == 3:
-        return {(1, 2): s["full"], (1, 3): s["skew"], (2, 3): s["diffs_cut"]}
-    return {(1, 2): s["full"], (1, 4): s["full"], (3, 4): s["head"],
+        return {(1, 2): s["full"], (1, 3): s["skew"],
+                (2, 3): s["diffs" if kind == "hgr" else "diffs_cut"]}
+    return {(1, 2): s["full"], (1, 4): s["full"],
+            (3, 4): s["full" if kind == "hgr" else "head"],
             (1, 3): s["skew"], (2, 3): s["diffs"], (2, 4): s["mix"]}
+
+
+def _generic(group: Group, parts: int, kind: str) -> tuple[ConnectionMatrix, str]:
+    """The rank dispatch shared by witnesses ("hgr") and bases ("base")."""
+    t = len(minimal_generating_set(group))
+    if t >= 4:
+        return ConnectionMatrix(group, parts, _high_rank(group, parts, kind)), f"rank-{t}"
+    if t == 3:
+        gens = triple_with_order_ge3(group)
+    else:
+        x, y = pair_with_order_ge4(group)
+        # cyclic: the cube is independent enough of x
+        gens = (x, group.power(x, 3) if y == 0 else y)
+    recipe = _WORD_RECIPES[(len(gens), kind, parts)]
+    blocks = word_blocks(group, dict(zip("xyz", gens)), recipe)
+    return ConnectionMatrix(group, parts, blocks), f"{len(gens)}-generated"
 
 
 def generic_hgr(group: Group, m: int) -> tuple[ConnectionMatrix, str]:
     """Rank-dispatched witness at m = 3 or 4 for groups outside the catalog."""
     if m not in (3, 4):
         raise ValueError(f"generic recipes cover m in (3, 4), got {m}")
-    t = len(minimal_generating_set(group))
-    if t <= 2:
-        blocks, label = _two_gen_hgr(group, m), "2-generated"
-    elif t == 3:
-        blocks, label = _three_gen_hgr(group, m), "3-generated"
-    else:
-        blocks, label = _high_rank_hgr(group, m), f"rank-{t}"
-    return ConnectionMatrix(group, m, blocks), label
+    return _generic(group, m, "hgr")
 
 
 def generic_base(group: Group, parts: int) -> tuple[ConnectionMatrix, str]:
     """Rank-dispatched chain-extension base on 3 or 4 parts."""
     if parts not in (3, 4):
         raise ValueError(f"generic bases have 3 or 4 parts, got {parts}")
-    t = len(minimal_generating_set(group))
-    if t <= 2:
-        blocks, label = _two_gen_base(group, parts), "2-generated"
-    elif t == 3:
-        blocks, label = _three_gen_base(group, parts), "3-generated"
-    else:
-        blocks, label = _high_rank_base(group, parts), f"rank-{t}"
-    return ConnectionMatrix(group, parts, blocks), label
+    return _generic(group, parts, "base")
 
 
 # -- the decision procedure ----------------------------------------------------

@@ -59,10 +59,13 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(s: str) -> Graph:
+    """Parse one graph6 string; n is checked against the vertex cap before
+    the body is decoded."""
     data = s.strip().encode("ascii")
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     n, used = _decode_n(data)
+    check_vertex_cap(n)
     body = data[used:]
     need = n * (n - 1) // 2
     bits: list[int] = []

@@ -117,6 +117,15 @@ def test_graph6_rejects_garbage():
         from_graph6("A" + chr(30))  # character below the printable range
 
 
+def test_graph6_header_over_the_cap_is_refused_before_the_body():
+    from mhaar.graphs import CapacityError, vertex_cap
+    n = vertex_cap() + 1
+    header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    # no body at all: the cap is checked before the body is decoded
+    with pytest.raises(CapacityError, match=f"{n} vertices"):
+        from_graph6(header)
+
+
 def test_edgelist_round_trip():
     g = petersen()
     text = to_edgelist(g)

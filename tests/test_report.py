@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -337,6 +338,17 @@ def test_reverify_search_tampering():
     check = reverify(lying)
     assert not check.ok and check.field == "kind"
     assert "finds a witness" in check.detail
+
+
+def test_reverify_of_an_edited_search_certificate_stops_at_a_witness():
+    # C2 has 6-part witnesses; the rerun stops at the first one instead of
+    # walking the rest of the space
+    cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    start = time.perf_counter()
+    check = reverify(tampered(cert, m=6))
+    assert time.perf_counter() - start < 5
+    assert not check.ok and check.field == "kind"
+    assert "finds a witness for C2, m=6" in check.detail
 
 
 def test_reverify_garbage_inputs():
