@@ -12,7 +12,8 @@ is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Union)
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 from .groups import Group, GroupError, parse_group_spec, read_json
@@ -26,6 +27,17 @@ BlockInput = Union[Mapping[tuple[int, int], Iterable[int]],
 
 class CayleyError(ValueError):
     pass
+
+
+def _each_once(items: Iterable[tuple[int, int, Iterable[int]]]
+               ) -> Iterator[tuple[int, int, Iterable[int]]]:
+    """The (i, j, elems) items in order; a block given twice is an error."""
+    seen = set()
+    for i, j, elems in items:
+        if (i, j) in seen:
+            raise CayleyError(f"block ({i}, {j}) given twice")
+        seen.add((i, j))
+        yield i, j, elems
 
 
 class ConnectionMatrix:
@@ -51,11 +63,7 @@ class ConnectionMatrix:
                 items = [(i, j, elems) for (i, j), elems in blocks.items()]
             else:
                 items = [(i, j, elems) for i, j, elems in blocks]
-            seen = set()
-            for i, j, elems in items:
-                if (i, j) in seen:
-                    raise CayleyError(f"block ({i}, {j}) given twice")
-                seen.add((i, j))
+            for i, j, elems in _each_once(items):
                 self._set_block(i, j, elems)
         if diagonal is not None:
             for i, elems in diagonal.items():
@@ -176,8 +184,7 @@ class ConnectionMatrix:
         entries = data.get("entries", [])
         if not isinstance(entries, list):
             raise CayleyError("'entries' must be a list")
-        blocks = {}
-        diagonal = {}
+        items = []
         for k, e in enumerate(entries):
             if not isinstance(e, dict):
                 raise CayleyError(f"entry {k} is not an object")
@@ -186,6 +193,10 @@ class ConnectionMatrix:
                 raise CayleyError(f"entry {k}: 'i' and 'j' must be integers")
             if not isinstance(elems, list) or any(type(x) is not int for x in elems):
                 raise CayleyError(f"entry {k}: 'elems' must be a list of integers")
+            items.append((i, j, elems))
+        blocks = {}
+        diagonal = {}
+        for i, j, elems in _each_once(items):
             if i == j:
                 diagonal[i] = elems
             elif i < j:

@@ -59,8 +59,8 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(s: str) -> Graph:
-    """Parse one graph6 string; n is checked against the vertex cap before
-    the body is decoded."""
+    """Parse one graph6 string; n is checked against the vertex cap, and
+    the body's length against n, before the body is decoded."""
     data = s.strip().encode("ascii")
     if data.startswith(b">>graph6<<"):
         data = data[10:]
@@ -68,6 +68,9 @@ def from_graph6(s: str) -> Graph:
     check_vertex_cap(n)
     body = data[used:]
     need = n * (n - 1) // 2
+    if len(body) != -(-need // 6):
+        raise ValueError(f"graph6 body has {len(body)} bytes, "
+                         f"{n} vertices need {-(-need // 6)}")
     bits: list[int] = []
     for byte in body:
         if not 63 <= byte <= 126:
@@ -75,8 +78,6 @@ def from_graph6(s: str) -> Graph:
         word = byte - 63
         for k in range(5, -1, -1):
             bits.append(word >> k & 1)
-    if len(bits) < need:
-        raise ValueError("graph6 body too short")
     if any(bits[need:]):
         raise ValueError("graph6 padding bits not zero")
     g = Graph(n)

@@ -19,6 +19,12 @@ force the identity into every forest block.  Every isomorphism class
 with that profile keeps a representative, so existence answers agree
 with exhaustive mode; only the candidate counts differ.
 
+The space is sized before any candidate by one memoized count of size
+assignments on the parts' remaining row sums (`_assignment_count`).  It
+gives each valency's profiles and exhaustive candidates without walking
+them, and the search is refused once a lower bound on its candidates
+passes the budget (see `space_size`).
+
 The trivial group gets its own scanner: its blocks are 0/1, so
 candidates are plain d-regular graphs, enumerated row by row with
 degree-feasibility pruning, which is far smaller than the generic
@@ -49,8 +55,8 @@ The degree scan is orderly (Read 1978; McKay 1998): a swap decides
 a prefix whose every completion maps to an earlier graph is cut without
 being walked.  Its graphs still count in `examined` (and against the
 budget): they are the labelled graphs on the unfinished vertices with
-their remaining degrees, counted by a memoized recursion.  C1/9 builds
-81 graphs of its 14,634.
+their remaining degrees, the same count with block sizes capped at 1.
+C1/9 builds 81 graphs of its 14,634.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import contextlib
 import functools
 import itertools
 import time
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
@@ -198,33 +204,95 @@ class SearchReport(NamedTuple):
 # -- the trivial group: an orderly scan over regular graphs --------------------
 
 
-def _graph_count(degrees: list[int], memo: dict[tuple[int, ...], int]) -> int:
-    """The number of labelled simple graphs with this degree sequence.
+def _assignment_count(sums: Sequence[int], n: int,
+                      memo: dict[tuple[int, ...], tuple[int, int]]
+                      ) -> tuple[int, int]:
+    """(size assignments, candidates) for these row sums and size cap n.
 
-    It runs the stream's own rules on the sequence sorted downwards: the
-    first vertex picks its neighbours among the later ones that still
-    need an edge, and a choice survives only if the remaining degrees
-    have an even sum and none exceeds the sum of the others.  The count
-    depends only on the multiset of degrees, so it is memoized on that.
+    An assignment gives each pair of vertices a size 0..n, so that each
+    vertex's sizes add up to its row sum; it holds the product of
+    comb(n, s) over its pairs as candidates.  With m row sums of d, these
+    are the valency-d profiles and their exhaustive candidates; with
+    n = 1, both numbers are the labelled simple graphs with these degrees.
+
+    The count depends only on how many vertices need each degree, so a
+    state is that class vector (entry e-1 counts the vertices that need
+    e), and the memo is keyed on it.  States are evaluated from an
+    explicit stack, so no recursion grows with the number of vertices.
     """
-    key = tuple(sorted((r for r in degrees if r), reverse=True))
-    known = memo.get(key)
-    if known is not None:
-        return known
-    total = 1
-    if key:
-        need, *later = key
-        total = 0
-        for combo in itertools.combinations(range(len(later)), need):
-            for i in combo:
-                later[i] -= 1
-            tail = sum(later)
-            if tail % 2 == 0 and tail >= 2 * max(later, default=0):
-                total += _graph_count(later, memo)
-            for i in combo:
-                later[i] += 1
-    memo[key] = total
-    return total
+    memo.setdefault((), (1, 1))
+    if sum(sums) % 2:
+        return 0, 0
+    classes = [0] * (max(sums, default=0) + 1)
+    for r in sums:
+        classes[r] += 1
+    root = _state(classes)
+    stack: list[list] = [[root, None]]
+    while stack:
+        frame = stack[-1]
+        state, moves = frame
+        if state in memo:
+            stack.pop()
+            continue
+        if moves is None:
+            moves = frame[1] = _moves(state, n)
+            missing = [[later, None] for later in moves if later not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+        stack.pop()
+        assignments = candidates = 0
+        for later, (a, c) in moves.items():
+            later_a, later_c = memo[later]
+            assignments += a * later_a
+            candidates += c * later_c
+        memo[state] = assignments, candidates
+    return memo[root]
+
+
+def _state(classes: Sequence[int]) -> tuple[int, ...]:
+    """The class vector of degrees 1.. (classes[0] counts finished vertices)."""
+    end = len(classes)
+    while end > 1 and not classes[end - 1]:
+        end -= 1
+    return tuple(classes[1:end])
+
+
+def _moves(state: tuple[int, ...], n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The states left once one vertex's row is set, each with its
+    (assignments, candidates) multiplier.
+
+    The vertex that needs least gives out its whole sum.  For each class
+    e, and each size s of 1..min(n, e) in turn, it picks k of the class's
+    vertices not yet given a size: comb(free, k) ways, each holding
+    comb(n, s)^k candidates, and those vertices then need e - s.
+    """
+    classes = [0, *state]
+    r = next(e for e, count in enumerate(classes) if count)
+    classes[r] -= 1
+    ways = {(r, tuple(classes)): (1, 1)}  # (sum left, classes) -> multipliers
+    for e in range(1, len(classes)):
+        for s in range(1, min(n, e) + 1):
+            held = comb(n, s)
+            step: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+            for (left, now), (a, c) in ways.items():
+                free = now[e]
+                for k in range(min(free, left // s) + 1):
+                    after = list(now)
+                    after[e] -= k
+                    after[e - s] += k
+                    key = (left - k * s, tuple(after))
+                    pick = comb(free, k)
+                    old_a, old_c = step.get(key, (0, 0))
+                    step[key] = old_a + a * pick, old_c + c * pick * held ** k
+            ways = step
+    moves: dict[tuple[int, ...], tuple[int, int]] = {}
+    for (left, after), (a, c) in ways.items():
+        if not left:
+            later = _state(after)
+            old_a, old_c = moves.get(later, (0, 0))
+            moves[later] = old_a + a, old_c + c
+    return moves
 
 
 def _degree_scan(m: int, d: int, examined: int, budget: int,
@@ -255,7 +323,7 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
         bits[v] = 1
     rem = [0] + [d - 1] * d + [d] * (m - d - 1)
     swaps = sum(1 << k for k in itertools.chain(range(1, d), range(d + 1, m - 1)))
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
     witnesses = 0
     first = None
 
@@ -299,7 +367,7 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
         if u + 1 < m and not cut:
             stack.append(row(u + 1, split))
             continue
-        examined += _graph_count(rem[u + 1:], memo) if cut else 1
+        examined += _assignment_count(rem[u + 1:], 1, memo)[0] if cut else 1
         if examined > budget:
             raise CapacityError(
                 f"degree scan exceeded budget {budget} at degree {d}")
@@ -476,22 +544,10 @@ def _plan(group: Group, m: int, cells: Sequence[tuple[int, int]], mode: str,
           budget: int) -> Iterator[tuple[Profile, frozenset[int], int]]:
     """Each profile with its forced cells and its candidate count."""
     n = group.order
-    # each Hamiltonian cycle through the parts, with blocks of size 1, is
-    # a profile, so the space has at least (m-1)!/2 candidates
-    floor = factorial(m - 1) // 2 if m >= 3 else 0
-    total = 0
     for profile in _profiles(m, n, budget):
         forced = (_support_forest(m, cells, profile)
                   if mode == "normalized" else frozenset())
-        space = _profile_space(n, profile, forced)
-        total += space
-        # checked per profile: enumerating the profile family itself can
-        # blow up long before the candidate total is known exactly
-        if max(total, floor) > budget:
-            raise CapacityError(
-                f"search space for {group.label}, m={m} in {mode} mode "
-                f"exceeds the budget of {budget} candidates")
-        yield profile, forced, space
+        yield profile, forced, _profile_space(n, profile, forced)
 
 
 # -- the public entry point ----------------------------------------------------
@@ -555,10 +611,36 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
 def space_size(group: Group, m: int, mode: str = "normalized",
                budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(profile count, candidate count) for the given search mode."""
+    """(profile count, candidate count) for the given search mode.
+
+    The profiles and their exhaustive candidates are counted valency by
+    valency, in walk order, and the space is refused as soon as a lower
+    bound on its candidates passes the budget.  In exhaustive mode the
+    count is exact and nothing is walked.  In normalized mode every
+    profile keeps at least one candidate, and each of its at most m-1
+    forest blocks keeps s/n of its comb(n, s), so the bound is
+    max(profiles, ceil(exhaustive / n^(m-1))); the exact count then
+    walks the plan.
+    """
     _check_mode(mode)
+    n = group.order
+    refusal = (f"search space for {group.label}, m={m} in {mode} mode "
+               f"exceeds the budget of {budget} candidates")
+    spread = n ** (m - 1) if mode == "normalized" else 1
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    profiles = total = 0
+    for d in range(n * (m - 1) + 1):
+        more_profiles, more = _assignment_count([d] * m, n, memo)
+        profiles += more_profiles
+        total += more
+        if max(profiles, -(-total // spread)) > budget:
+            raise CapacityError(refusal)
+    if mode == "exhaustive":
+        return profiles, total
     profiles = total = 0
     for _, _, space in _plan(group, m, _cells(m), mode, budget):
         profiles += 1
         total += space
+        if total > budget:
+            raise CapacityError(refusal)
     return profiles, total

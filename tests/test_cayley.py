@@ -151,6 +151,12 @@ def test_json_rejects_lower_triangle():
     ({"group": "C3", "m": 2, "entries": [{"i": 1, "j": 2}]}, "'elems'"),
     ({"group": "C3", "m": 2, "entries": [{"i": "1", "j": 2, "elems": []}]}, "'i'"),
     ({"group": "C3", "m": 2, "entries": [{"i": 1, "j": 2, "elems": [[1]]}]}, "'elems'"),
+    ({"group": "C6", "m": 3, "entries": [{"i": 1, "j": 2, "elems": [0]},
+                                         {"i": 1, "j": 2, "elems": [1]}]},
+     r"block \(1, 2\) given twice"),
+    ({"group": "C6", "m": 3, "entries": [{"i": 2, "j": 2, "elems": [1, 5]},
+                                         {"i": 2, "j": 2, "elems": [3]}]},
+     r"block \(2, 2\) given twice"),
 ])
 def test_json_names_the_malformed_field(data, field):
     with pytest.raises(CayleyError, match=field):

@@ -480,15 +480,44 @@ def test_parts_over_the_vertex_cap_exit_at_once():
         assert "over the cap of 1024" in proc.stderr
 
 
-def test_search_with_many_parts_exits_4_at_once():
-    # C2/50 has over 10^31 block-size profiles in 1,225 cells: the plan
-    # must refuse it without walking them, and without a recursion per cell
+@pytest.mark.parametrize("group,m", [("C2", 8), ("C2", 10), ("C2", 12), ("C2", 50),
+                                     ("C2", 512), ("C3", 341), ("C4", 256)])
+def test_search_with_many_parts_exits_4_at_once(group, m):
+    # the counted space passes the budget at a low valency (C2/8 at 5,
+    # C2/50 at 1 with its 49!! perfect matchings), before any profile is
+    # walked, and the count keeps no recursion per part or per cell
     start = time.perf_counter()
-    proc = fresh("search", "--group", "C2", "-m", "50")
-    assert time.perf_counter() - start < 5
+    proc = fresh("search", "--group", group, "-m", str(m))
+    assert time.perf_counter() - start < 2
     assert proc.returncode == EXIT_CAPACITY, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "exceeds the budget of 100000000 candidates" in proc.stderr
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_reverify_of_a_search_certificate_with_many_parts_exits_4_at_once(
+        capsys, tmp_path, m):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, *CERT_COMMANDS["search"], "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["m"] = m
+    cert_path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    proc = fresh("reverify", str(cert_path))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert "exceeds the budget" in proc.stderr
+
+
+def test_exhaustive_search_counted_within_the_budget_can_still_exit_4(capsys):
+    # C2/3 has 10 exhaustive candidates, but walking its profiles takes
+    # 24 steps: the count lets the search start, and the walk's step
+    # budget stops it before anything is printed
+    code, out, err = run(capsys, "search", "--group", "C2", "-m", "3",
+                         "--mode", "exhaustive", "--budget", "20")
+    assert code == EXIT_CAPACITY and out == ""
+    assert "take over 20 steps" in err
 
 
 LIST_MODULES = ("import sys, mhaar.cli\n"

@@ -115,6 +115,8 @@ def test_graph6_rejects_garbage():
         from_graph6("B")  # truncated body
     with pytest.raises(ValueError):
         from_graph6("A" + chr(30))  # character below the printable range
+    with pytest.raises(ValueError, match="has 300000 bytes, 10 vertices need 8"):
+        from_graph6("I" + "?" * 300_000)  # zero bits far past what n needs
 
 
 def test_graph6_header_over_the_cap_is_refused_before_the_body():

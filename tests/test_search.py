@@ -15,8 +15,8 @@ from mhaar.groups import (CapacityError, cyclic, dihedral, elem_abelian,
 from mhaar.search import (
     DEFAULT_BUDGET,
     SearchReport,
+    _assignment_count,
     _cells,
-    _graph_count,
     _plan,
     _profile_candidates,
     _profiles,
@@ -40,6 +40,8 @@ def test_space_sizes_exhaustive():
     assert space_size(cyclic(6), 3, "exhaustive") == (7, 15184)
     # same order, same profile geometry, group structure irrelevant
     assert space_size(dihedral(6), 3, "exhaustive") == (7, 15184)
+    assert space_size(dihedral(6), 4, "exhaustive", budget=10 ** 9) == (
+        343, 788_889_024)
 
 
 def test_space_sizes_normalized():
@@ -77,9 +79,43 @@ def test_profile_walk_has_a_step_budget():
         list(_profiles(6, 2, 115813))
 
 
-def test_space_size_refuses_many_parts_at_once():
-    # (m-1)!/2 Hamiltonian cycles through the parts are profiles of
-    # their own: 12!/2 > 10^8 at m = 13, 49!/2 at m = 50
+# the walked cases the count must reproduce; D6/4's exhaustive total is
+# over the default budget
+COUNTED = ([(cyclic(2), m) for m in range(3, 7)]
+           + [(cyclic(3), 4), (cyclic(3), 5), (elem_abelian(2, 2), 4),
+              (cyclic(4), 4), (cyclic(5), 4), (dihedral(6), 3), (dihedral(6), 4),
+              (cyclic(10), 2)])
+
+
+class Walked(Exception):
+    pass
+
+
+def no_walk(*args):
+    raise Walked
+
+
+@pytest.mark.parametrize("group,m", COUNTED,
+                         ids=[f"{g.label}-{m}" for g, m in COUNTED])
+def test_count_matches_the_walk(monkeypatch, group, m):
+    walked = {mode: [space for _, _, space in
+                     _plan(group, m, _cells(m), mode, DEFAULT_BUDGET)]
+              for mode in ("exhaustive", "normalized")}
+    monkeypatch.setattr(mhaar.search, "_profiles", no_walk)
+    # exhaustive: exact, and no profile is walked
+    exhaustive = walked["exhaustive"]
+    assert space_size(group, m, "exhaustive", budget=sum(exhaustive)) == (
+        len(exhaustive), sum(exhaustive))
+    # normalized: the bound lets a budget of the exact total reach the walk
+    with pytest.raises(Walked):
+        space_size(group, m, "normalized", budget=sum(walked["normalized"]))
+
+
+def test_space_size_refuses_many_parts_at_once(monkeypatch):
+    # the count passes the budget at a low valency, before any profile is
+    # walked: at m = 13 the 752,587,764 profiles of valency 2, at m = 50
+    # the 49!! perfect matchings of valency 1
+    monkeypatch.setattr(mhaar.search, "_profiles", no_walk)
     for m in (13, 50):
         with pytest.raises(CapacityError, match="exceeds the budget"):
             space_size(cyclic(2), m)
@@ -552,7 +588,7 @@ def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine, early_exit
 def test_graph_count_counts_the_full_stream(m, d):
     # a cut prefix is counted, not walked; from the root the count is the
     # whole stream, 0 when m*d is odd
-    assert _graph_count([d - 1] * d + [d] * (m - d - 1), {}) == sum(
+    assert _assignment_count([d - 1] * d + [d] * (m - d - 1), 1, {})[0] == sum(
         1 for _ in _regular_graphs_seeded(m, d))
 
 
