@@ -223,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="normalized")
     p.add_argument("--budget", type=int, default=10 ** 8,
                    help="candidate cap before refusing (default 1e8)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that decide profiles in parallel, at most "
+                        "one per profile (default 1)")
     p.add_argument("--count-all", action="store_true",
                    help="keep searching past the first witness")
     p.add_argument("--out", metavar="FILE", help="write the witness matrix JSON")

@@ -50,6 +50,20 @@ candidate.  Skipping stops at the first witness of a profile (or
 degree), so counts of all witnesses are unchanged too.  Exhaustive mode
 skips nothing and stays a literal check.
 
+Normalized mode also skips whole profiles (McKay 1998).  Relabelling the
+parts by a permutation t maps a candidate of profile P onto an
+isomorphic candidate of profile t(P), inverting a block whose parts
+change order; t(P) has P's row sums, so it is a profile of the same
+valency.  If t(P) is lexicographically smaller, it came earlier in the
+walk, and its normalized candidates hold every isomorphism class of its
+profile, so P holds no witness unless t(P) did.  So until the first
+witness, such a profile is counted in `examined` and never decided.
+After it, every profile is decided, since an earlier profile with
+witnesses says nothing about how many P holds; so `--count-all` counts
+stay exact.  A pool plans profiles ahead of its results, so it skips
+profiles only when it stops at the first witness.  At m <= 3 every
+profile is least: its row sums force all sizes equal.
+
 The degree scan is orderly (Read 1978; McKay 1998): a swap decides
 "earlier" on a prefix of rows, so it is tested as each row is fixed, and
 a prefix whose every completion maps to an earlier graph is cut without
@@ -505,16 +519,68 @@ def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
     return earlier
 
 
+def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
+                       ) -> Callable[[Profile], bool]:
+    """A test for whether relabelling the parts maps a profile onto a
+    lexicographically smaller one.
+
+    The image under p -> t(p) has size[t(i)][t(j)] at cell (i, j).  The
+    t(j) are chosen in part order, and image cells are compared in cell
+    order as soon as both of their parts are set, so a larger leading
+    cell prunes, as in `_translation_check`.
+    """
+    at = [[0] * (m + 1) for _ in range(m + 1)]
+    for c, (i, j) in enumerate(cells):
+        at[i][j] = at[j][i] = c
+    t = [0] * (m + 1)
+    free = [True] * (m + 1)
+
+    def earlier(profile: Profile) -> bool:
+        size = [[profile[c] for c in row] for row in at]
+
+        def rec(j: int, pos: int) -> bool:
+            # parts before j are placed; the image matches cells[:pos]
+            for x in range(1, m + 1):
+                if not free[x]:
+                    continue
+                t[j] = x
+                p = pos
+                while p < len(cells) and cells[p][1] <= j:
+                    i, k = cells[p]
+                    s = size[t[i]][t[k]]
+                    if s != profile[p]:
+                        if s < profile[p]:
+                            return True
+                        break
+                    p += 1
+                else:
+                    if j < m:
+                        free[x] = False
+                        below = rec(j + 1, p)
+                        free[x] = True
+                        if below:
+                            return True
+            return False
+
+        return rec(1, 0)
+
+    return earlier
+
+
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                  early_exit: bool, skip: bool,
-                 planned: tuple[Profile, frozenset[int], int]
+                 planned: tuple[Profile, Optional[frozenset[int]], int]
                  ) -> tuple[int, int, Optional[dict]]:
     """Scan one planned profile; returns (examined, witnesses, first blocks).
 
     With skip, a candidate that a part translation maps to an earlier
     one is counted but not decided, until the profile's first witness.
+    A profile planned with forced cells None was decided with an earlier
+    one: its candidates are counted, and none is decided.
     """
     profile, forced, space = planned
+    if forced is None:
+        return space, 0, None
     target = group.order
     earlier = (_translation_check(group, m, cells, profile, forced)
                if skip and space > 1 else None)
@@ -576,6 +642,7 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     t0 = time.perf_counter()
     # counted first, so an oversized space is refused before any candidate
     profiles, total = space_size(group, m, mode, budget)
+    workers = min(workers, profiles)
     cells = _cells(m)
     plan = _plan(group, m, cells, mode, budget)
     run = functools.partial(_run_profile, group, m, cells, early_exit,
@@ -583,6 +650,13 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
     examined = witnesses = 0
     witness_blocks = None
+    if mode == "normalized" and (workers == 1 or early_exit):
+        # until the first witness, a profile that a part relabelling maps
+        # to an earlier one is decided with it (a pool plans ahead of its
+        # results, so it skips only when it stops at the first witness)
+        earlier = _relabelling_check(m, cells)
+        plan = ((profile, None if witness_blocks is None and earlier(profile)
+                 else forced, space) for profile, forced, space in plan)
     with contextlib.ExitStack() as stack:
         if workers == 1:
             results = map(run, plan)

@@ -20,6 +20,7 @@ from mhaar.search import (
     _plan,
     _profile_candidates,
     _profiles,
+    _relabelling_check,
     _translation_check,
     c1_regular_asymmetric_scan,
     decide_existence,
@@ -193,6 +194,32 @@ def test_workers_change_nothing():
     assert duo.witness.upper_items() == solo.witness.upper_items()
 
 
+def test_pool_holds_at_most_one_worker_per_profile(monkeypatch):
+    import multiprocessing
+    sizes = []
+
+    class RecordingPool:
+        # records its size and runs the tasks here, starting no process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    solo = decide_existence(cyclic(4), 3)
+    assert solo.profiles == 5
+    assert outcome(decide_existence(cyclic(4), 3, workers=64)) == outcome(solo)
+    assert outcome(decide_existence(cyclic(4), 3, workers=3)) == outcome(solo)
+    assert sizes == [5, 3]
+
+
 def test_argument_validation():
     with pytest.raises(ValueError, match="m must be >= 2"):
         decide_existence(cyclic(2), 1)
@@ -361,7 +388,7 @@ def reference_scan(m, early_exit, engine):
 # one engine call per candidate.
 
 
-def literal_search(group, m, early_exit=True):
+def literal_search(group, m, early_exit=True, engine=only_translations):
     cells = _cells(m)
     examined = witnesses = 0
     first = None
@@ -370,7 +397,7 @@ def literal_search(group, m, early_exit=True):
             examined += 1
             blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
             cm = ConnectionMatrix(group, m, blocks)
-            if only_translations(build_graph(cm), group.order):
+            if engine(build_graph(cm), group.order):
                 witnesses += 1
                 if first is None:
                     first = cm
@@ -414,7 +441,8 @@ ORDER_AT_MOST_8 = ["C1", "C2", "C3", "C4", "C2^2", "C5", "C6", "C2xC3", "D6",
 
 @pytest.mark.parametrize("spec,m", [(spec, 2) for spec in ORDER_AT_MOST_8] + [
     ("C2", 3), ("C2", 4), ("C2", 5), ("C2", 6), ("C3", 3), ("C3", 4),
-    ("C5", 3), ("C2^2", 3), ("C4", 3), ("D6", 3)])
+    ("C5", 3), ("C2^2", 3), ("C4", 3), ("D6", 3), ("C4", 4), ("C2^2", 4),
+    ("C3", 5), ("D6", 4)])
 def test_skip_agrees_with_the_literal_loop(spec, m):
     group = parse_group_spec(spec)
     expected = (literal_scan(m) if group.order == 1
@@ -422,11 +450,29 @@ def test_skip_agrees_with_the_literal_loop(spec, m):
     assert outcome(decide_existence(group, m)) == expected
 
 
-def test_skip_keeps_every_witness_counted():
+def sparse_triangle_free(graph, n):
+    return all(graph.degree(v) >= 3 and not graph.on_triangle(v)
+               for v in range(graph.n))
+
+
+def test_skip_keeps_every_witness_counted(monkeypatch):
     expected = literal_search(cyclic(6), 3, early_exit=False)
     assert expected[:3] == (True, 4033, 672)
     for workers in (1, 2):
         r = decide_existence(cyclic(6), 3, workers=workers, early_exit=False)
+        assert outcome(r) == expected
+    # across profiles: a stand-in engine that answers an isomorphism
+    # invariant, with witnesses in profiles that relabelling maps to
+    # earlier ones; the first is candidate 44, after skipped profiles
+    monkeypatch.setattr(mhaar.search, "only_translations", sparse_triangle_free)
+    first = literal_search(cyclic(4), 4, engine=sparse_triangle_free)
+    assert first[1:3] == (44, 1)
+    assert outcome(decide_existence(cyclic(4), 4)) == first
+    expected = literal_search(cyclic(4), 4, early_exit=False,
+                              engine=sparse_triangle_free)
+    assert expected[:3] == (True, 45036, 2239)
+    for workers in (1, 2):
+        r = decide_existence(cyclic(4), 4, workers=workers, early_exit=False)
         assert outcome(r) == expected
 
 
@@ -479,6 +525,23 @@ def test_translation_check_matches_every_translation(group, m, largest):
                 group, m, cells, forced, choice), (profile, choice)
 
 
+def relabelling_gives_earlier(m, cells, profile):
+    """Try every relabelling of the parts, without pruning."""
+    size = {}
+    for (i, j), s in zip(cells, profile):
+        size[i, j] = size[j, i] = s
+    return any(tuple(size[t[i - 1], t[j - 1]] for i, j in cells) < profile
+               for t in itertools.permutations(range(1, m + 1)))
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
+def test_relabelling_check_matches_every_relabelling(m, n):
+    cells = _cells(m)
+    earlier = _relabelling_check(m, cells)
+    for profile in _profiles(m, n, DEFAULT_BUDGET):
+        assert earlier(profile) == relabelling_gives_earlier(m, cells, profile), profile
+
+
 def swap_gives_earlier(graph, d):
     """Swap each adjacent pair of {1..d} and of {d+1..m-1}, then compare."""
     n = graph.n
@@ -514,6 +577,14 @@ def test_skip_cuts_engine_calls(engine_calls):
     assert decide_existence(dihedral(6), 3).examined == 4033
     assert len(engine_calls) <= 403
     engine_calls.clear()
+    # a fourfold cut against translations alone (346 and 2,600 calls):
+    # part relabellings leave 81 and 76
+    assert decide_existence(cyclic(2), 5).examined == 658
+    assert len(engine_calls) <= 86
+    engine_calls.clear()
+    assert decide_existence(cyclic(2), 6).examined == 3892
+    assert len(engine_calls) <= 650
+    engine_calls.clear()
     # the degree scan leaves 81 calls of 14,634
     assert c1_regular_asymmetric_scan(9).examined == 14634
     assert len(engine_calls) <= 1463
@@ -522,6 +593,10 @@ def test_skip_cuts_engine_calls(engine_calls):
 def test_exhaustive_mode_decides_every_candidate(engine_calls):
     r = decide_existence(elem_abelian(2, 2), 3, mode="exhaustive")
     assert r.examined == len(engine_calls) == 346
+    engine_calls.clear()
+    # 27 profiles, many of them relabellings of each other
+    r = decide_existence(cyclic(2), 4, mode="exhaustive")
+    assert r.examined == len(engine_calls) == 216
 
 
 @pytest.mark.parametrize("group,m,mode", [
