@@ -463,7 +463,8 @@ def test_skip_keeps_every_witness_counted(monkeypatch):
         assert outcome(r) == expected
     # across profiles: a stand-in engine that answers an isomorphism
     # invariant, with witnesses in profiles that relabelling maps to
-    # earlier ones; the first is candidate 44, after skipped profiles
+    # earlier ones; the first is candidate 44, after skipped profiles.
+    # The pool's workers are forked, so they see the stand-in too
     monkeypatch.setattr(mhaar.search, "only_translations", sparse_triangle_free)
     first = literal_search(cyclic(4), 4, engine=sparse_triangle_free)
     assert first[1:3] == (44, 1)
