@@ -220,10 +220,15 @@ def _reverify_classified(cert: dict, group: Group) -> CertificateCheck:
 
 
 def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
-    from .search import decide_existence
+    from .search import decide_existence, space_size
     claimed = cert["evidence"]
     mode = claimed.get("mode", "normalized")
     rerun_mode = mode if mode in ("normalized", "exhaustive") else "normalized"
+    if group.order > 1:  # C1's scan claims no sizes; a forged one needs no rerun
+        profiles, total = space_size(group, cert["m"], rerun_mode)
+        check = _compare(claimed, {"profiles": profiles, "total_space": total})
+        if not check:
+            return check
     # a witness fails the claim, so the rerun may stop at the first one
     report = decide_existence(group, cert["m"], mode=rerun_mode)
     if report.exists:

@@ -19,11 +19,11 @@ force the identity into every forest block.  Every isomorphism class
 with that profile keeps a representative, so existence answers agree
 with exhaustive mode; only the candidate counts differ.
 
-The space is sized before any candidate by one memoized count of size
-assignments on the parts' remaining row sums (`_assignment_count`).  It
-gives each valency's profiles and exhaustive candidates without walking
-them, and the search is refused once a lower bound on its candidates
-passes the budget (see `space_size`).
+The space is sized before any candidate (see `space_size`): a memoized
+count on degree classes bounds it, and normalized mode then counts its
+candidates exactly over the cell states that the profile walk takes.
+One memo serves both, so the walk enters only states that hold profiles
+and needs no budget of its own.
 
 The trivial group gets its own scanner: its blocks are 0/1, so
 candidates are plain d-regular graphs, enumerated row by row with
@@ -79,8 +79,8 @@ import contextlib
 import functools
 import itertools
 import time
-from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from math import comb, prod
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
 from .cayley import ConnectionMatrix, build_graph
@@ -100,86 +100,6 @@ def _cells(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
 
 
-def _profiles(m: int, n: int, budget: int) -> Iterator[Profile]:
-    """Equal-row-sum size assignments, ascending by valency then lex.
-
-    The walk fills cells row by row; a row closes at its last cell, whose
-    size must bring the row's sum to the target valency.  Each size it
-    sets is a step, and more than `budget` steps raise CapacityError: the
-    profile family alone can be far too large to walk.
-    """
-    cells = _cells(m)
-    last: dict[int, int] = {}  # each row's last cell
-    for idx, (i, j) in enumerate(cells):
-        last[i] = last[j] = idx
-    closing = [[r for r in cell if last[r] == idx] for idx, cell in enumerate(cells)]
-    steps = 0
-    for d in range(0, n * (m - 1) + 1):
-        sums = [0] * (m + 1)
-        out: list[int] = []  # the sizes set so far, one per cell
-        tops: list[int] = []  # the largest size each of those cells allows
-        while True:
-            idx = len(out)
-            if idx == len(cells):
-                yield tuple(out)
-                lo, hi = 1, 0
-            else:
-                i, j = cells[idx]
-                lo, hi = 0, min(n, d - sums[i], d - sums[j])
-                for r in closing[idx]:
-                    lo = max(lo, d - sums[r])
-                    hi = min(hi, d - sums[r])
-            # set the least size here, or else the next size of the
-            # deepest earlier cell that has one
-            while lo > hi and out:
-                s, hi = out.pop(), tops.pop()
-                idx = len(out)
-                i, j = cells[idx]
-                sums[i] -= s
-                sums[j] -= s
-                lo = s + 1
-            if lo > hi:
-                break
-            steps += 1
-            if steps > budget:
-                raise CapacityError(
-                    f"the block-size profiles for m={m}, |G|={n} take over "
-                    f"{budget} steps to enumerate")
-            out.append(lo)
-            tops.append(hi)
-            sums[i] += lo
-            sums[j] += lo
-
-
-def _support_forest(m: int, cells: Sequence[tuple[int, int]],
-                    profile: Profile) -> frozenset[int]:
-    """Cell indices forming a spanning forest of the nonempty support."""
-    parent = list(range(m + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    forest = set()
-    for idx, (i, j) in enumerate(cells):
-        if profile[idx] == 0:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            forest.add(idx)
-    return frozenset(forest)
-
-
-def _profile_space(n: int, profile: Profile, forced: frozenset[int]) -> int:
-    total = 1
-    for idx, s in enumerate(profile):
-        total *= comb(n - 1, s - 1) if idx in forced else comb(n, s)
-    return total
-
-
 def _profile_candidates(n: int, profile: Profile,
                         forced: frozenset[int]) -> Iterator[Blocks]:
     pools = []
@@ -190,6 +110,52 @@ def _profile_candidates(n: int, profile: Profile,
         else:
             pools.append(list(itertools.combinations(range(n), s)))
     return itertools.product(*pools)
+
+
+# -- the block-size profiles: one walk over the cells in order -----------------
+
+CellState = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+def _cell_moves(state: CellState, m: int, n: int
+                ) -> list[tuple[int, bool, int, CellState]]:
+    """(size, forest, factor, next state) for each size the cell may take.
+
+    A state is the next cell (i, j), what parts i..m still need of their
+    row sums, and their components so far, labelled in order of first
+    appearance.  A row's last cell must meet its need; the last cell
+    meets part m's too.  A nonempty cell joining two components is in the
+    spanning forest of a greedy union-find in cell order: normalized mode
+    keeps comb(n-1, s-1) of its blocks, and comb(n, s) of any other's.
+    """
+    i, j, need, comp = state
+    b = j - i  # part j's place among the open parts; part i's is 0
+    lo = max(need) if i == m - 1 else need[0] if j == m else 0
+    moves = []
+    for s in range(lo, min(n, need[0], need[b]) + 1):
+        left = [r - s if k in (0, b) else r for k, r in enumerate(need)]
+        # part i is labelled 0; merging label comp[b] into it keeps the order
+        forest = s > 0 and comp[b] != 0
+        parts = (tuple(0 if c == comp[b] else c - (c > comp[b]) for c in comp)
+                 if forest else comp)
+        if j < m:
+            later = (i, j + 1, tuple(left), parts)
+        else:  # row i closes, and the other parts are labelled afresh
+            labels: dict[int, int] = {}
+            later = (i + 1, i + 2, tuple(left[1:]),
+                     tuple(labels.setdefault(c, len(labels)) for c in parts[1:]))
+        moves.append((s, forest, comb(n - 1, s - 1) if forest else comb(n, s), later))
+    return moves
+
+
+def _counted_root(m: int, n: int, d: int, memo: dict) -> CellState:
+    """The first cell state of valency d, once memo holds it and every
+    later state as (profiles, normalized candidates)."""
+    memo.setdefault((m, m + 1, (0,), (0,)), (1, 1))  # every cell is set
+    root = (1, 2, (d,) * m, tuple(range(m)))
+    _evaluate(root, lambda state: [(later, (1, factor)) for _, _, factor, later
+                                   in _cell_moves(state, m, n)], memo)
+    return root
 
 
 class SearchReport(NamedTuple):
@@ -231,8 +197,7 @@ def _assignment_count(sums: Sequence[int], n: int,
 
     The count depends only on how many vertices need each degree, so a
     state is that class vector (entry e-1 counts the vertices that need
-    e), and the memo is keyed on it.  States are evaluated from an
-    explicit stack, so no recursion grows with the number of vertices.
+    e), and the memo is keyed on it.
     """
     memo.setdefault((), (1, 1))
     if sum(sums) % 2:
@@ -240,27 +205,32 @@ def _assignment_count(sums: Sequence[int], n: int,
     classes = [0] * (max(sums, default=0) + 1)
     for r in sums:
         classes[r] += 1
-    root = _state(classes)
+    return _evaluate(_state(classes), lambda state: _moves(state, n).items(), memo)
+
+
+def _evaluate(root, moves: Callable[..., Iterable], memo: dict) -> tuple[int, int]:
+    """memo[root]: a state's pair sums a and c times the later pair of its
+    (later, (a, c)) moves, from an explicit stack and final states in memo."""
     stack: list[list] = [[root, None]]
     while stack:
         frame = stack[-1]
-        state, moves = frame
+        state, later = frame
         if state in memo:
             stack.pop()
             continue
-        if moves is None:
-            moves = frame[1] = _moves(state, n)
-            missing = [[later, None] for later in moves if later not in memo]
+        if later is None:
+            later = frame[1] = list(moves(state))
+            missing = [[after, None] for after, _ in later if after not in memo]
             if missing:
                 stack.extend(missing)
                 continue
         stack.pop()
-        assignments = candidates = 0
-        for later, (a, c) in moves.items():
-            later_a, later_c = memo[later]
-            assignments += a * later_a
-            candidates += c * later_c
-        memo[state] = assignments, candidates
+        first = second = 0
+        for after, (a, c) in later:
+            after_a, after_c = memo[after]
+            first += a * after_a
+            second += c * after_c
+        memo[state] = first, second
     return memo[root]
 
 
@@ -606,14 +576,32 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'normalized' or 'exhaustive', got {mode!r}")
 
 
-def _plan(group: Group, m: int, cells: Sequence[tuple[int, int]], mode: str,
-          budget: int) -> Iterator[tuple[Profile, frozenset[int], int]]:
-    """Each profile with its forced cells and its candidate count."""
+def _plan(group: Group, m: int, mode: str,
+          memo: dict) -> Iterator[tuple[Profile, frozenset[int], int]]:
+    """Each profile with its forced cells and its candidate count.
+
+    The profiles come by valency, then in lex order, from a walk over the
+    cell states of `_cell_moves` (as deep as there are cells) that enters
+    only states with profiles counted in memo (the sizing's), so every
+    branch ends in a profile.  Normalized mode forces the forest cells.
+    """
     n = group.order
-    for profile in _profiles(m, n, budget):
-        forced = (_support_forest(m, cells, profile)
-                  if mode == "normalized" else frozenset())
-        yield profile, forced, _profile_space(n, profile, forced)
+    normalized = mode == "normalized"
+
+    def walk(state: CellState, taken: tuple) -> Iterator:
+        if state[0] == m:  # every cell is set
+            yield (tuple(s for s, _, _, _ in taken),
+                   frozenset(idx for idx, (_, forest, _, _) in enumerate(taken)
+                             if forest and normalized),
+                   prod(factor if normalized else comb(n, s)
+                        for s, _, factor, _ in taken))
+            return
+        for move in _cell_moves(state, m, n):
+            if memo[move[3]][0]:
+                yield from walk(move[3], taken + (move,))
+
+    for d in range(n * (m - 1) + 1):
+        yield from walk(_counted_root(m, n, d, memo), ())
 
 
 # -- the public entry point ----------------------------------------------------
@@ -641,10 +629,11 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
     t0 = time.perf_counter()
     # counted first, so an oversized space is refused before any candidate
-    profiles, total = space_size(group, m, mode, budget)
+    memo: dict = {}  # the cell states, counted once for sizing and walking
+    profiles, total = _space_size(group, m, mode, budget, memo)
     workers = min(workers, profiles)
     cells = _cells(m)
-    plan = _plan(group, m, cells, mode, budget)
+    plan = _plan(group, m, mode, memo)
     run = functools.partial(_run_profile, group, m, cells, early_exit,
                             mode == "normalized")
 
@@ -687,24 +676,29 @@ def space_size(group: Group, m: int, mode: str = "normalized",
                budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(profile count, candidate count) for the given search mode.
 
-    The profiles and their exhaustive candidates are counted valency by
-    valency, in walk order, and the space is refused as soon as a lower
-    bound on its candidates passes the budget.  In exhaustive mode the
-    count is exact and nothing is walked.  In normalized mode every
-    profile keeps at least one candidate, and each of its at most m-1
-    forest blocks keeps s/n of its comb(n, s), so the bound is
-    max(profiles, ceil(exhaustive / n^(m-1))); the exact count then
-    walks the plan.
+    Valency by valency, the profiles and exhaustive candidates are counted
+    on degree classes (`_assignment_count`), exact in exhaustive mode, and
+    the space is refused once a lower bound on its candidates passes the
+    budget: in normalized mode every profile keeps a candidate, and each of
+    its at most m-1 forest blocks keeps s/n of its comb(n, s), so the bound
+    is max(profiles, ceil(exhaustive / n^(m-1))).  Normalized mode then
+    counts its candidates exactly, over the cell states of `_cell_moves`.
     """
+    return _space_size(group, m, mode, budget, {})
+
+
+def _space_size(group: Group, m: int, mode: str, budget: int,
+                memo: dict) -> tuple[int, int]:
     _check_mode(mode)
     n = group.order
+    check_vertex_cap(m * n)
     refusal = (f"search space for {group.label}, m={m} in {mode} mode "
                f"exceeds the budget of {budget} candidates")
     spread = n ** (m - 1) if mode == "normalized" else 1
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    classes: dict[tuple[int, ...], tuple[int, int]] = {}
     profiles = total = 0
     for d in range(n * (m - 1) + 1):
-        more_profiles, more = _assignment_count([d] * m, n, memo)
+        more_profiles, more = _assignment_count([d] * m, n, classes)
         profiles += more_profiles
         total += more
         if max(profiles, -(-total // spread)) > budget:
@@ -712,9 +706,10 @@ def space_size(group: Group, m: int, mode: str = "normalized",
     if mode == "exhaustive":
         return profiles, total
     profiles = total = 0
-    for _, _, space in _plan(group, m, _cells(m), mode, budget):
-        profiles += 1
-        total += space
+    for d in range(n * (m - 1) + 1):
+        more_profiles, more = memo[_counted_root(m, n, d, memo)]
+        profiles += more_profiles
+        total += more
         if total > budget:
             raise CapacityError(refusal)
     return profiles, total

@@ -510,14 +510,50 @@ def test_reverify_of_a_search_certificate_with_many_parts_exits_4_at_once(
     assert "exceeds the budget" in proc.stderr
 
 
-def test_exhaustive_search_counted_within_the_budget_can_still_exit_4(capsys):
-    # C2/3 has 10 exhaustive candidates, but walking its profiles takes
-    # 24 steps: the count lets the search start, and the walk's step
-    # budget stops it before anything is printed
+def test_exhaustive_search_counted_within_the_budget_is_decided(capsys):
+    # C2/3 has 10 exhaustive candidates: a budget of 20 admits them all,
+    # and the profile walk charges nothing of its own
     code, out, err = run(capsys, "search", "--group", "C2", "-m", "3",
                          "--mode", "exhaustive", "--budget", "20")
-    assert code == EXIT_CAPACITY and out == ""
-    assert "take over 20 steps" in err
+    assert code == EXIT_NEGATIVE and not err
+    assert out.splitlines()[0] == "C2 m=3 [exhaustive] examined 10/10: none exist"
+
+
+# the paper gives C2 an m-HGR for every m >= 6; at m = 7 the normalized
+# count (302,889 profiles) sizes the space without walking it. The time
+# bounds hold with a slow interpreter start
+def test_search_c2_m7_counts_its_space_and_finds_a_witness():
+    start = time.perf_counter()
+    proc = fresh("search", "--group", "C2", "-m", "7")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "C2 m=7 [normalized] examined 6412/23106776: witness found (1 seen)")
+
+
+def test_search_c3_m6_is_refused_by_its_count():
+    # 737,396,860 normalized candidates
+    start = time.perf_counter()
+    proc = fresh("search", "--group", "C3", "-m", "6")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr
+    assert "exceeds the budget of 100000000 candidates" in proc.stderr
+
+
+def test_reverify_of_a_search_certificate_edited_to_m7(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, *CERT_COMMANDS["search"], "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["m"] = 7
+    for recounted, field in [(False, "evidence.profiles"), (True, "kind")]:
+        if recounted:  # the true sizes reach the rerun, which finds a witness
+            cert["evidence"].update(profiles=302_889, total_space=23_106_776)
+        cert_path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        proc = fresh("reverify", str(cert_path))
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == EXIT_NEGATIVE, proc.stderr
+        assert f"certificate fails at '{field}'" in proc.stdout
 
 
 LIST_MODULES = ("import sys, mhaar.cli\n"

@@ -11,6 +11,7 @@ import pytest
 import mhaar
 import mhaar.autos
 import mhaar.cayley
+import mhaar.search
 from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
@@ -30,7 +31,7 @@ from mhaar.report import (
     search_certificate,
     write_certificate,
 )
-from mhaar.search import SearchReport, decide_existence
+from mhaar.search import SearchReport, decide_existence, space_size
 
 
 KEY_ORDER = ["schema", "tool_version", "kind", "group", "m", "route",
@@ -332,20 +333,46 @@ def test_reverify_search_tampering():
     cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
     check = reverify(tampered(cert, evidence__examined=17))
     assert not check.ok and check.field == "evidence.examined"
-    # claiming searched nonexistence for a pair that has witnesses
+    # claiming searched nonexistence for a pair that has witnesses, with
+    # the pair's own sizes, so that only the rerun can refute it
+    profiles, total = space_size(cyclic(6), 3)
     lying = tampered(cert, group__table=cyclic(6).to_json()["table"],
-                     group__order=6, evidence__group_order=6)
+                     group__order=6, evidence__group_order=6,
+                     evidence__profiles=profiles, evidence__total_space=total)
     check = reverify(lying)
     assert not check.ok and check.field == "kind"
     assert "finds a witness" in check.detail
+
+
+def no_rerun(*args, **kwargs):
+    raise AssertionError("the search was rerun")
+
+
+def test_reverify_counts_the_claimed_sizes_before_the_rerun(monkeypatch):
+    cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    monkeypatch.setattr(mhaar.search, "decide_existence", no_rerun)
+    for dotted, bad, field in [("evidence__total_space", 5, "evidence.total_space"),
+                               ("evidence__profiles", 4, "evidence.profiles"),
+                               ("evidence__total_space", None, "evidence.total_space")]:
+        check = reverify(tampered(cert, **{dotted: bad}))
+        assert not check.ok and check.field == field
+    # C2 has 7-part witnesses; the edited claim fails at its counts, in
+    # about a second, without a rerun
+    start = time.perf_counter()
+    check = reverify(tampered(cert, m=7))
+    assert time.perf_counter() - start < 10
+    assert (check.field, check.detail) == ("evidence.profiles",
+                                            "claimed 3, recomputed 302889")
 
 
 def test_reverify_of_an_edited_search_certificate_stops_at_a_witness():
     # C2 has 6-part witnesses; the rerun stops at the first one instead of
     # walking the rest of the space
     cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    profiles, total = space_size(cyclic(2), 6)
     start = time.perf_counter()
-    check = reverify(tampered(cert, m=6))
+    check = reverify(tampered(cert, m=6, evidence__profiles=profiles,
+                              evidence__total_space=total))
     assert time.perf_counter() - start < 5
     assert not check.ok and check.field == "kind"
     assert "finds a witness for C2, m=6" in check.detail

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from math import comb, prod
 
 import pytest
 
@@ -13,13 +14,11 @@ from mhaar.graphs import Graph
 from mhaar.groups import (CapacityError, cyclic, dihedral, elem_abelian,
                           parse_group_spec, quaternion8)
 from mhaar.search import (
-    DEFAULT_BUDGET,
     SearchReport,
     _assignment_count,
     _cells,
     _plan,
     _profile_candidates,
-    _profiles,
     _relabelling_check,
     _translation_check,
     c1_regular_asymmetric_scan,
@@ -52,6 +51,7 @@ def test_space_sizes_normalized():
     assert space_size(cyclic(2), 5, "normalized") == (119, 658)
     assert space_size(elem_abelian(2, 2), 3, "normalized") == (5, 96)
     assert space_size(cyclic(6), 3, "normalized") == (7, 4033)
+    assert space_size(cyclic(2), 7, "normalized") == (302_889, 23_106_776)
 
 
 def test_space_size_budget():
@@ -61,23 +61,66 @@ def test_space_size_budget():
         space_size(cyclic(2), 3, "fast")
 
 
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 4)])
-def test_profiles_are_every_equal_row_sum_assignment(m, n):
+@functools.cache
+def reference_plan(m, n, mode):
+    """`_plan` written out: every size tuple from itertools.product with
+    equal row sums, by valency and then sizes, each with the forest that
+    a greedy union-find finds in cell order (none in exhaustive mode) and
+    its product of comb factors.
+
+    The product is taken a row at a time, and the rows whose cells are
+    all set are checked at once, which keeps the same tuples in the same
+    order."""
     cells = _cells(m)
-    expected = sorted(
-        (sizes for sizes in itertools.product(range(n + 1), repeat=len(cells))
-         if len({sum(s for s, cell in zip(sizes, cells) if r in cell)
-                 for r in range(1, m + 1)}) <= 1),
-        key=lambda sizes: (sum(s for s, cell in zip(sizes, cells) if 1 in cell),
-                           sizes))
-    assert list(_profiles(m, n, DEFAULT_BUDGET)) == expected
+    kept = [((), (0,) * (m + 1))]  # sizes so far, with every row's sum
+    for i in range(1, m):  # row i's cells (i, i+1), ..., (i, m)
+        closed = slice(1, m + 1) if i == m - 1 else slice(1, i + 1)
+        grown = []
+        for head, sums in kept:
+            for tail in itertools.product(range(n + 1), repeat=m - i):
+                after = list(sums)
+                after[i] += sum(tail)
+                for j, s in enumerate(tail, i + 1):
+                    after[j] += s
+                if len(set(after[closed])) == 1:
+                    grown.append((head + tail, tuple(after)))
+        kept = grown
+    plan = []
+    for sizes, sums in sorted(kept, key=lambda pair: (pair[1][1], pair[0])):
+        parent = list(range(m + 1))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        forest = set()
+        for idx, ((i, j), s) in enumerate(zip(cells, sizes)):
+            if s and mode == "normalized" and find(i) != find(j):
+                parent[find(i)] = find(j)
+                forest.add(idx)
+        plan.append((sizes, frozenset(forest),
+                     prod(comb(n - 1, s - 1) if idx in forest else comb(n, s)
+                          for idx, s in enumerate(sizes))))
+    return plan
 
 
-def test_profile_walk_has_a_step_budget():
-    # the 7,245 profiles of C2/6 take 115,814 steps
-    assert sum(1 for _ in _profiles(6, 2, 115814)) == 7245
-    with pytest.raises(CapacityError, match="over 115813 steps"):
-        list(_profiles(6, 2, 115813))
+# m <= 4 with |G| <= 4, m = 5 with |G| <= 3 and m = 6 with |G| <= 2
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)]
+                         + [(5, n) for n in range(1, 4)] + [(6, 1), (6, 2)])
+def test_profiles_are_every_equal_row_sum_assignment(m, n):
+    for mode in ("normalized", "exhaustive"):
+        assert list(_plan(cyclic(n), m, mode, {})) == reference_plan(m, n, mode)
+    # the profiles alone, from the whole product at once
+    cells = _cells(m)
+    if len(cells) <= 6:
+        expected = sorted(
+            (sizes for sizes in itertools.product(range(n + 1), repeat=len(cells))
+             if len({sum(s for s, cell in zip(sizes, cells) if r in cell)
+                     for r in range(1, m + 1)}) <= 1),
+            key=lambda sizes: (sum(s for s, cell in zip(sizes, cells) if 1 in cell),
+                               sizes))
+        assert [sizes for sizes, _, _ in reference_plan(m, n, "normalized")] == expected
 
 
 # the walked cases the count must reproduce; D6/4's exhaustive total is
@@ -99,24 +142,22 @@ def no_walk(*args):
 @pytest.mark.parametrize("group,m", COUNTED,
                          ids=[f"{g.label}-{m}" for g, m in COUNTED])
 def test_count_matches_the_walk(monkeypatch, group, m):
-    walked = {mode: [space for _, _, space in
-                     _plan(group, m, _cells(m), mode, DEFAULT_BUDGET)]
-              for mode in ("exhaustive", "normalized")}
-    monkeypatch.setattr(mhaar.search, "_profiles", no_walk)
-    # exhaustive: exact, and no profile is walked
-    exhaustive = walked["exhaustive"]
-    assert space_size(group, m, "exhaustive", budget=sum(exhaustive)) == (
-        len(exhaustive), sum(exhaustive))
-    # normalized: the bound lets a budget of the exact total reach the walk
-    with pytest.raises(Walked):
-        space_size(group, m, "normalized", budget=sum(walked["normalized"]))
+    # exact in both modes, refused one candidate lower, and no profile
+    # is walked
+    monkeypatch.setattr(mhaar.search, "_plan", no_walk)
+    for mode in ("exhaustive", "normalized"):
+        spaces = [space for _, _, space in reference_plan(m, group.order, mode)]
+        assert space_size(group, m, mode, budget=sum(spaces)) == (
+            len(spaces), sum(spaces))
+        with pytest.raises(CapacityError, match="exceeds the budget"):
+            space_size(group, m, mode, budget=sum(spaces) - 1)
 
 
 def test_space_size_refuses_many_parts_at_once(monkeypatch):
-    # the count passes the budget at a low valency, before any profile is
-    # walked: at m = 13 the 752,587,764 profiles of valency 2, at m = 50
-    # the 49!! perfect matchings of valency 1
-    monkeypatch.setattr(mhaar.search, "_profiles", no_walk)
+    # the count passes the budget at a low valency, before any cell state
+    # is counted: at m = 13 the 752,587,764 profiles of valency 2, at
+    # m = 50 the 49!! perfect matchings of valency 1
+    monkeypatch.setattr(mhaar.search, "_cell_moves", no_walk)
     for m in (13, 50):
         with pytest.raises(CapacityError, match="exceeds the budget"):
             space_size(cyclic(2), m)
@@ -392,7 +433,7 @@ def literal_search(group, m, early_exit=True, engine=only_translations):
     cells = _cells(m)
     examined = witnesses = 0
     first = None
-    for profile, forced, _ in _plan(group, m, cells, "normalized", DEFAULT_BUDGET):
+    for profile, forced, _ in _plan(group, m, "normalized", {}):
         for choice in _profile_candidates(group.order, profile, forced):
             examined += 1
             blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
@@ -517,7 +558,7 @@ def translation_gives_earlier(group, m, cells, forced, choice):
     (dihedral(6), 3, 375)])
 def test_translation_check_matches_every_translation(group, m, largest):
     cells = _cells(m)
-    for profile, forced, space in _plan(group, m, cells, "normalized", DEFAULT_BUDGET):
+    for profile, forced, space in _plan(group, m, "normalized", {}):
         if space > largest:
             continue
         earlier = _translation_check(group, m, cells, profile, forced)
@@ -539,7 +580,7 @@ def relabelling_gives_earlier(m, cells, profile):
 def test_relabelling_check_matches_every_relabelling(m, n):
     cells = _cells(m)
     earlier = _relabelling_check(m, cells)
-    for profile in _profiles(m, n, DEFAULT_BUDGET):
+    for profile, _, _ in _plan(cyclic(n), m, "normalized", {}):
         assert earlier(profile) == relabelling_gives_earlier(m, cells, profile), profile
 
 
@@ -605,7 +646,7 @@ def test_exhaustive_mode_decides_every_candidate(engine_calls):
     (elem_abelian(2, 2), 3, "exhaustive"), (quaternion8(), 2, "normalized")])
 def test_profile_candidates_come_in_increasing_order(group, m, mode):
     # the skip's "earlier" is tuple order within a profile
-    for profile, forced, space in _plan(group, m, _cells(m), mode, DEFAULT_BUDGET):
+    for profile, forced, space in _plan(group, m, mode, {}):
         stream = list(_profile_candidates(group.order, profile, forced))
         assert len(stream) == space
         assert all(a < b for a, b in zip(stream, stream[1:]))
