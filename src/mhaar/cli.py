@@ -28,7 +28,7 @@ from .graphs import CapacityError
 # degree-scan witness and report only for --certificate, and no json
 # without a file to read or write; synthesize and reverify load report
 # and whatever the claim reruns.  No command loads
-# dataclasses: the result records are NamedTuples.
+# dataclasses (the result records are NamedTuples) or multiprocessing.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,8 +108,9 @@ def _cmd_search(args) -> int:
     from .groups import parse_group_spec
     from .search import decide_existence
     group = parse_group_spec(args.group)
+    if args.workers < 1:  # unused, but a value below 1 still exits 1
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget,
-                           workers=args.workers,
                            early_exit=not args.count_all)
     print(rep)
     print(f"profiles: {rep.profiles}, examined: {rep.examined}, "
@@ -224,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 8,
                    help="candidate cap before refusing (default 1e8)")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes that decide profiles in parallel, at most "
-                        "one per profile (default 1)")
+                   help="accepted and ignored: the search runs in one process")
     p.add_argument("--count-all", action="store_true",
                    help="keep searching past the first witness")
     p.add_argument("--out", metavar="FILE", help="write the witness matrix JSON")

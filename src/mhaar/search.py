@@ -60,9 +60,8 @@ profile, so P holds no witness unless t(P) did.  So until the first
 witness, such a profile is counted in `examined` and never decided.
 After it, every profile is decided, since an earlier profile with
 witnesses says nothing about how many P holds; so `--count-all` counts
-stay exact.  A pool plans profiles ahead of its results, so it skips
-profiles only when it stops at the first witness.  At m <= 3 every
-profile is least: its row sums force all sizes equal.
+stay exact.  At m <= 3 every profile is least: its row sums force all
+sizes equal.
 
 The degree scan is orderly (Read 1978; McKay 1998): a swap decides
 "earlier" on a prefix of rows, so it is tested as each row is fixed, and
@@ -75,8 +74,6 @@ C1/9 builds 81 graphs of its 14,634.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import itertools
 import time
 from math import comb, prod
@@ -538,19 +535,13 @@ def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
 
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
-                 early_exit: bool, skip: bool,
-                 planned: tuple[Profile, Optional[frozenset[int]], int]
-                 ) -> tuple[int, int, Optional[dict]]:
-    """Scan one planned profile; returns (examined, witnesses, first blocks).
+                 profile: Profile, forced: frozenset[int], space: int,
+                 early_exit: bool, skip: bool) -> tuple[int, int, Optional[dict]]:
+    """Scan one profile; returns (examined, witnesses, first blocks).
 
     With skip, a candidate that a part translation maps to an earlier
     one is counted but not decided, until the profile's first witness.
-    A profile planned with forced cells None was decided with an earlier
-    one: its candidates are counted, and none is decided.
     """
-    profile, forced, space = planned
-    if forced is None:
-        return space, 0, None
     target = group.order
     earlier = (_translation_check(group, m, cells, profile, forced)
                if skip and space > 1 else None)
@@ -608,20 +599,20 @@ def _plan(group: Group, m: int, mode: str,
 
 
 def decide_existence(group: Group, m: int, mode: str = "normalized",
-                     budget: int = DEFAULT_BUDGET, workers: int = 1,
+                     budget: int = DEFAULT_BUDGET,
                      early_exit: bool = True) -> SearchReport:
     """Search every candidate matrix for (group, m); no theory involved.
 
     Returns a report whose `exists`/`witness` fields carry the answer.
     A nonexistence verdict requires `exhausted` to be true, which it
     always is when no witness was found (the space is finite and fully
-    enumerated; a budget overflow raises CapacityError instead).
+    enumerated; a budget overflow raises CapacityError instead).  The
+    profiles are decided one after another, in plan order, in this
+    process.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     _check_mode(mode)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = group.order
     check_vertex_cap(m * n)  # before the cells, the plan or a graph is built
     if n == 1:
@@ -631,37 +622,25 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     # counted first, so an oversized space is refused before any candidate
     memo: dict = {}  # the cell states, counted once for sizing and walking
     profiles, total = _space_size(group, m, mode, budget, memo)
-    workers = min(workers, profiles)
     cells = _cells(m)
-    plan = _plan(group, m, mode, memo)
-    run = functools.partial(_run_profile, group, m, cells, early_exit,
-                            mode == "normalized")
+    normalized = mode == "normalized"
+    relabelled = _relabelling_check(m, cells)
 
     examined = witnesses = 0
     witness_blocks = None
-    if mode == "normalized" and (workers == 1 or early_exit):
-        # until the first witness, a profile that a part relabelling maps
-        # to an earlier one is decided with it (a pool plans ahead of its
-        # results, so it skips only when it stops at the first witness)
-        earlier = _relabelling_check(m, cells)
-        plan = ((profile, None if witness_blocks is None and earlier(profile)
-                 else forced, space) for profile, forced, space in plan)
-    with contextlib.ExitStack() as stack:
-        if workers == 1:
-            results = map(run, plan)
-        else:
-            # imported here: only a pool needs it, and it is slow to load
-            import multiprocessing
-            # leaving the pool's context terminates its workers
-            pool = stack.enter_context(multiprocessing.Pool(workers))
-            results = pool.imap(run, plan)
-        for ex, wit, first in results:
-            examined += ex
-            witnesses += wit
-            if first is not None and witness_blocks is None:
-                witness_blocks = first
-                if early_exit:
-                    break
+    for profile, forced, space in _plan(group, m, mode, memo):
+        if normalized and witness_blocks is None and relabelled(profile):
+            # decided with the earlier profile a part relabelling maps it to
+            examined += space
+            continue
+        ex, wit, first = _run_profile(group, m, cells, profile, forced, space,
+                                      early_exit, normalized)
+        examined += ex
+        witnesses += wit
+        if first is not None and witness_blocks is None:
+            witness_blocks = first
+            if early_exit:
+                break
     witness = (None if witness_blocks is None
                else ConnectionMatrix(group, m, witness_blocks))
     return SearchReport(

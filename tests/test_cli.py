@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -225,6 +226,15 @@ def test_search_capacity(capsys):
                        "--mode", "exhaustive", "--budget", "100")
     assert code == EXIT_CAPACITY
     assert "capacity:" in err
+
+
+def test_search_workers_below_1_exits_1(capsys):
+    # --workers is unused, since the search runs in one process, but a
+    # value below 1 is still an error
+    code, out, err = run(capsys, "search", "--group", "C2", "-m", "3",
+                         "--workers", "0")
+    assert code == EXIT_ERROR and not out
+    assert "workers must be >= 1, got 0" in err
 
 
 def test_search_m2_works_here(capsys):
@@ -604,6 +614,15 @@ def test_each_command_loads_only_its_modules(tmp_path):
     assert "json" not in loaded
     loaded_modules("search", "--group", "C4", "-m", "3", "--certificate", searched,
                    expect=EXIT_NEGATIVE)
+    # --workers starts no pool and changes nothing the search prints
+    loaded = loaded_modules("search", "--group", "D6", "-m", "3", "--workers", "2",
+                            expect=EXIT_NEGATIVE)
+    assert "multiprocessing" not in loaded
+    procs = [fresh("search", "--group", "D6", "-m", "3", *flag)
+             for flag in ((), ("--workers", "2"))]
+    assert [proc.returncode for proc in procs] == [EXIT_NEGATIVE] * 2
+    assert len({re.sub(r"elapsed: \S+", "elapsed:", proc.stdout)
+                for proc in procs}) == 1
 
     for cert in (witness, classified, searched):
         loaded_modules("reverify", cert)

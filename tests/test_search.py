@@ -228,46 +228,11 @@ def test_count_all_keeps_going():
     assert is_m_hgr(r.witness).ok  # first witness is still returned
 
 
-def test_workers_change_nothing():
-    solo = decide_existence(cyclic(6), 3, mode="normalized")
-    duo = decide_existence(cyclic(6), 3, mode="normalized", workers=2)
-    assert (duo.exists, duo.examined) == (solo.exists, solo.examined)
-    assert duo.witness.upper_items() == solo.witness.upper_items()
-
-
-def test_pool_holds_at_most_one_worker_per_profile(monkeypatch):
-    import multiprocessing
-    sizes = []
-
-    class RecordingPool:
-        # records its size and runs the tasks here, starting no process
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, tasks):
-            return map(func, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    solo = decide_existence(cyclic(4), 3)
-    assert solo.profiles == 5
-    assert outcome(decide_existence(cyclic(4), 3, workers=64)) == outcome(solo)
-    assert outcome(decide_existence(cyclic(4), 3, workers=3)) == outcome(solo)
-    assert sizes == [5, 3]
-
-
 def test_argument_validation():
     with pytest.raises(ValueError, match="m must be >= 2"):
         decide_existence(cyclic(2), 1)
     with pytest.raises(ValueError, match="mode"):
         decide_existence(cyclic(2), 3, mode="greedy")
-    with pytest.raises(ValueError, match="workers"):
-        decide_existence(cyclic(2), 3, workers=0)
     with pytest.raises(CapacityError, match="exceeds the budget"):
         decide_existence(elem_abelian(2, 2), 3, mode="exhaustive", budget=100)
 
@@ -499,13 +464,10 @@ def sparse_triangle_free(graph, n):
 def test_skip_keeps_every_witness_counted(monkeypatch):
     expected = literal_search(cyclic(6), 3, early_exit=False)
     assert expected[:3] == (True, 4033, 672)
-    for workers in (1, 2):
-        r = decide_existence(cyclic(6), 3, workers=workers, early_exit=False)
-        assert outcome(r) == expected
+    assert outcome(decide_existence(cyclic(6), 3, early_exit=False)) == expected
     # across profiles: a stand-in engine that answers an isomorphism
     # invariant, with witnesses in profiles that relabelling maps to
-    # earlier ones; the first is candidate 44, after skipped profiles.
-    # The pool's workers are forked, so they see the stand-in too
+    # earlier ones; the first is candidate 44, after skipped profiles
     monkeypatch.setattr(mhaar.search, "only_translations", sparse_triangle_free)
     first = literal_search(cyclic(4), 4, engine=sparse_triangle_free)
     assert first[1:3] == (44, 1)
@@ -513,9 +475,7 @@ def test_skip_keeps_every_witness_counted(monkeypatch):
     expected = literal_search(cyclic(4), 4, early_exit=False,
                               engine=sparse_triangle_free)
     assert expected[:3] == (True, 45036, 2239)
-    for workers in (1, 2):
-        r = decide_existence(cyclic(4), 4, workers=workers, early_exit=False)
-        assert outcome(r) == expected
+    assert outcome(decide_existence(cyclic(4), 4, early_exit=False)) == expected
 
 
 @pytest.mark.parametrize("m", range(3, 10))
@@ -615,21 +575,22 @@ def engine_calls(monkeypatch):
 
 
 def test_skip_cuts_engine_calls(engine_calls):
-    # a tenfold cut for D6/3; the maps leave 114 calls of 4033
-    assert decide_existence(dihedral(6), 3).examined == 4033
-    assert len(engine_calls) <= 403
-    engine_calls.clear()
-    # a fourfold cut against translations alone (346 and 2,600 calls):
-    # part relabellings leave 81 and 76
-    assert decide_existence(cyclic(2), 5).examined == 658
-    assert len(engine_calls) <= 86
-    engine_calls.clear()
-    assert decide_existence(cyclic(2), 6).examined == 3892
-    assert len(engine_calls) <= 650
-    engine_calls.clear()
-    # the degree scan leaves 81 calls of 14,634
-    assert c1_regular_asymmetric_scan(9).examined == 14634
-    assert len(engine_calls) <= 1463
+    # (examined, engine calls) up to the first witness in normalized mode.
+    # D6/3 makes 114 calls of 4033 candidates; part relabellings cut
+    # C2/5 and C2/6 from 346 and 2,600 calls under translations alone;
+    # the degree scan makes 81 calls of C1/9's 14,634 graphs
+    for spec, m, examined, calls in [
+            ("D6", 3, 4033, 114), ("C3", 4, 1199, 136), ("C5", 3, 607, 92),
+            ("C2", 5, 658, 81), ("C2^2", 3, 96, 40), ("C4", 3, 96, 28),
+            ("C10", 2, 513, 108), ("D8", 2, 129, 28), ("C2", 6, 3892, 76),
+            ("C1", 9, 14634, 81)]:
+        group = parse_group_spec(spec)
+        for early_exit in (True, False):
+            engine_calls.clear()
+            r = decide_existence(group, m, early_exit=early_exit)
+            assert (r.examined, len(engine_calls)) == (examined, calls), spec
+            if r.exists:  # --count-all decides every candidate past it
+                break
 
 
 def test_exhaustive_mode_decides_every_candidate(engine_calls):
