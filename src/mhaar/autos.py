@@ -343,16 +343,13 @@ def _root_partition(graph: Graph) -> tuple[_Partition, int]:
     equitable against the vertex set, and the last cell is the vertex
     set less the queued ones.
     """
-    n = graph.n
-    keys = [(graph.degree(v), graph.triangle_count(v)) for v in range(n)]
-    cells: list[int] = []
+    classes: dict[tuple[int, int], int] = {}
+    for v in range(graph.n):
+        key = (graph.degree(v), graph.triangle_count(v))
+        classes[key] = classes.get(key, 0) | 1 << v
+    cells = [classes[k] for k in sorted(classes)]
     h = 0
-    for k in sorted(set(keys)):
-        mask = 0
-        for v in range(n):
-            if keys[v] == k:
-                mask |= 1 << v
-        cells.append(mask)
+    for mask in cells:
         h = _hmix(h, mask.bit_count())
     ptn = _Partition(cells)
     return ptn, _refine(graph.bits, ptn, cells[:-1], h)

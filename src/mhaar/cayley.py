@@ -12,8 +12,7 @@ is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple,
-                    Optional, Union)
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 from .groups import Group, GroupError, parse_group_spec, read_json
@@ -21,35 +20,21 @@ from .groups import Group, GroupError, parse_group_spec, read_json
 if TYPE_CHECKING:
     from .autos import Evidence
 
-BlockInput = Union[Mapping[tuple[int, int], Iterable[int]],
-                   Iterable[tuple[int, int, Iterable[int]]]]
-
-
 class CayleyError(ValueError):
     pass
-
-
-def _each_once(items: Iterable[tuple[int, int, Iterable[int]]]
-               ) -> Iterator[tuple[int, int, Iterable[int]]]:
-    """The (i, j, elems) items in order; a block given twice is an error."""
-    seen = set()
-    for i, j, elems in items:
-        if (i, j) in seen:
-            raise CayleyError(f"block ({i}, {j}) given twice")
-        seen.add((i, j))
-        yield i, j, elems
 
 
 class ConnectionMatrix:
     """Upper-triangle + diagonal storage of the block sets T[i][j].
 
-    blocks: mapping (i, j) -> subset of G, 1 <= i < j <= m, or an
-    iterable of (i, j, subset) triples.  diagonal: mapping i -> subset.
-    Missing blocks are empty.  Diagonal sets must be inverse-closed and
-    identity-free; the lower triangle is always T[i][j] inverted.
+    blocks: mapping (i, j) -> subset of G, 1 <= i < j <= m.  diagonal:
+    mapping i -> subset.  Missing blocks are empty.  Diagonal sets must
+    be inverse-closed and identity-free; the lower triangle is always
+    T[i][j] inverted.  `from_entries` reads untrusted entry lists.
     """
 
-    def __init__(self, group: Group, m: int, blocks: Optional[BlockInput] = None,
+    def __init__(self, group: Group, m: int,
+                 blocks: Optional[Mapping[tuple[int, int], Iterable[int]]] = None,
                  diagonal: Optional[Mapping[int, Iterable[int]]] = None):
         if m < 2:
             raise CayleyError(f"need at least 2 parts, got {m}")
@@ -59,11 +44,7 @@ class ConnectionMatrix:
         self._diag: dict[int, frozenset[int]] = {}
 
         if blocks is not None:
-            if isinstance(blocks, Mapping):
-                items = [(i, j, elems) for (i, j), elems in blocks.items()]
-            else:
-                items = [(i, j, elems) for i, j, elems in blocks]
-            for i, j, elems in _each_once(items):
+            for (i, j), elems in blocks.items():
                 self._set_block(i, j, elems)
         if diagonal is not None:
             for i, elems in diagonal.items():
@@ -180,11 +161,20 @@ class ConnectionMatrix:
             group = Group.from_json(grp)
         else:
             raise CayleyError(f"'group' must be a spec string or a table object, got {grp!r}")
+        return ConnectionMatrix.from_entries(group, m, data.get("entries", []))
+
+    @staticmethod
+    def from_entries(group: Group, m: int, entries: object) -> "ConnectionMatrix":
+        """Read a list of {"i", "j", "elems"} entries, as matrix JSON and
+        witness certificates hold them; an entry with i = j is a diagonal
+        block.  A malformed entry raises CayleyError naming it.
+
+        m * |G| is checked against the vertex cap before any entry is read.
+        """
         check_vertex_cap(m * group.order)
-        entries = data.get("entries", [])
         if not isinstance(entries, list):
             raise CayleyError("'entries' must be a list")
-        items = []
+        blocks: dict[tuple[int, int], list[int]] = {}
         for k, e in enumerate(entries):
             if not isinstance(e, dict):
                 raise CayleyError(f"entry {k} is not an object")
@@ -193,16 +183,12 @@ class ConnectionMatrix:
                 raise CayleyError(f"entry {k}: 'i' and 'j' must be integers")
             if not isinstance(elems, list) or any(type(x) is not int for x in elems):
                 raise CayleyError(f"entry {k}: 'elems' must be a list of integers")
-            items.append((i, j, elems))
-        blocks = {}
-        diagonal = {}
-        for i, j, elems in _each_once(items):
-            if i == j:
-                diagonal[i] = elems
-            elif i < j:
-                blocks[(i, j)] = elems
-            else:
+            if (i, j) in blocks:
+                raise CayleyError(f"block ({i}, {j}) given twice")
+            if i > j:
                 raise CayleyError(f"entry ({i}, {j}) below the diagonal")
+            blocks[(i, j)] = elems
+        diagonal = {i: blocks.pop((i, j)) for i, j in list(blocks) if i == j}
         return ConnectionMatrix(group, m, blocks, diagonal)
 
 

@@ -103,7 +103,7 @@ def from_edgelist(text: str) -> Graph:
 
     n is checked against the vertex cap before the graph is allocated.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("p "):
         raise ValueError("edge list must start with a 'p <n> <m>' line")
     parts = lines[0].split()

@@ -174,10 +174,8 @@ def _compare(claimed: dict, recomputed: dict) -> CertificateCheck:
 
 def _reverify_witness(cert: dict, group: Group, kind: str) -> CertificateCheck:
     try:
-        cm = ConnectionMatrix(
-            group, cert["m"],
-            [(e["i"], e["j"], e["elems"]) for e in cert["matrix"]])
-    except (CayleyError, KeyError, TypeError) as e:
+        cm = ConnectionMatrix.from_entries(group, cert["m"], cert["matrix"])
+    except CayleyError as e:
         return CertificateCheck(False, "matrix", str(e))
     ev = evidence(cm)
     check = _compare(cert["evidence"], ev.fields)
@@ -190,7 +188,7 @@ def _reverify_witness(cert: dict, group: Group, kind: str) -> CertificateCheck:
     if not isinstance(generators, list):
         return CertificateCheck(False, "aut_generators", "not a list")
     for idx, perm in enumerate(generators):
-        if (not isinstance(perm, list) or not all(isinstance(x, int) for x in perm)
+        if (not isinstance(perm, list) or not all(type(x) is int for x in perm)
                 or sorted(perm) != list(range(ev.graph.n))
                 or any(not ev.graph.has_edge(perm[u], perm[v])
                        for u, v in ev.graph.edges())):

@@ -22,8 +22,11 @@ with exhaustive mode; only the candidate counts differ.
 The space is sized before any candidate (see `space_size`): a memoized
 count on degree classes bounds it, and normalized mode then counts its
 candidates exactly over the cell states that the profile walk takes.
-One memo serves both, so the walk enters only states that hold profiles
-and needs no budget of its own.
+Those counts depend only on m and |G|, so one memo per (m, |G|) serves
+the sizing, the walk and any later sizing or search of the same pair
+(`reverify` checks a certificate's sizes, then reruns its search); the
+last pair's memo is kept.  The walk enters only states that hold
+profiles, so it needs no budget of its own.
 
 The trivial group gets its own scanner: its blocks are 0/1, so
 candidates are plain d-regular graphs, enumerated row by row with
@@ -74,6 +77,7 @@ C1/9 builds 81 graphs of its 14,634.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from math import comb, prod
@@ -145,13 +149,23 @@ def _cell_moves(state: CellState, m: int, n: int
     return moves
 
 
-def _counted_root(m: int, n: int, d: int, memo: dict) -> CellState:
-    """The first cell state of valency d, once memo holds it and every
-    later state as (profiles, normalized candidates)."""
-    memo.setdefault((m, m + 1, (0,), (0,)), (1, 1))  # every cell is set
+@functools.lru_cache(maxsize=1)
+def _cell_counts(m: int, n: int) -> dict:
+    """The counted cell states for m parts over a group of order n, each
+    as (profiles, normalized candidates).
+
+    The counts depend on (m, n) alone, so the sizing, the walk and a
+    rerun of the same pair share them.
+    """
+    return {(m, m + 1, (0,), (0,)): (1, 1)}  # every cell is set
+
+
+def _counted_root(m: int, n: int, d: int) -> CellState:
+    """The first cell state of valency d, once `_cell_counts` holds it and
+    every later state."""
     root = (1, 2, (d,) * m, tuple(range(m)))
     _evaluate(root, lambda state: [(later, (1, factor)) for _, _, factor, later
-                                   in _cell_moves(state, m, n)], memo)
+                                   in _cell_moves(state, m, n)], _cell_counts(m, n))
     return root
 
 
@@ -567,14 +581,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'normalized' or 'exhaustive', got {mode!r}")
 
 
-def _plan(group: Group, m: int, mode: str,
-          memo: dict) -> Iterator[tuple[Profile, frozenset[int], int]]:
+def _plan(group: Group, m: int,
+          mode: str) -> Iterator[tuple[Profile, frozenset[int], int]]:
     """Each profile with its forced cells and its candidate count.
 
     The profiles come by valency, then in lex order, from a walk over the
     cell states of `_cell_moves` (as deep as there are cells) that enters
-    only states with profiles counted in memo (the sizing's), so every
-    branch ends in a profile.  Normalized mode forces the forest cells.
+    only states with profiles counted in `_cell_counts`, so every branch
+    ends in a profile.  Normalized mode forces the forest cells.
     """
     n = group.order
     normalized = mode == "normalized"
@@ -592,7 +606,11 @@ def _plan(group: Group, m: int, mode: str,
                 yield from walk(move[3], taken + (move,))
 
     for d in range(n * (m - 1) + 1):
-        yield from walk(_counted_root(m, n, d, memo), ())
+        root = _counted_root(m, n, d)
+        # held per valency: counting another (m, n) between two profiles
+        # would replace the cached memo, but not this one
+        memo = _cell_counts(m, n)
+        yield from walk(root, ())
 
 
 # -- the public entry point ----------------------------------------------------
@@ -620,15 +638,14 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
     t0 = time.perf_counter()
     # counted first, so an oversized space is refused before any candidate
-    memo: dict = {}  # the cell states, counted once for sizing and walking
-    profiles, total = _space_size(group, m, mode, budget, memo)
+    profiles, total = space_size(group, m, mode, budget)
     cells = _cells(m)
     normalized = mode == "normalized"
     relabelled = _relabelling_check(m, cells)
 
     examined = witnesses = 0
     witness_blocks = None
-    for profile, forced, space in _plan(group, m, mode, memo):
+    for profile, forced, space in _plan(group, m, mode):
         if normalized and witness_blocks is None and relabelled(profile):
             # decided with the earlier profile a part relabelling maps it to
             examined += space
@@ -663,11 +680,6 @@ def space_size(group: Group, m: int, mode: str = "normalized",
     is max(profiles, ceil(exhaustive / n^(m-1))).  Normalized mode then
     counts its candidates exactly, over the cell states of `_cell_moves`.
     """
-    return _space_size(group, m, mode, budget, {})
-
-
-def _space_size(group: Group, m: int, mode: str, budget: int,
-                memo: dict) -> tuple[int, int]:
     _check_mode(mode)
     n = group.order
     check_vertex_cap(m * n)
@@ -686,7 +698,8 @@ def _space_size(group: Group, m: int, mode: str, budget: int,
         return profiles, total
     profiles = total = 0
     for d in range(n * (m - 1) + 1):
-        more_profiles, more = memo[_counted_root(m, n, d, memo)]
+        root = _counted_root(m, n, d)
+        more_profiles, more = _cell_counts(m, n)[root]
         profiles += more_profiles
         total += more
         if total > budget:

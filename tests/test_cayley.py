@@ -21,8 +21,6 @@ def test_construction_validation():
     with pytest.raises(CayleyError):
         ConnectionMatrix(g, 3, {(1, 2): [3]})  # element out of range
     with pytest.raises(CayleyError):
-        ConnectionMatrix(g, 2, [(1, 2, [0]), (1, 2, [1])])  # duplicate
-    with pytest.raises(CayleyError):
         ConnectionMatrix(g, 2, diagonal={1: [0]})  # identity would be a loop
     with pytest.raises(CayleyError):
         ConnectionMatrix(g, 2, diagonal={1: [1]})  # 1^-1 = 2 missing

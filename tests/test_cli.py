@@ -384,6 +384,17 @@ def test_oracle_aut_generators_flag(capsys, tmp_path):
     assert all(sorted(map(int, l.split())) == list(range(10)) for l in perm_lines)
 
 
+@pytest.mark.parametrize("text", ["  # indented\np 3 1\n0 1\n",
+                                  "p 3 1\n  # indented\n0 1\n"],
+                         ids=["before-header", "between-edges"])
+def test_oracle_aut_skips_indented_comment_lines(capsys, tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code, out, _ = run(capsys, "oracle-aut", str(path))
+    assert code == EXIT_OK
+    assert "graph: 3 vertices, 1 edges" in out
+
+
 def test_oracle_aut_missing_file(capsys):
     code, _, err = run(capsys, "oracle-aut", "/nonexistent/g.g6")
     assert code == EXIT_ERROR and "error:" in err
@@ -461,6 +472,18 @@ def test_hostile_files_exit_cleanly(tmp_path, command, content, expected, messag
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_reverify_of_a_float_entry_index_exits_3(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, *CERT_COMMANDS["witness"], "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["matrix"][0]["i"] = 1.0
+    cert_path.write_text(json.dumps(cert))
+    proc = fresh("reverify", str(cert_path))
+    assert proc.returncode == EXIT_NEGATIVE
+    assert "certificate fails at 'matrix'" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 # every command that reads a JSON file reads it with groups.read_json

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhaar
 import mhaar.autos
@@ -14,11 +16,11 @@ import mhaar.cayley
 import mhaar.search
 from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries
-from mhaar.cayley import ConnectionMatrix, build_graph
+from mhaar.cayley import CayleyError, ConnectionMatrix, build_graph
 from mhaar.cli import EXIT_CAPACITY, main
 from mhaar.constructions import synthesize
 from mhaar.formats import to_graph6
-from mhaar.groups import CapacityError, cyclic, dihedral, parse_group_spec
+from mhaar.groups import CapacityError, Group, cyclic, dihedral, parse_group_spec
 from mhaar.report import (
     SCHEMA_VERSION,
     CertificateCheck,
@@ -299,6 +301,91 @@ def test_reverify_catches_generator_tampering(c6_cert):
     check = reverify(bad)
     assert not check.ok
     assert check.field == "aut_generators"
+
+
+def test_reverify_reads_booleans_as_malformed(c6_cert):
+    # true == 1 in Python, so only the integer type rule tells them apart
+    bad = copy.deepcopy(c6_cert)
+    bad["matrix"][2]["elems"] = [True, 5]
+    check = reverify(bad)
+    assert (check.ok, check.field) == (False, "matrix")
+    as_bools = [[bool(x) if x < 2 else x for x in perm]
+                for perm in c6_cert["aut_generators"]]
+    check = reverify(tampered(c6_cert, aut_generators=as_bools))
+    assert (check.ok, check.field) == (False, "aut_generators")
+
+
+@pytest.mark.parametrize("elems, field", [
+    ([1, 5], "evidence.edges"),  # a valid diagonal block: another graph
+    ([0], "matrix"),  # the identity would be a loop
+    ([1], "matrix"),  # 1^-1 = 5 is missing
+])
+def test_reverify_reads_a_diagonal_entry_as_a_diagonal_block(c6_cert, elems, field):
+    matrix = c6_cert["matrix"] + [{"i": 1, "j": 1, "elems": elems}]
+    assert reverify(tampered(c6_cert, matrix=matrix)).field == field
+
+
+JUNK = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=2), st.none(),
+    st.integers(-1, 7), st.integers(-10 ** 20, 10 ** 20),
+    st.lists(st.integers(-1, 7), max_size=3),
+    st.lists(st.lists(st.integers(0, 5), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from("ij"), st.integers(0, 3), max_size=2))
+EDITS = ["value", "element", "drop", "duplicate", "swap", "diagonal",
+         "append", "entry", "matrix"]
+
+
+def edit_matrix(data, matrix):
+    """One hostile edit of a certificate's matrix entries, drawn from data."""
+    how = data.draw(st.sampled_from(EDITS))
+    if how == "matrix":
+        return data.draw(JUNK)
+    if not isinstance(matrix, list):
+        return matrix
+    if how == "append":
+        matrix.append({"i": data.draw(st.integers(0, 4)), "j": data.draw(st.integers(0, 4)),
+                       "elems": data.draw(st.lists(st.integers(0, 6), max_size=4))})
+        return matrix
+    if not matrix:
+        return matrix
+    k = data.draw(st.integers(0, len(matrix) - 1))
+    entry = matrix[k]
+    if how == "duplicate":
+        matrix.append(copy.deepcopy(entry))
+    elif how == "entry":
+        matrix[k] = data.draw(JUNK)
+    elif not isinstance(entry, dict):
+        pass
+    elif how == "value":
+        entry[data.draw(st.sampled_from(["i", "j", "elems"]))] = data.draw(JUNK)
+    elif how == "drop":
+        entry.pop(data.draw(st.sampled_from(["i", "j", "elems"])), None)
+    elif how == "swap":  # below the diagonal
+        entry["i"], entry["j"] = entry.get("j"), entry.get("i")
+    elif how == "diagonal":
+        entry["j"] = entry.get("i")
+    elif isinstance(entry.get("elems"), list) and entry["elems"]:
+        elems = entry["elems"]
+        elems[data.draw(st.integers(0, len(elems) - 1))] = data.draw(JUNK)
+    return matrix
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_reverify_fails_at_matrix_exactly_when_the_entry_reader_refuses(c6_cert, data):
+    # 18 vertices are under the vertex cap, so no CapacityError either
+    matrix = copy.deepcopy(c6_cert["matrix"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        matrix = edit_matrix(data, matrix)
+    group = Group.from_json(c6_cert["group"])
+    try:
+        ConnectionMatrix.from_entries(group, 3, copy.deepcopy(matrix))
+        refused = False
+    except CayleyError:
+        refused = True
+    cert = copy.deepcopy(c6_cert)
+    cert["matrix"] = matrix
+    assert (reverify(cert).field == "matrix") == refused
 
 
 def test_reverify_catches_missing_fields(c6_cert):

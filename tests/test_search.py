@@ -110,7 +110,7 @@ def reference_plan(m, n, mode):
                          + [(5, n) for n in range(1, 4)] + [(6, 1), (6, 2)])
 def test_profiles_are_every_equal_row_sum_assignment(m, n):
     for mode in ("normalized", "exhaustive"):
-        assert list(_plan(cyclic(n), m, mode, {})) == reference_plan(m, n, mode)
+        assert list(_plan(cyclic(n), m, mode)) == reference_plan(m, n, mode)
     # the profiles alone, from the whole product at once
     cells = _cells(m)
     if len(cells) <= 6:
@@ -161,6 +161,13 @@ def test_space_size_refuses_many_parts_at_once(monkeypatch):
     for m in (13, 50):
         with pytest.raises(CapacityError, match="exceeds the budget"):
             space_size(cyclic(2), m)
+
+
+def test_a_second_count_of_the_same_pair_moves_no_cell(monkeypatch):
+    # the cell-state counts depend on (m, |G|) alone and are kept
+    first = space_size(cyclic(2), 5)
+    monkeypatch.setattr(mhaar.search, "_cell_moves", no_walk)
+    assert space_size(cyclic(2), 5) == first
 
 
 # -- negative verdicts ---------------------------------------------------------
@@ -398,7 +405,7 @@ def literal_search(group, m, early_exit=True, engine=only_translations):
     cells = _cells(m)
     examined = witnesses = 0
     first = None
-    for profile, forced, _ in _plan(group, m, "normalized", {}):
+    for profile, forced, _ in _plan(group, m, "normalized"):
         for choice in _profile_candidates(group.order, profile, forced):
             examined += 1
             blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
@@ -518,7 +525,7 @@ def translation_gives_earlier(group, m, cells, forced, choice):
     (dihedral(6), 3, 375)])
 def test_translation_check_matches_every_translation(group, m, largest):
     cells = _cells(m)
-    for profile, forced, space in _plan(group, m, "normalized", {}):
+    for profile, forced, space in _plan(group, m, "normalized"):
         if space > largest:
             continue
         earlier = _translation_check(group, m, cells, profile, forced)
@@ -540,7 +547,7 @@ def relabelling_gives_earlier(m, cells, profile):
 def test_relabelling_check_matches_every_relabelling(m, n):
     cells = _cells(m)
     earlier = _relabelling_check(m, cells)
-    for profile, _, _ in _plan(cyclic(n), m, "normalized", {}):
+    for profile, _, _ in _plan(cyclic(n), m, "normalized"):
         assert earlier(profile) == relabelling_gives_earlier(m, cells, profile), profile
 
 
@@ -607,7 +614,7 @@ def test_exhaustive_mode_decides_every_candidate(engine_calls):
     (elem_abelian(2, 2), 3, "exhaustive"), (quaternion8(), 2, "normalized")])
 def test_profile_candidates_come_in_increasing_order(group, m, mode):
     # the skip's "earlier" is tuple order within a profile
-    for profile, forced, space in _plan(group, m, mode, {}):
+    for profile, forced, space in _plan(group, m, mode):
         stream = list(_profile_candidates(group.order, profile, forced))
         assert len(stream) == space
         assert all(a < b for a, b in zip(stream, stream[1:]))
