@@ -6,8 +6,8 @@ the elementwise inverse of T[i][j] and the diagonal sets avoiding the
 identity.  The derived graph has vertex set G x {1..m}; the neighbours
 of (g, i) in part j are (t*g, j) for t in T[i][j].
 
-Only the upper triangle and the diagonal are stored; the lower triangle
-is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
+Only the upper triangle and the diagonal are stored, in one mapping; the
+lower triangle is derived.  Vertex (g, i) maps to index (i-1)*|G| + g.
 """
 
 from __future__ import annotations
@@ -25,59 +25,40 @@ class CayleyError(ValueError):
 
 
 class ConnectionMatrix:
-    """Upper-triangle + diagonal storage of the block sets T[i][j].
+    """The block sets T[i][j], kept in one store keyed (i, j), i <= j.
 
-    blocks: mapping (i, j) -> subset of G, 1 <= i < j <= m.  diagonal:
-    mapping i -> subset.  Missing blocks are empty.  Diagonal sets must
-    be inverse-closed and identity-free; the lower triangle is always
-    T[i][j] inverted.  `from_entries` reads untrusted entry lists.
+    blocks: mapping (i, j) -> subset of G, 1 <= i <= j <= m.  A key
+    (i, i) is a diagonal set, which must be inverse-closed and
+    identity-free.  Missing blocks are empty; the lower triangle is
+    always T[i][j] inverted.  `entries` writes the blocks as the entry
+    list that `from_entries` reads from untrusted input.
     """
 
     def __init__(self, group: Group, m: int,
-                 blocks: Optional[Mapping[tuple[int, int], Iterable[int]]] = None,
-                 diagonal: Optional[Mapping[int, Iterable[int]]] = None):
+                 blocks: Optional[Mapping[tuple[int, int], Iterable[int]]] = None):
         if m < 2:
             raise CayleyError(f"need at least 2 parts, got {m}")
         self.group = group
         self.m = m
-        self._upper: dict[tuple[int, int], frozenset[int]] = {}
-        self._diag: dict[int, frozenset[int]] = {}
+        self._blocks: dict[tuple[int, int], frozenset[int]] = {}
+        for (i, j), elems in (blocks or {}).items():
+            self._set_block(i, j, elems)
 
-        if blocks is not None:
-            for (i, j), elems in blocks.items():
-                self._set_block(i, j, elems)
-        if diagonal is not None:
-            for i, elems in diagonal.items():
-                self._set_diag(i, elems)
-
-    def _check_subset(self, elems: Iterable[int], where: str) -> frozenset[int]:
+    def _set_block(self, i: int, j: int, elems: Iterable[int]) -> None:
+        if i == j and not (1 <= i <= self.m):
+            raise CayleyError(f"diagonal index {i} out of range for m={self.m}")
+        if i != j and not (1 <= i < j <= self.m):
+            raise CayleyError(f"block index ({i}, {j}) not in upper triangle of m={self.m}")
         s = frozenset(elems)
         for e in s:
             if not isinstance(e, int) or not (0 <= e < self.group.order):
-                raise CayleyError(f"element {e!r} in block {where} not in the group")
-        return s
-
-    def _set_block(self, i: int, j: int, elems: Iterable[int]) -> None:
-        if not (1 <= i < j <= self.m):
-            raise CayleyError(f"block index ({i}, {j}) not in upper triangle of m={self.m}")
-        s = self._check_subset(elems, f"({i}, {j})")
-        if s:
-            self._upper[(i, j)] = s
-        else:
-            self._upper.pop((i, j), None)
-
-    def _set_diag(self, i: int, elems: Iterable[int]) -> None:
-        if not (1 <= i <= self.m):
-            raise CayleyError(f"diagonal index {i} out of range for m={self.m}")
-        s = self._check_subset(elems, f"({i}, {i})")
-        if 0 in s:
+                raise CayleyError(f"element {e!r} in block ({i}, {j}) not in the group")
+        if i == j and 0 in s:
             raise CayleyError(f"identity in diagonal block ({i}, {i})")
-        if self.group.inv_set(s) != s:
+        if i == j and self.group.inv_set(s) != s:
             raise CayleyError(f"diagonal block ({i}, {i}) is not inverse-closed")
         if s:
-            self._diag[i] = s
-        else:
-            self._diag.pop(i, None)
+            self._blocks[(i, j)] = s
 
     # -- access ---------------------------------------------------------
 
@@ -85,36 +66,31 @@ class ConnectionMatrix:
         """T[i][j] for any pair, lower triangle derived by inversion."""
         if not (1 <= i <= self.m and 1 <= j <= self.m):
             raise CayleyError(f"block index ({i}, {j}) out of range for m={self.m}")
-        if i == j:
-            return self._diag.get(i, frozenset())
-        if i < j:
-            return self._upper.get((i, j), frozenset())
-        return self.group.inv_set(self._upper.get((j, i), frozenset()))
+        if i <= j:
+            return self._blocks.get((i, j), frozenset())
+        return self.group.inv_set(self._blocks.get((j, i), frozenset()))
 
     def upper_items(self) -> list[tuple[int, int, frozenset[int]]]:
-        out = [(i, j, s) for (i, j), s in self._upper.items()]
-        out += [(i, i, s) for i, s in self._diag.items()]
-        return sorted(out)
+        return sorted((i, j, s) for (i, j), s in self._blocks.items())
 
     def valencies(self) -> tuple[int, ...]:
         """Row sums of the block sizes, from the stored blocks only.
 
-        |T[j][i]| = |T[i][j]^-1| = |T[i][j]|, so each upper block counts
-        for both of its parts.
+        |T[j][i]| = |T[i][j]^-1| = |T[i][j]|, so each block above the
+        diagonal counts for both of its parts.
         """
         vals = [0] * (self.m + 1)
-        for (i, j), s in self._upper.items():
+        for (i, j), s in self._blocks.items():
             vals[i] += len(s)
-            vals[j] += len(s)
-        for i, s in self._diag.items():
-            vals[i] += len(s)
+            if i != j:
+                vals[j] += len(s)
         return tuple(vals[1:])
 
     def is_regular(self) -> bool:
         return len(set(self.valencies())) <= 1
 
     def diagonal_empty(self) -> bool:
-        return not self._diag
+        return all(i != j for i, j in self._blocks)
 
     def __repr__(self) -> str:
         return (f"ConnectionMatrix({self.group!r}, m={self.m}, "
@@ -124,23 +100,27 @@ class ConnectionMatrix:
         return (isinstance(other, ConnectionMatrix)
                 and self.group.table == other.group.table
                 and self.m == other.m
-                and self._upper == other._upper
-                and self._diag == other._diag)
+                and self._blocks == other._blocks)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        # compact group form only when the descriptor reproduces the exact
-        # table; otherwise a relabeled copy would deserialize incorrectly
+        # compact group form only for a grammar spec that reproduces the exact
+        # table: a relabeled copy would deserialize incorrectly, and an "@file"
+        # descriptor (untrusted, from a table file) names some other file
         grp: Union[str, dict] = self.group.to_json()
-        if self.group.descriptor:
+        spec = self.group.descriptor
+        if spec and not spec.strip().startswith("@"):
             try:
-                if parse_group_spec(self.group.descriptor).table == self.group.table:
-                    grp = self.group.descriptor
+                if parse_group_spec(spec).table == self.group.table:
+                    grp = spec
             except (GroupError, CapacityError):
                 pass
-        entries = [{"i": i, "j": j, "elems": sorted(s)} for i, j, s in self.upper_items()]
-        return {"group": grp, "m": self.m, "entries": entries}
+        return {"group": grp, "m": self.m, "entries": self.entries()}
+
+    def entries(self) -> list[dict]:
+        """The blocks as the {"i", "j", "elems"} list `from_entries` reads."""
+        return [{"i": i, "j": j, "elems": sorted(s)} for i, j, s in self.upper_items()]
 
     @staticmethod
     def from_json(data: dict) -> "ConnectionMatrix":
@@ -165,9 +145,10 @@ class ConnectionMatrix:
 
     @staticmethod
     def from_entries(group: Group, m: int, entries: object) -> "ConnectionMatrix":
-        """Read a list of {"i", "j", "elems"} entries, as matrix JSON and
-        witness certificates hold them; an entry with i = j is a diagonal
-        block.  A malformed entry raises CayleyError naming it.
+        """Read a list of {"i", "j", "elems"} entries, as `entries` writes
+        them for matrix JSON and witness certificates; an entry with
+        i = j is a diagonal block.  A malformed entry raises CayleyError
+        naming it.
 
         m * |G| is checked against the vertex cap before any entry is read.
         """
@@ -188,8 +169,7 @@ class ConnectionMatrix:
             if i > j:
                 raise CayleyError(f"entry ({i}, {j}) below the diagonal")
             blocks[(i, j)] = elems
-        diagonal = {i: blocks.pop((i, j)) for i, j in list(blocks) if i == j}
-        return ConnectionMatrix(group, m, blocks, diagonal)
+        return ConnectionMatrix(group, m, blocks)
 
 
 def load_matrix(path: str) -> ConnectionMatrix:

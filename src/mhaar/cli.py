@@ -121,7 +121,7 @@ def _cmd_search(args) -> int:
             _write_witness(rep.witness, args.out, "json")
     if args.certificate and (rep.exists or rep.exhausted):
         from .report import certificate_json, write_certificate
-        write_certificate(certificate_json(rep, group=group), args.certificate)
+        write_certificate(certificate_json(rep), args.certificate)
         print(f"certificate written to {args.certificate}")
     return EXIT_OK if rep.exists else EXIT_NEGATIVE
 

@@ -75,8 +75,7 @@ def make_certificate(cm: Union[ConnectionMatrix, Evidence], kind: str = "hgr",
     ev = verdict.evidence
     return {
         **_header(kind, ev.matrix.group, ev.matrix.m, route),
-        "matrix": [{"i": i, "j": j, "elems": sorted(elems)}
-                   for i, j, elems in ev.matrix.upper_items()],
+        "matrix": ev.matrix.entries(),
         "evidence": dict(ev.fields),
         "aut_generators": [list(p) for p in ev.aut.generators],
         "graph6": to_graph6(ev.graph),
@@ -95,18 +94,18 @@ def nonexistence_certificate(group: Group, m: int, clause: str,
             "evidence": {"clause": clause, "group_order": group.order}}
 
 
-def _search_evidence(report, group: Group) -> dict:
+def _search_evidence(report) -> dict:
     return {
         "mode": report.mode,
         "profiles": report.profiles,
         "total_space": report.total_space,
         "examined": report.examined,
         "witnesses": report.witnesses,
-        "group_order": group.order,
+        "group_order": report.group.order,
     }
 
 
-def search_certificate(report, group: Group) -> dict:
+def search_certificate(report) -> dict:
     """Certificate from a SearchReport: witness or exhausted nonexistence."""
     route = f"exhaustive search ({report.mode} mode)"
     if report.witness is not None:
@@ -114,16 +113,17 @@ def search_certificate(report, group: Group) -> dict:
     if not report.exhausted:
         raise ValueError("refusing to certify: search stopped early "
                          "without a witness, so nonexistence is not proven")
-    return {**_header("nonexistence-search", group, report.m, route),
-            "evidence": _search_evidence(report, group)}
+    return {**_header("nonexistence-search", report.group, report.m, route),
+            "evidence": _search_evidence(report)}
 
 
-def emit(outcome, group: Optional[Group] = None) -> dict:
-    """Certificate for a toolkit verdict.
+def emit(outcome) -> dict:
+    """Certificate for a toolkit verdict, made from the outcome alone.
 
     Accepts a SynthesisResult (witness or classified nonexistence) or a
-    SearchReport (witness or searched nonexistence; needs `group`).  A
-    bare ConnectionMatrix goes to make_certificate, which names its claim.
+    SearchReport (witness or searched nonexistence); each carries its
+    group.  A bare ConnectionMatrix goes to make_certificate, which
+    names its claim.
     """
     if hasattr(outcome, "route") and hasattr(outcome, "exists"):
         if outcome.exists:
@@ -133,14 +133,12 @@ def emit(outcome, group: Optional[Group] = None) -> dict:
         return nonexistence_certificate(outcome.group, outcome.m,
                                         outcome.clause, route=outcome.route)
     if hasattr(outcome, "examined"):
-        if group is None:
-            raise ValueError("a SearchReport certificate needs the group")
-        return search_certificate(outcome, group)
+        return search_certificate(outcome)
     raise TypeError(f"cannot certify a {type(outcome).__name__}")
 
 
-def certificate_json(outcome, group: Optional[Group] = None) -> str:
-    return json.dumps(emit(outcome, group), indent=2) + "\n"
+def certificate_json(outcome) -> str:
+    return json.dumps(emit(outcome), indent=2) + "\n"
 
 
 def write_certificate(text: str, path: str) -> None:
@@ -233,7 +231,7 @@ def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
         return CertificateCheck(
             False, "kind",
             f"search finds a witness for {group.label}, m={cert['m']}")
-    return _compare(claimed, _search_evidence(report, group))
+    return _compare(claimed, _search_evidence(report))
 
 
 def reverify(cert: Union[dict, str]) -> CertificateCheck:

@@ -170,8 +170,7 @@ def _counted_root(m: int, n: int, d: int) -> CellState:
 
 
 class SearchReport(NamedTuple):
-    group_name: str
-    order: int
+    group: Group
     m: int
     mode: str
     exists: bool
@@ -184,7 +183,7 @@ class SearchReport(NamedTuple):
     elapsed: float
 
     def __str__(self) -> str:
-        head = (f"{self.group_name} m={self.m} [{self.mode}] "
+        head = (f"{self.group.label} m={self.m} [{self.mode}] "
                 f"examined {self.examined}"
                 + ("" if self.total_space is None else f"/{self.total_space}"))
         if self.exists:
@@ -398,7 +397,7 @@ def _trivial_group_scan(group: Group, m: int, budget: int,
                 break
     stopped_early = witness is not None and early_exit
     return SearchReport(
-        group_name=group.label, order=1, m=m, mode="degree-scan",
+        group=group, m=m, mode="degree-scan",
         exists=witness is not None, profiles=0, total_space=None,
         examined=examined, witnesses=witnesses, witness=witness,
         exhausted=not stopped_early, elapsed=time.perf_counter() - t0)
@@ -661,7 +660,7 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     witness = (None if witness_blocks is None
                else ConnectionMatrix(group, m, witness_blocks))
     return SearchReport(
-        group_name=group.label, order=n, m=m, mode=mode,
+        group=group, m=m, mode=mode,
         exists=witness is not None, profiles=profiles, total_space=total,
         examined=examined, witnesses=witnesses, witness=witness,
         exhausted=not (early_exit and witness is not None),

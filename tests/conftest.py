@@ -78,7 +78,6 @@ def random_matrix(group: Group, m: int, rng: random.Random,
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             blocks[(i, j)] = [e for e in range(n) if rng.random() < density]
-    diag = {}
     if diagonal:
         for i in range(1, m + 1):
             s = set()
@@ -86,8 +85,8 @@ def random_matrix(group: Group, m: int, rng: random.Random,
                 if rng.random() < density / 2:
                     s.add(e)
                     s.add(group.inv(e))
-            diag[i] = sorted(s)
-    return ConnectionMatrix(group, m, blocks, diagonal=diag)
+            blocks[(i, i)] = sorted(s)
+    return ConnectionMatrix(group, m, blocks)
 
 
 def groups_isomorphic(a: Group, b: Group) -> bool:

@@ -400,7 +400,7 @@ def test_order_matches_networkx_count():
 
 def test_is_m_hgr_rejects_diagonal():
     g = cyclic(3)
-    cm = ConnectionMatrix(g, 2, {(1, 2): [0]}, diagonal={1: [1, 2]})
+    cm = ConnectionMatrix(g, 2, {(1, 2): [0], (1, 1): [1, 2]})
     v = is_m_hgr(cm)
     assert not v
     assert v.reason == "diagonal block (1, 1) is nonempty"

@@ -21,10 +21,10 @@ def test_construction_validation():
     with pytest.raises(CayleyError):
         ConnectionMatrix(g, 3, {(1, 2): [3]})  # element out of range
     with pytest.raises(CayleyError):
-        ConnectionMatrix(g, 2, diagonal={1: [0]})  # identity would be a loop
+        ConnectionMatrix(g, 2, {(1, 1): [0]})  # identity would be a loop
     with pytest.raises(CayleyError):
-        ConnectionMatrix(g, 2, diagonal={1: [1]})  # 1^-1 = 2 missing
-    ok = ConnectionMatrix(g, 2, {(1, 2): [0, 1]}, diagonal={1: [1, 2]})
+        ConnectionMatrix(g, 2, {(1, 1): [1]})  # 1^-1 = 2 missing
+    ok = ConnectionMatrix(g, 2, {(1, 2): [0, 1], (1, 1): [1, 2]})
     assert ok.block(1, 1) == frozenset({1, 2})
 
 
@@ -53,8 +53,7 @@ def test_two_part_matching():
 
 def test_valencies_count_all_blocks():
     g = cyclic(4)
-    cm = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (2, 3): [2]},
-                          diagonal={2: [1, 3]})
+    cm = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (2, 3): [2], (2, 2): [1, 3]})
     assert cm.valencies() == (2, 5, 1)
     graph = build_graph(cm)
     n = g.order
@@ -114,7 +113,7 @@ def test_is_m_haar_verdicts():
     g = cyclic(4)
     good = ConnectionMatrix(g, 2, {(1, 2): [0, 1]})
     assert is_m_haar(good)
-    diag = ConnectionMatrix(g, 2, {(1, 2): [0]}, diagonal={1: [2]})
+    diag = ConnectionMatrix(g, 2, {(1, 2): [0], (1, 1): [2]})
     v = is_m_haar(diag)
     assert not v and "diagonal" in v.reason
     lopsided = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (1, 3): [2]})
@@ -131,6 +130,36 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(data))
     assert load_matrix(str(path)) == cm
+
+
+def test_entries_round_trip_through_the_reader():
+    # `entries` writes exactly what `from_entries` reads, diagonal sets too
+    rng = random.Random(41)
+    groups = battery_groups()
+    diagonal_entries = 0
+    for name in ("C2", "C5", "C6", "D8", "Q8", "A4"):
+        for m in range(2, 6):
+            for diagonal in (False, True):
+                cm = random_matrix(groups[name], m, rng, diagonal=diagonal)
+                entries = cm.entries()
+                assert ConnectionMatrix.from_entries(cm.group, m, entries) == cm
+                diagonal_entries += sum(e["i"] == e["j"] for e in entries)
+                assert diagonal or cm.diagonal_empty()
+    assert diagonal_entries > 0
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({(1, 1): [0, 1, 5]}, r"identity in diagonal block \(1, 1\)"),
+    ({(2, 2): [1]}, r"diagonal block \(2, 2\) is not inverse-closed"),
+    ({(3, 3): [1, 5]}, r"diagonal index 3 out of range for m=2"),
+])
+def test_diagonal_keys_are_checked(blocks, message):
+    g = cyclic(6)
+    with pytest.raises(CayleyError, match=message):
+        ConnectionMatrix(g, 2, blocks)
+    entries = [{"i": i, "j": j, "elems": elems} for (i, j), elems in blocks.items()]
+    with pytest.raises(CayleyError, match=message):
+        ConnectionMatrix.from_entries(g, 2, entries)
 
 
 def test_json_rejects_lower_triangle():

@@ -213,6 +213,26 @@ def test_search_witness(capsys, tmp_path):
     assert load_matrix(str(out_path)).m == 3
 
 
+@pytest.mark.parametrize("command", ["search", "synthesize"])
+@pytest.mark.parametrize("named", ["missing.json", "other.json"])
+def test_witness_over_a_table_whose_descriptor_names_a_file(capsys, tmp_path,
+                                                           command, named):
+    # a table file's descriptor is untrusted: the witness file must carry
+    # the table itself, not follow or repeat an "@file" reference
+    table = cyclic(6).to_json()
+    (tmp_path / "other.json").write_text(json.dumps(table))
+    spec = tmp_path / "t.json"
+    spec.write_text(json.dumps({**table, "descriptor": f" @{tmp_path / named}"}))
+    out_path = tmp_path / "w.json"
+    code, _, _ = run(capsys, command, "--group", f"@{spec}", "-m", "3",
+                     "--out", str(out_path))
+    assert code == EXIT_OK
+    group = json.loads(out_path.read_text())["group"]
+    assert isinstance(group, dict) and group["table"] == table["table"]
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == EXIT_OK and "verdict: 3-HGR" in out
+
+
 def test_search_count_all(capsys):
     code, out, _ = run(capsys, "search", "--group", "C6", "-m", "3",
                        "--count-all")

@@ -95,7 +95,7 @@ def test_plan_rejects_bad_shapes():
     g = cyclic(6)
     with pytest.raises(LiftError, match="empty-diagonal hypothesis at part 1"):
         plan_lift(ConnectionMatrix(g, 3, {(1, 2): [0, 1], (1, 3): [0],
-                                          (2, 3): [0]}, diagonal={1: [1, 5]}), 5)
+                                          (2, 3): [0], (1, 1): [1, 5]}), 5)
     with pytest.raises(LiftError, match="required pattern"):
         plan_lift(ConnectionMatrix(g, 3, {(1, 2): [0, 1, 2], (1, 3): [0],
                                           (2, 3): [0]}), 5)

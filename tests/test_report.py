@@ -73,6 +73,12 @@ def test_witness_certificate_shape(c6_cert):
         assert sorted(perm) == list(range(18))
 
 
+def test_certificate_matrix_is_the_entry_list(c6_witness, c6_cert):
+    assert c6_cert["matrix"] == c6_witness.entries()
+    assert ConnectionMatrix.from_entries(c6_witness.group, 3,
+                                         c6_cert["matrix"]) == c6_witness
+
+
 def test_pgsr_certificate():
     base = build_entry(entries(tag="C6", m=3, kind="pgsr")[0])
     cert = make_certificate(base, "pgsr")
@@ -92,8 +98,7 @@ def test_refuses_invalid_witnesses():
         make_certificate(square, "hgr")
     with pytest.raises(ValueError, match="kind must be one of"):
         make_certificate(square, "haar")
-    withdiag = ConnectionMatrix(cyclic(3), 2, {(1, 2): [0]},
-                                diagonal={1: [1, 2]})
+    withdiag = ConnectionMatrix(cyclic(3), 2, {(1, 2): [0], (1, 1): [1, 2]})
     with pytest.raises(ValueError, match="diagonal"):
         make_certificate(withdiag, "pgsr")
 
@@ -111,7 +116,7 @@ def test_nonexistence_certificate_checks_the_clause():
 
 def test_search_certificate_nonexistence():
     report = decide_existence(cyclic(2), 3)
-    cert = search_certificate(report, cyclic(2))
+    cert = search_certificate(report)
     assert cert["kind"] == "nonexistence-search"
     assert cert["route"] == "exhaustive search (normalized mode)"
     assert cert["evidence"]["examined"] == 4
@@ -120,17 +125,17 @@ def test_search_certificate_nonexistence():
 
 def test_search_certificate_witness():
     report = decide_existence(cyclic(6), 3)
-    cert = search_certificate(report, cyclic(6))
+    cert = search_certificate(report)
     assert cert["kind"] == "hgr"
     assert "exhaustive search" in cert["route"]
     assert reverify(cert).ok
 
 
 def test_search_certificate_refuses_early_stop():
-    partial = SearchReport("C2", 2, 3, "normalized", False, 3, 4, 2, 0,
+    partial = SearchReport(cyclic(2), 3, "normalized", False, 3, 4, 2, 0,
                            None, False, 0.0)
     with pytest.raises(ValueError, match="stopped early"):
-        search_certificate(partial, cyclic(2))
+        search_certificate(partial)
 
 
 # the certificate text of one outcome per route: catalog, generic recipes of
@@ -146,7 +151,7 @@ def test_certificates_are_pinned():
         sha.update(certificate_json(synthesize(parse_group_spec(spec), m)).encode())
     for spec, m in [("C2^2", 3), ("C6", 3)]:
         g = parse_group_spec(spec)
-        sha.update(certificate_json(decide_existence(g, m), group=g).encode())
+        sha.update(certificate_json(decide_existence(g, m)).encode())
     assert sha.hexdigest() == CERTIFICATE_DIGEST
 
 
@@ -161,9 +166,7 @@ def test_emit_dispatch():
     cert = emit(neg)
     assert cert["kind"] == "nonexistence-classified"
     report = decide_existence(cyclic(2), 3)
-    assert emit(report, group=cyclic(2))["kind"] == "nonexistence-search"
-    with pytest.raises(ValueError, match="needs the group"):
-        emit(report)
+    assert emit(report)["kind"] == "nonexistence-search"
     with pytest.raises(TypeError, match="cannot certify a str"):
         emit("witness")
 
@@ -417,7 +420,7 @@ def test_reverify_classified_tampering():
 
 
 def test_reverify_search_tampering():
-    cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    cert = search_certificate(decide_existence(cyclic(2), 3))
     check = reverify(tampered(cert, evidence__examined=17))
     assert not check.ok and check.field == "evidence.examined"
     # claiming searched nonexistence for a pair that has witnesses, with
@@ -436,7 +439,7 @@ def no_rerun(*args, **kwargs):
 
 
 def test_reverify_counts_the_claimed_sizes_before_the_rerun(monkeypatch):
-    cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    cert = search_certificate(decide_existence(cyclic(2), 3))
     monkeypatch.setattr(mhaar.search, "decide_existence", no_rerun)
     for dotted, bad, field in [("evidence__total_space", 5, "evidence.total_space"),
                                ("evidence__profiles", 4, "evidence.profiles"),
@@ -455,7 +458,7 @@ def test_reverify_counts_the_claimed_sizes_before_the_rerun(monkeypatch):
 def test_reverify_of_an_edited_search_certificate_stops_at_a_witness():
     # C2 has 6-part witnesses; the rerun stops at the first one instead of
     # walking the rest of the space
-    cert = search_certificate(decide_existence(cyclic(2), 3), cyclic(2))
+    cert = search_certificate(decide_existence(cyclic(2), 3))
     profiles, total = space_size(cyclic(2), 6)
     start = time.perf_counter()
     check = reverify(tampered(cert, m=6, evidence__profiles=profiles,

@@ -278,7 +278,7 @@ def test_c1_scan_contract():
 def test_report_str_shapes():
     r = decide_existence(cyclic(2), 3)
     assert str(r) == "C2 m=3 [normalized] examined 4/4: none exist"
-    s = SearchReport("C2", 2, 3, "normalized", False, 3, 4, 2, 0, None,
+    s = SearchReport(cyclic(2), 3, "normalized", False, 3, 4, 2, 0, None,
                      False, 0.0)
     assert str(s).endswith("none seen")
 
