@@ -39,10 +39,9 @@ _EXPORTS = {
     "groups": ("Group", "GroupError", "cyclic", "dihedral", "elem_abelian",
                "load_group", "parse_group_spec", "product"),
     "lift": ("LiftError", "lift_base"),
-    "report": ("CertificateCheck", "certificate_json", "emit",
-               "load_certificate", "make_certificate",
-               "nonexistence_certificate", "reverify", "search_certificate",
-               "write_certificate"),
+    "report": ("certificate_json", "emit", "load_certificate",
+               "make_certificate", "nonexistence_certificate", "reverify",
+               "search_certificate", "write_certificate"),
     "search": ("SearchReport", "c1_regular_asymmetric_scan",
                "decide_existence", "space_size"),
 }

@@ -551,12 +551,12 @@ def check_claim(witness: Union[ConnectionMatrix, Evidence], kind: str) -> Verdic
     ev = witness if given else evidence(cm)
     order, n = ev.aut.order, cm.group.order
     if order != n:
-        return Verdict(False, order, f"automorphism group has order {order}, "
-                       f"group has order {n}", "evidence.aut_order", ev)
+        return Verdict(False, "evidence.aut_order", f"automorphism group has "
+                       f"order {order}, group has order {n}", order, ev)
     if not ev.fields["orbits_are_parts"]:
-        return Verdict(False, order, "vertex orbits do not coincide with the parts",
-                       "evidence.orbits_are_parts", ev)
-    return Verdict(True, order, evidence=ev)
+        return Verdict(False, "evidence.orbits_are_parts",
+                       "vertex orbits do not coincide with the parts", order, ev)
+    return Verdict(True, aut_order=order, evidence=ev)
 
 
 def is_m_hgr(cm: ConnectionMatrix) -> Verdict:

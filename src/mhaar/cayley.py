@@ -216,31 +216,37 @@ def right_translation(cm: ConnectionMatrix, g: int) -> list[int]:
 
 
 class Verdict(NamedTuple):
-    """Outcome of a claim check; a failure names its certificate field.
+    """Outcome of a claim or certificate check; a failure names its
+    certificate field and the reason, as in Verdict(False, field, reason).
 
     aut_order is None when no engine ran.  A check that ran the engine
     keeps its evidence for the certificate (see autos.check_claim).
     """
 
     ok: bool
-    aut_order: Optional[int] = None
-    reason: str = ""
     field: Optional[str] = None
+    reason: str = ""
+    aut_order: Optional[int] = None
     evidence: Optional[Evidence] = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __str__(self) -> str:  # the line `mhaar reverify` prints
+        if self.ok:
+            return "certificate verifies"
+        return f"certificate fails at {self.field!r}: {self.reason}"
 
 
 def is_m_haar(cm: ConnectionMatrix) -> Verdict:
     """Empty diagonal plus equal part valencies; names the first violation."""
     for i in range(1, cm.m + 1):
         if cm.block(i, i):
-            return Verdict(False, reason=f"diagonal block ({i}, {i}) is nonempty",
-                           field="evidence.diagonal_empty")
+            return Verdict(False, "evidence.diagonal_empty",
+                           f"diagonal block ({i}, {i}) is nonempty")
     vals = cm.valencies()
     for i in range(1, cm.m):
         if vals[i] != vals[0]:
-            return Verdict(False, reason=f"part {i + 1} has valency {vals[i]}, "
-                           f"part 1 has {vals[0]}", field="evidence.regular")
+            return Verdict(False, "evidence.regular",
+                           f"part {i + 1} has valency {vals[i]}, part 1 has {vals[0]}")
     return Verdict(True)

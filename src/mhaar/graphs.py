@@ -79,16 +79,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(b.bit_count() for b in self.bits) // 2
 
-    def on_triangle(self, v: int) -> bool:
-        bv = self.bits[v]
-        b = bv
-        while b:
-            low = b & -b
-            if bv & self.bits[low.bit_length() - 1]:
-                return True
-            b ^= low
-        return False
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True

@@ -160,6 +160,10 @@ class Group:
         if type(order) is not int or order != len(table):
             raise GroupError(f"declared order {order!r} does not match the "
                              f"{len(table)} rows of the table", "order")
+        cap = vertex_cap()  # before the table is validated
+        if order > cap:
+            raise CapacityError(f"group table has order {order}, over the vertex cap "
+                                f"of {cap} (set MHAAR_MAX_VERTICES to raise it)")
         descriptor = data.get("descriptor")
         if descriptor is not None and not isinstance(descriptor, str):
             raise GroupError("group JSON 'descriptor' must be a string", "descriptor")

@@ -83,7 +83,7 @@ def triangle_profile(graph: Graph, n: int) -> tuple[str, ...]:
     """
     out = []
     for base in range(0, graph.n, n):
-        flags = [graph.on_triangle(v) for v in range(base, base + n)]
+        flags = [graph.triangle_count(v) > 0 for v in range(base, base + n)]
         out.append("all" if all(flags) else "none" if not any(flags) else "mixed")
     return tuple(out)
 

@@ -14,12 +14,12 @@ also catches hand-edited files.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import __version__
 from .autos import (CLAIM_KINDS, Evidence, automorphism_group,  # noqa: F401
                     check_claim, evidence)
-from .cayley import CayleyError, ConnectionMatrix
+from .cayley import CayleyError, ConnectionMatrix, Verdict
 from .formats import to_graph6
 from .groups import Group, GroupError, read_json
 
@@ -31,30 +31,12 @@ SCHEMA_VERSION = 1
 _KINDS = CLAIM_KINDS + ("nonexistence-search", "nonexistence-classified")
 
 
-class CertificateCheck(NamedTuple):
-    ok: bool
-    field: Optional[str] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "certificate verifies"
-        return f"certificate fails at {self.field!r}: {self.detail}"
-
-
 def _header(kind: str, group: Group, m: int, route: Optional[str]) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,
         "kind": kind,
-        "group": {
-            "descriptor": group.descriptor,
-            "order": group.order,
-            "table": [list(row) for row in group.table],
-        },
+        "group": {"descriptor": group.descriptor, **group.to_json()},
         "m": m,
         "route": route,
     }
@@ -158,64 +140,57 @@ def load_certificate(path: str) -> dict:
     return cert
 
 
-def _compare(claimed: dict, recomputed: dict) -> CertificateCheck:
+def _compare(claimed: dict, recomputed: dict) -> Verdict:
     """The first evidence field whose claimed value is not the recomputed one."""
     for field, value in recomputed.items():
         if field not in claimed:
-            return CertificateCheck(False, f"evidence.{field}", "field missing")
+            return Verdict(False, f"evidence.{field}", "field missing")
         if claimed[field] != value:
-            return CertificateCheck(
-                False, f"evidence.{field}",
-                f"claimed {claimed[field]!r}, recomputed {value!r}")
-    return CertificateCheck(True)
+            return Verdict(False, f"evidence.{field}",
+                           f"claimed {claimed[field]!r}, recomputed {value!r}")
+    return Verdict(True)
 
 
-def _reverify_witness(cert: dict, group: Group, kind: str) -> CertificateCheck:
+def _reverify_witness(cert: dict, group: Group, kind: str) -> Verdict:
     try:
         cm = ConnectionMatrix.from_entries(group, cert["m"], cert["matrix"])
     except CayleyError as e:
-        return CertificateCheck(False, "matrix", str(e))
+        return Verdict(False, "matrix", str(e))
     ev = evidence(cm)
     check = _compare(cert["evidence"], ev.fields)
     if not check:
         return check
     if cert["graph6"] != to_graph6(ev.graph):
-        return CertificateCheck(False, "graph6", "claimed encoding differs "
-                                "from the rebuilt graph")
+        return Verdict(False, "graph6",
+                       "claimed encoding differs from the rebuilt graph")
     generators = cert["aut_generators"]
     if not isinstance(generators, list):
-        return CertificateCheck(False, "aut_generators", "not a list")
+        return Verdict(False, "aut_generators", "not a list")
     for idx, perm in enumerate(generators):
         if (not isinstance(perm, list) or not all(type(x) is int for x in perm)
                 or sorted(perm) != list(range(ev.graph.n))
                 or any(not ev.graph.has_edge(perm[u], perm[v])
                        for u, v in ev.graph.edges())):
-            return CertificateCheck(
-                False, "aut_generators",
-                f"entry {idx} is not an automorphism of the graph")
+            return Verdict(False, "aut_generators",
+                           f"entry {idx} is not an automorphism of the graph")
     # the claim itself, not just internal consistency
-    verdict = check_claim(ev, kind)
-    if not verdict:
-        return CertificateCheck(False, verdict.field, verdict.reason)
-    return CertificateCheck(True)
+    return check_claim(ev, kind)
 
 
-def _reverify_classified(cert: dict, group: Group) -> CertificateCheck:
+def _reverify_classified(cert: dict, group: Group) -> Verdict:
     from .constructions import nonexistence_clause
     claimed = cert["evidence"].get("clause")
     actual = nonexistence_clause(group, cert["m"])
     if actual is None:
-        return CertificateCheck(
-            False, "evidence.clause",
-            f"classification does not exclude {group.label}, m={cert['m']}")
+        return Verdict(False, "evidence.clause", "classification does not "
+                       f"exclude {group.label}, m={cert['m']}")
     if claimed != actual:
-        return CertificateCheck(
-            False, "evidence.clause",
-            f"claimed {claimed!r}, classification says {actual!r}")
-    return CertificateCheck(True)
+        return Verdict(False, "evidence.clause",
+                       f"claimed {claimed!r}, classification says {actual!r}")
+    return Verdict(True)
 
 
-def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
+def _reverify_search(cert: dict, group: Group) -> Verdict:
     from .search import decide_existence, space_size
     claimed = cert["evidence"]
     mode = claimed.get("mode", "normalized")
@@ -228,53 +203,47 @@ def _reverify_search(cert: dict, group: Group) -> CertificateCheck:
     # a witness fails the claim, so the rerun may stop at the first one
     report = decide_existence(group, cert["m"], mode=rerun_mode)
     if report.exists:
-        return CertificateCheck(
-            False, "kind",
-            f"search finds a witness for {group.label}, m={cert['m']}")
+        return Verdict(False, "kind",
+                       f"search finds a witness for {group.label}, m={cert['m']}")
     return _compare(claimed, _search_evidence(report))
 
 
-def reverify(cert: Union[dict, str]) -> CertificateCheck:
+def reverify(cert: dict) -> Verdict:
     """Recompute every claimed field; report the first disagreement.
 
-    Accepts the dict or its JSON text.  The group table, the matrix
-    entries, and the (kind, m) claim are the only trusted inputs;
-    everything else is rederived.  Nonexistence-search certificates are
+    Takes a decoded certificate, as `load_certificate` reads it from a
+    file.  The group table, the matrix entries, and the (kind, m) claim
+    are the only trusted inputs; everything else is rederived.  A
+    witness certificate's answer is the claim check's Verdict, with its
+    aut_order and evidence.  Nonexistence-search certificates are
     re-verified by re-running the full enumeration, which costs what
     the original search cost; a rerun that finds a witness stops there.
     """
-    if isinstance(cert, str):
-        try:
-            cert = json.loads(cert)
-        except (json.JSONDecodeError, RecursionError) as e:
-            return CertificateCheck(False, "json", str(e))
     if not isinstance(cert, dict):
-        return CertificateCheck(False, "json", "certificate is not an object")
+        return Verdict(False, "json", "certificate is not an object")
     try:
         if cert["schema"] != SCHEMA_VERSION:
-            return CertificateCheck(
-                False, "schema",
-                f"unsupported schema {cert['schema']!r}, expected {SCHEMA_VERSION}")
+            return Verdict(False, "schema", f"unsupported schema {cert['schema']!r}, "
+                           f"expected {SCHEMA_VERSION}")
         kind = cert["kind"]
         if kind not in _KINDS:
-            return CertificateCheck(False, "kind", f"unknown kind {kind!r}")
+            return Verdict(False, "kind", f"unknown kind {kind!r}")
         try:
             group = Group.from_json(cert["group"])
         except GroupError as e:
-            return CertificateCheck(
-                False, "group" if e.field is None else f"group.{e.field}", str(e))
+            field = "group" if e.field is None else f"group.{e.field}"
+            return Verdict(False, field, str(e))
         if not isinstance(cert["evidence"], dict):
-            return CertificateCheck(False, "evidence", "not a JSON object")
+            return Verdict(False, "evidence", "not a JSON object")
         # the classification covers m >= 3 only
         least = 3 if kind == "nonexistence-classified" else 2
         m = cert["m"]
         if type(m) is not int or m < least:
-            return CertificateCheck(False, "m", f"must be an integer >= {least}, "
-                                    f"got {m!r}")
+            return Verdict(False, "m", f"must be an integer >= {least}, got {m!r}")
         if kind in CLAIM_KINDS:
             return _reverify_witness(cert, group, kind)
         if kind == "nonexistence-classified":
             return _reverify_classified(cert, group)
         return _reverify_search(cert, group)
     except KeyError as e:
-        return CertificateCheck(False, str(e.args[0]), "field missing")
+        return Verdict(False, str(e.args[0]), "field missing")

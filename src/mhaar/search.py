@@ -408,18 +408,17 @@ def c1_regular_asymmetric_scan(m: int, budget: int = DEFAULT_BUDGET,
     """Scan the regular graphs on m vertices for an asymmetric one.
 
     Over the trivial group a connection matrix is just a graph on the
-    parts, so existence for (C1, m) reduces to this question.  Capped
-    at m = 10, where the first asymmetric regular graphs appear: that
-    settles the paper's C1 row, and the template route builds larger
-    ones.  `decide_existence` runs the same scan for any m, within its
-    budget; from m = 13 (checked up to m = 300) the counted graphs pass
-    the default budget before a witness.
+    parts, so existence for (C1, m) reduces to this question, and this
+    is `decide_existence(cyclic(1), m)` capped at m = 10, where the
+    first asymmetric regular graphs appear: that settles the paper's C1
+    row, and the template route builds larger ones.  `decide_existence`
+    runs the same scan for any m, within its budget; from m = 13
+    (checked up to m = 300) the counted graphs pass the default budget
+    before a witness.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
     if m > 10:
         raise ValueError(f"scan supports m <= 10, got {m}")
-    return _trivial_group_scan(cyclic(1), m, budget, early_exit)
+    return decide_existence(cyclic(1), m, budget=budget, early_exit=early_exit)
 
 
 # -- one profile at a time -----------------------------------------------------
@@ -549,8 +548,9 @@ def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                  profile: Profile, forced: frozenset[int], space: int,
-                 early_exit: bool, skip: bool) -> tuple[int, int, Optional[dict]]:
-    """Scan one profile; returns (examined, witnesses, first blocks).
+                 early_exit: bool, skip: bool
+                 ) -> tuple[int, int, Optional[ConnectionMatrix]]:
+    """Scan one profile; returns (examined, witnesses, first witness).
 
     With skip, a candidate that a part translation maps to an earlier
     one is counted but not decided, until the profile's first witness.
@@ -569,7 +569,7 @@ def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
         if only_translations(build_graph(cm), target):
             witnesses += 1
             if first is None:
-                first = blocks
+                first = cm
             if early_exit:
                 break
     return examined, witnesses, first
@@ -643,9 +643,9 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     relabelled = _relabelling_check(m, cells)
 
     examined = witnesses = 0
-    witness_blocks = None
+    witness = None
     for profile, forced, space in _plan(group, m, mode):
-        if normalized and witness_blocks is None and relabelled(profile):
+        if normalized and witness is None and relabelled(profile):
             # decided with the earlier profile a part relabelling maps it to
             examined += space
             continue
@@ -653,12 +653,10 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
                                       early_exit, normalized)
         examined += ex
         witnesses += wit
-        if first is not None and witness_blocks is None:
-            witness_blocks = first
+        if first is not None and witness is None:
+            witness = first
             if early_exit:
                 break
-    witness = (None if witness_blocks is None
-               else ConnectionMatrix(group, m, witness_blocks))
     return SearchReport(
         group=group, m=m, mode=mode,
         exists=witness is not None, profiles=profiles, total_space=total,

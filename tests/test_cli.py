@@ -524,6 +524,41 @@ def test_deeply_nested_json_exits_1(tmp_path, argv):
     assert f"error: {path}: JSON nested too deeply" in proc.stderr
 
 
+def test_invalid_json_certificate_exits_1(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text('{"schema": 1, ')
+    code, out, err = run(capsys, "reverify", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert f"{path}: invalid JSON" in err
+
+
+def test_group_table_over_the_cap_is_refused_before_validation(
+        tmp_path, capsys, monkeypatch):
+    import mhaar.groups
+    from mhaar.groups import dihedral
+    from mhaar.report import nonexistence_certificate
+
+    table = tmp_path / "c12.json"
+    table.write_text(json.dumps(cyclic(12).to_json()))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"group": cyclic(12).to_json(), "m": 2}))
+    cert = tmp_path / "cert.json"
+    # a classified certificate: D6 at m = 3, the largest classified group
+    cert.write_text(json.dumps(nonexistence_certificate(dihedral(6), 3, "a")))
+
+    def refuse(self):
+        raise AssertionError("validated a table over the cap")
+
+    monkeypatch.setattr(mhaar.groups.Group, "_validate", refuse)
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "5")
+    for argv, order in ((("search", "--group", f"@{table}", "-m", "2"), 12),
+                        (("verify", str(matrix)), 12),
+                        (("reverify", str(cert)), 6)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CAPACITY, (argv, err)
+        assert f"group table has order {order}, over the vertex cap of 5" in err
+
+
 def test_parts_over_the_vertex_cap_exit_at_once():
     for argv in (("synthesize", "--group", "C6", "-m", "99999999999"),
                  ("search", "--group", "C3", "-m", "99999")):

@@ -16,14 +16,13 @@ import mhaar.cayley
 import mhaar.search
 from mhaar.autos import automorphism_group
 from mhaar.catalog import build_entry, entries
-from mhaar.cayley import CayleyError, ConnectionMatrix, build_graph
+from mhaar.cayley import CayleyError, ConnectionMatrix, Verdict, build_graph
 from mhaar.cli import EXIT_CAPACITY, main
 from mhaar.constructions import synthesize
 from mhaar.formats import to_graph6
 from mhaar.groups import CapacityError, Group, cyclic, dihedral, parse_group_spec
 from mhaar.report import (
     SCHEMA_VERSION,
-    CertificateCheck,
     certificate_json,
     emit,
     load_certificate,
@@ -192,7 +191,7 @@ def test_witness_certificate_runs_the_engine_once(monkeypatch):
 def test_json_and_file_round_trip(tmp_path):
     text = certificate_json(synthesize(cyclic(6), 3))
     assert text.endswith("\n")
-    assert reverify(text).ok  # JSON string input
+    assert reverify(json.loads(text)).ok
     path = tmp_path / "cert.json"
     write_certificate(text, str(path))
     assert path.read_text() == text
@@ -394,13 +393,13 @@ def test_reverify_fails_at_matrix_exactly_when_the_entry_reader_refuses(c6_cert,
 def test_reverify_catches_missing_fields(c6_cert):
     check = reverify(tampered(c6_cert, evidence__aut_order=None))
     assert not check.ok and check.field == "evidence.aut_order"
-    assert check.detail == "field missing"
+    assert check.reason == "field missing"
     check = reverify(tampered(c6_cert, graph6=None))
     assert not check.ok and check.field == "graph6"
-    assert check.detail == "field missing"
+    assert check.reason == "field missing"
     check = reverify(tampered(c6_cert, m=None))
     assert not check.ok and check.field == "m"
-    assert check.detail == "field missing"
+    assert check.reason == "field missing"
 
 
 def test_reverify_rejects_broken_group_tables(c6_cert):
@@ -414,7 +413,7 @@ def test_reverify_classified_tampering():
     cert = nonexistence_certificate(dihedral(6), 3, "a")
     check = reverify(tampered(cert, m=4))
     assert not check.ok and check.field == "evidence.clause"
-    assert "does not exclude" in check.detail
+    assert "does not exclude" in check.reason
     check = reverify(tampered(cert, evidence__clause="b"))
     assert not check.ok and check.field == "evidence.clause"
 
@@ -431,7 +430,7 @@ def test_reverify_search_tampering():
                      evidence__profiles=profiles, evidence__total_space=total)
     check = reverify(lying)
     assert not check.ok and check.field == "kind"
-    assert "finds a witness" in check.detail
+    assert "finds a witness" in check.reason
 
 
 def no_rerun(*args, **kwargs):
@@ -451,7 +450,7 @@ def test_reverify_counts_the_claimed_sizes_before_the_rerun(monkeypatch):
     start = time.perf_counter()
     check = reverify(tampered(cert, m=7))
     assert time.perf_counter() - start < 10
-    assert (check.field, check.detail) == ("evidence.profiles",
+    assert (check.field, check.reason) == ("evidence.profiles",
                                             "claimed 3, recomputed 302889")
 
 
@@ -465,13 +464,26 @@ def test_reverify_of_an_edited_search_certificate_stops_at_a_witness():
                               evidence__total_space=total))
     assert time.perf_counter() - start < 5
     assert not check.ok and check.field == "kind"
-    assert "finds a witness for C2, m=6" in check.detail
+    assert "finds a witness for C2, m=6" in check.reason
 
 
 def test_reverify_garbage_inputs():
-    assert reverify("{not json").field == "json"
-    assert reverify("[1, 2]").field == "json"
-    assert reverify("[" * 100_000 + "]" * 100_000).field == "json"
-    assert not reverify("{}").ok
-    check = CertificateCheck(True)
+    # reverify takes a decoded certificate; text is not decoded here
+    for value in ([1, 2], "{}", None):
+        check = reverify(value)
+        assert not check.ok
+        assert (check.field, check.reason) == ("json", "certificate is not an object")
+    assert reverify({}).field == "schema"
+    check = Verdict(True)
     assert bool(check) and str(check) == "certificate verifies"
+
+
+def test_reverify_of_a_witness_is_the_claim_verdict(c6_cert):
+    check = reverify(c6_cert)
+    assert isinstance(check, Verdict) and check.ok
+    assert check.aut_order == 6 and check.evidence is not None
+    assert check.evidence.fields == c6_cert["evidence"]
+    check = reverify(tampered(c6_cert, evidence__aut_order=12))
+    assert isinstance(check, Verdict) and not check.ok
+    assert (check.field, check.reason) == ("evidence.aut_order",
+                                           "claimed 12, recomputed 6")

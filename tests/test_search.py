@@ -463,8 +463,27 @@ def test_skip_agrees_with_the_literal_loop(spec, m):
     assert outcome(decide_existence(group, m)) == expected
 
 
+@pytest.mark.parametrize("m", range(3, 11))
+def test_c1_scan_is_the_trivial_group_search(m):
+    assert (outcome(c1_regular_asymmetric_scan(m))
+            == outcome(decide_existence(cyclic(1), m)))
+
+
+def test_search_returns_the_matrix_the_engine_accepted(monkeypatch):
+    built = []
+
+    def recording(cm):
+        built.append(cm)
+        return build_graph(cm)
+
+    monkeypatch.setattr(mhaar.search, "build_graph", recording)
+    r = decide_existence(cyclic(6), 3)
+    assert r.witness is built[-1]  # the search stops at its first witness
+    assert r.witness.upper_items() == literal_search(cyclic(6), 3)[4]
+
+
 def sparse_triangle_free(graph, n):
-    return all(graph.degree(v) >= 3 and not graph.on_triangle(v)
+    return all(graph.degree(v) >= 3 and not graph.triangle_count(v)
                for v in range(graph.n))
 
 
@@ -494,7 +513,7 @@ def test_degree_scan_skip_keeps_every_witness_counted(monkeypatch):
     # a stand-in engine that answers an isomorphism invariant: the 96
     # triangle-free cubic graphs on 8 vertices, the first at position 249
     def triangle_free(graph, n):
-        return not any(graph.on_triangle(v) for v in range(graph.n))
+        return not any(graph.triangle_count(v) for v in range(graph.n))
 
     expected_first = next(graph for graph in _regular_graphs_seeded(8, 3)
                           if triangle_free(graph, 1))
@@ -640,11 +659,11 @@ def test_seeded_regular_graphs_come_in_increasing_order(m, d, count):
 
 
 def triangle_free(graph, n):
-    return not any(graph.on_triangle(v) for v in range(graph.n))
+    return not any(graph.triangle_count(v) for v in range(graph.n))
 
 
 def all_on_a_triangle(graph, n):
-    return all(graph.on_triangle(v) for v in range(graph.n))
+    return all(graph.triangle_count(v) for v in range(graph.n))
 
 
 @pytest.mark.parametrize("early_exit", [True, False])
