@@ -46,6 +46,13 @@ def test_connectivity_and_regularity():
     assert petersen().is_connected() and degrees(petersen()) == {3}
 
 
+def test_on_triangle():
+    # a vertex lies on a triangle exactly when triangle_count(v) > 0
+    tri_plus_tail = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert [tri_plus_tail.triangle_count(v) for v in range(4)] == [1, 1, 1, 0]
+    assert not any(petersen().triangle_count(v) for v in range(10))  # girth 5
+
+
 def test_graph6_known_encodings():
     # tiny cases decodable by hand from the format definition
     k2 = Graph.from_edges(2, [(0, 1)])
@@ -92,9 +99,6 @@ def test_graph6_matches_the_per_bit_encoder():
 
 
 def test_triangle_count_matches_the_definition():
-    tri_plus_tail = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert [tri_plus_tail.triangle_count(v) for v in range(4)] == [1, 1, 1, 0]
-    assert not any(petersen().triangle_count(v) for v in range(10))  # girth 5
     rng = random.Random(13)
     for n in (1, 3, 12, 30):
         g = random_graph(n, rng.random(), rng)
