@@ -32,10 +32,11 @@ One partition serves the whole search (`_Partition`).  Beside the cells
 in order, as bitmasks, it keeps the start position of each cell and,
 in a second list, the non-singleton cells with their starts; a splitter
 looks only at that second list, and finds a cell's index from its start
-by bisection.  Each split, individualizing a vertex included, is made
-in place and recorded on a trail.  A node's frame keeps the trail's
-length, and before making its next child it undoes the splits made
-since, so no child copies the partition.
+by bisection.  One routine, `split`, makes every split in place and
+records it on a trail: the root's split of the vertex set into its
+initial cells, each split in refinement, and individualizing a vertex.
+A node's frame keeps the trail's length, and before making its next
+child it undoes the splits made since, so no child copies the partition.
 
 The tree is searched depth first in one loop over an explicit stack,
 one frame per non-leaf node on the current path, so no recursion and no
@@ -139,18 +140,32 @@ class _Partition:
     __slots__ = ("cells", "starts", "wide", "wstarts", "trail")
 
     def __init__(self, cells: Sequence[int]):
-        self.cells = list(cells)
-        self.starts = []
-        self.wide = []
-        self.wstarts = []
+        # the vertex set as one cell (the cells are disjoint), split into these
+        whole = sum(cells)
+        self.cells, self.starts, self.wide, self.wstarts = [whole], [0], [whole], [0]
         self.trail: list[tuple[int, int, int, int, int]] = []
-        s = 0
-        for c in cells:
-            self.starts.append(s)
-            if c & (c - 1):
-                self.wide.append(c)
-                self.wstarts.append(s)
-            s += c.bit_count()
+        self.split(0, 0, cells)
+        self.trail.clear()
+
+    def split(self, ci: int, k: int, parts: Sequence[int]) -> int:
+        """Replace cell `ci`, which is `wide[k]`, by `parts` in order, on the
+        trail; returns how many of the parts are non-singleton."""
+        cells, starts = self.cells, self.starts
+        start = starts[ci]
+        pstarts, wparts, wpstarts = [], [], []
+        for p in parts:
+            pstarts.append(start)
+            size = p.bit_count()
+            if size > 1:
+                wparts.append(p)
+                wpstarts.append(start)
+            start += size
+        self.trail.append((ci, k, cells[ci], len(parts), len(wparts)))
+        cells[ci : ci + 1] = parts
+        starts[ci : ci + 1] = pstarts
+        self.wide[k : k + 1] = wparts
+        self.wstarts[k : k + 1] = wpstarts
+        return len(wparts)
 
     def undo(self, mark: int) -> None:
         cells, starts, wide, wstarts, trail = (
@@ -166,20 +181,9 @@ class _Partition:
         """Split the vertex bit `low` off the front of the first non-singleton
         cell, on the trail; returns that cell's index, which is its start
         because every cell before it is a singleton."""
-        cells, wide, wstarts = self.cells, self.wide, self.wstarts
-        target = wstarts[0]
-        cell = cells[target]
-        rest = cell ^ low
-        cells[target : target + 1] = [low, rest]
-        self.starts.insert(target + 1, target + 1)
-        if rest & (rest - 1):
-            self.trail.append((target, 0, cell, 2, 1))
-            wide[0] = rest
-            wstarts[0] = target + 1
-        else:
-            self.trail.append((target, 0, cell, 2, 0))
-            del wide[0], wstarts[0]
-        return target
+        ci = self.wstarts[0]
+        self.split(ci, 0, [low, self.cells[ci] ^ low])
+        return ci
 
 
 # -- equitable refinement -----------------------------------------------------
@@ -193,8 +197,7 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> in
     already equitable against (the last fragment of a split is not
     queued, see the module docstring).
     """
-    cells, starts, wide, wstarts, trail = (
-        ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail)
+    starts, wide, wstarts = ptn.starts, ptn.wide, ptn.wstarts
     wl = list(worklist)
     qi = 0
     while qi < len(wl) and wide:
@@ -234,32 +237,21 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> in
                     b ^= low
                 if len(buckets) == 1:
                     continue
-            start = wstarts[k]
-            ci = bisect_left(starts, start)
+            ci = bisect_left(starts, wstarts[k])
             h = _hmix(h, ci)
-            parts, pstarts, wparts, wpstarts = [], [], [], []
+            parts = []
             for c in sorted(buckets):
                 p = buckets[c]
-                size = p.bit_count()
                 h = _hmix(h, c)
-                h = _hmix(h, size)
+                h = _hmix(h, p.bit_count())
                 parts.append(p)
-                pstarts.append(start)
-                if size > 1:
-                    wparts.append(p)
-                    wpstarts.append(start)
-                start += size
             # recorded before the discrete return, so that undo restores it
-            trail.append((ci, k, cell, len(parts), len(wparts)))
-            cells[ci : ci + 1] = parts
-            starts[ci : ci + 1] = pstarts
-            wide[k : k + 1] = wparts
-            wstarts[k : k + 1] = wpstarts
+            wide_parts = ptn.split(ci, k, parts)
             if not wide:
                 return h
             # the last part would split nothing by the time it came up
             wl.extend(parts[:-1])
-            shift += len(wparts) - 1
+            shift += wide_parts - 1
     return h
 
 

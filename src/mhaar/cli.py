@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .graphs import CapacityError
+from .graphs import DEFAULT_BUDGET, CapacityError
 
 # Each command imports the modules it runs inside its _cmd_ function, so
 # a fresh `mhaar` process loads and compiles only those.  Beside cli and
@@ -119,7 +119,7 @@ def _cmd_search(args) -> int:
         print(f"witness valencies: {rep.witness.valencies()}")
         if args.out:
             _write_witness(rep.witness, args.out, "json")
-    if args.certificate and (rep.exists or rep.exhausted):
+    if args.certificate:
         from .report import certificate_json, write_certificate
         write_certificate(certificate_json(rep), args.certificate)
         print(f"certificate written to {args.certificate}")
@@ -150,8 +150,11 @@ def _cmd_reverify(args) -> int:
 
 def _load_graph(path: str):
     from .formats import from_edgelist, from_graph6
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("--mode", choices=("normalized", "exhaustive"),
                    default="normalized")
-    p.add_argument("--budget", type=int, default=10 ** 8,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="candidate cap before refusing (default 1e8)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: the search runs in one process")

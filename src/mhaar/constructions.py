@@ -49,22 +49,16 @@ class SynthesisError(RuntimeError):
     """A synthesized witness failed its own verification (internal bug)."""
 
 
-def _require_parts(m: int) -> None:
+def nonexistence_clause(group: Group, m: int) -> Optional[str]:
+    """Clause letter (a-d) if (group, m) is an exception, else None; an m
+    outside the classification raises ValueError."""
     if m == 2:
         raise ValueError(
             "m=2 is outside the classification; use the search module to "
             "decide individual two-part cases")
     if m < HGR_MIN_PARTS:
         raise ValueError(f"m must be >= {HGR_MIN_PARTS}, got {m}")
-
-
-def nonexistence_clause(group: Group, m: int) -> Optional[str]:
-    """Clause letter (a-d) if (group, m) is an exception, else None."""
-    _require_parts(m)
-    tag = identify_catalog_group(group)
-    if tag is None:
-        return None
-    return NONEXISTENT.get((tag, m))
+    return NONEXISTENT.get((identify_catalog_group(group), m))
 
 
 # -- generic recipes, by minimal generating size -------------------------------
@@ -213,13 +207,12 @@ def synthesize(group: Group, m: int, verify: bool = True, seed: int = 0) -> Synt
     not run the engine again.
     seed only affects the template route for groups of order 1 and 2.
     """
-    _require_parts(m)
-    tag = identify_catalog_group(group)
-    clause = NONEXISTENT.get((tag, m)) if tag is not None else None
+    clause = nonexistence_clause(group, m)
     if clause is not None:
         return SynthesisResult(group, m, False,
                                f"classification clause ({clause})", clause=clause)
     check_vertex_cap(m * group.order)  # before any route builds a part
+    tag = identify_catalog_group(group)
     if tag is not None:
         cm, route = _catalog_witness(tag, group, m, seed)
     else:

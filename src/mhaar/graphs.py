@@ -4,7 +4,9 @@ Python ints are the bitsets, so all the hot set algebra (neighbourhood
 intersections, cell counts in refinement) is C-level popcount work.
 
 The vertex cap lives here too: every reader of untrusted input checks
-it before it allocates a graph, a group table or a part.
+it before it allocates a graph, a group table or a part.  So does the
+search's default candidate budget, which the CLI reads without loading
+the search.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_MAX_VERTICES = 1024
+DEFAULT_BUDGET = 10 ** 8  # candidates a search may count before it refuses
 
 
 class CapacityError(RuntimeError):
@@ -105,12 +108,6 @@ class Graph:
             total += (bv & bits[low.bit_length() - 1]).bit_count()
             b ^= low
         return total // 2
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(self.bits)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

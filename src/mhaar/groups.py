@@ -10,7 +10,9 @@ _group_on, from a list of elements and their product.  Every table
 is checked against the group axioms exactly (associativity by Light's test).
 One closure, subgroup_generated, serves that check and the one search for
 generating tuples, which the minimum generating set, the generating pair and
-the generating triple all run.
+the generating triple all run.  That search refuses a group of order over
+half the vertex cap (512 by default), the largest group a graph within the
+cap can hold, as m >= 2 parts of |G| vertices each.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import re
 from typing import Iterable, Optional, Sequence
 
 from .graphs import CapacityError, vertex_cap
-
-MAX_RANK_SEARCH_ORDER = 512
 
 
 class GroupError(ValueError):
@@ -331,9 +331,9 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
     does not depend on it.
     """
     n = g.order
-    if n > MAX_RANK_SEARCH_ORDER:
-        raise CapacityError(
-            f"generating-rank search capped at order {MAX_RANK_SEARCH_ORDER}, got {n}")
+    cap = vertex_cap() // 2  # the largest group a graph within the cap holds, m >= 2
+    if n > cap:
+        raise CapacityError(f"generating-rank search capped at order {cap}, got {n}")
     if t == 0:
         return () if n == 1 else None
     orders = g.element_orders()

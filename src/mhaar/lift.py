@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .autos import automorphism_group
-from .cayley import CayleyError, ConnectionMatrix, build_graph
+from .cayley import ConnectionMatrix, build_graph
 from .graphs import Graph
 
 
@@ -157,7 +157,4 @@ def lift_base(base: ConnectionMatrix, m: int,
     for pos in layout["small_fillers"]:
         blocks[pos] = plan.filler_small
     blocks[layout["large_filler"]] = plan.filler_large
-    try:
-        return ConnectionMatrix(base.group, m, blocks)
-    except CayleyError as exc:  # pragma: no cover - layout never collides
-        raise LiftError(f"internal layout conflict: {exc}") from exc
+    return ConnectionMatrix(base.group, m, blocks)

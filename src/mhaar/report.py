@@ -66,14 +66,12 @@ def make_certificate(cm: Union[ConnectionMatrix, Evidence], kind: str = "hgr",
 
 def nonexistence_certificate(group: Group, m: int, clause: str,
                              route: Optional[str] = None) -> dict:
-    from .constructions import nonexistence_clause
-    actual = nonexistence_clause(group, m)
-    if actual != clause:
-        raise ValueError(
-            f"refusing to certify: clause {clause!r} claimed for "
-            f"{group.label}, m={m}, but the classification says {actual!r}")
-    return {**_header("nonexistence-classified", group, m, route),
+    cert = {**_header("nonexistence-classified", group, m, route),
             "evidence": {"clause": clause, "group_order": group.order}}
+    check = _reverify_classified(cert, group)
+    if not check:
+        raise ValueError(f"refusing to certify: {check.reason}")
+    return cert
 
 
 def _search_evidence(report) -> dict:
@@ -192,19 +190,24 @@ def _reverify_classified(cert: dict, group: Group) -> Verdict:
 
 def _reverify_search(cert: dict, group: Group) -> Verdict:
     from .search import decide_existence, space_size
-    claimed = cert["evidence"]
-    mode = claimed.get("mode", "normalized")
-    rerun_mode = mode if mode in ("normalized", "exhaustive") else "normalized"
-    if group.order > 1:  # C1's scan claims no sizes; a forged one needs no rerun
-        profiles, total = space_size(group, cert["m"], rerun_mode)
+    claimed, m = cert["evidence"], cert["m"]
+    # the modes a rerun can report, checked before anything reruns
+    modes = ("degree-scan",) if group.order == 1 else ("normalized", "exhaustive")
+    mode = claimed.get("mode")
+    if mode not in modes:
+        return _compare(claimed, {"mode": modes[0]})
+    # a witness fails the claim, so the rerun may stop at the first one
+    if group.order == 1:  # C1's scan claims no sizes
+        report = decide_existence(group, m)
+    else:
+        profiles, total = space_size(group, m, mode)
         check = _compare(claimed, {"profiles": profiles, "total_space": total})
         if not check:
             return check
-    # a witness fails the claim, so the rerun may stop at the first one
-    report = decide_existence(group, cert["m"], mode=rerun_mode)
+        report = decide_existence(group, m, mode=mode)
     if report.exists:
         return Verdict(False, "kind",
-                       f"search finds a witness for {group.label}, m={cert['m']}")
+                       f"search finds a witness for {group.label}, m={m}")
     return _compare(claimed, _search_evidence(report))
 
 

@@ -85,13 +85,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .autos import automorphism_group, only_translations  # noqa: F401
 from .cayley import ConnectionMatrix, build_graph
-from .graphs import Graph, check_vertex_cap
+from .graphs import DEFAULT_BUDGET, Graph, check_vertex_cap
 from .groups import CapacityError, Group, cyclic
 
 # automorphism_group is unused here, but the tracing test in
 # perfbench/test_perfbench.py expects this module to bind it
-
-DEFAULT_BUDGET = 10 ** 8
 
 Profile = tuple[int, ...]  # block sizes along lex-ordered cells (i, j), i < j
 Blocks = tuple[tuple[int, ...], ...]  # one candidate: a sorted block per cell
@@ -693,12 +691,10 @@ def space_size(group: Group, m: int, mode: str = "normalized",
             raise CapacityError(refusal)
     if mode == "exhaustive":
         return profiles, total
-    profiles = total = 0
+    # the cell states count the same profiles, so only the candidates change
+    total = 0
     for d in range(n * (m - 1) + 1):
-        root = _counted_root(m, n, d)
-        more_profiles, more = _cell_counts(m, n)[root]
-        profiles += more_profiles
-        total += more
+        total += _cell_counts(m, n)[_counted_root(m, n, d)][1]
         if total > budget:
             raise CapacityError(refusal)
     return profiles, total

@@ -90,6 +90,13 @@ def test_aut_order_shortcut():
     assert automorphism_group(petersen()).order == 120
 
 
+def test_the_empty_graph():
+    g = Graph(0)
+    assert automorphism_group(g).order == 1
+    assert brute_force_aut_order(g) == 1
+    assert g.is_connected()
+
+
 def test_path_orbits():
     res = automorphism_group(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
     assert sorted(res.orbits) == [(0, 3), (1, 2)]

@@ -190,6 +190,13 @@ def test_json_names_the_malformed_field(data, field):
         ConnectionMatrix.from_json(data)
 
 
+def test_block_index_and_json_keys_are_named():
+    with pytest.raises(CayleyError, match=r"block index \(0, 1\) out of range for m=2"):
+        ConnectionMatrix(cyclic(3), 2).block(0, 1)
+    with pytest.raises(CayleyError, match="needs 'group' and 'm' keys"):
+        ConnectionMatrix.from_json([1, 2])
+
+
 def test_json_checks_the_vertex_cap_before_any_part():
     with pytest.raises(CapacityError, match="6000000000 vertices"):
         ConnectionMatrix.from_json({"group": "C3", "m": 2_000_000_000})

@@ -307,6 +307,18 @@ def test_reverify_catches_tampering(capsys, tmp_path):
     assert "certificate fails at 'evidence.aut_order'" in out
 
 
+def test_reverify_of_a_forged_search_mode_exits_3(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "search", "--group", "C2", "-m", "3", "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["evidence"]["mode"] = "bogus"
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_NEGATIVE
+    assert out == ("certificate fails at 'evidence.mode': "
+                   "claimed 'bogus', recomputed 'normalized'\n")
+
+
 # one certificate of each kind the commands write
 CERT_COMMANDS = {
     "witness": ("synthesize", "--group", "C6", "-m", "3"),
@@ -413,6 +425,14 @@ def test_oracle_aut_skips_indented_comment_lines(capsys, tmp_path, text):
     code, out, _ = run(capsys, "oracle-aut", str(path))
     assert code == EXIT_OK
     assert "graph: 3 vertices, 1 edges" in out
+
+
+def test_oracle_aut_names_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "oracle-aut", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_oracle_aut_missing_file(capsys):

@@ -113,10 +113,25 @@ def test_graph6_rejects_garbage():
         from_graph6("")
     with pytest.raises(ValueError):
         from_graph6("B")  # truncated body
-    with pytest.raises(ValueError):
-        from_graph6("A" + chr(30))  # character below the printable range
+    with pytest.raises(ValueError, match="bad graph6 byte 40"):
+        from_graph6("A(")  # a byte below the printable range, body length right
     with pytest.raises(ValueError, match="has 300000 bytes, 10 vertices need 8"):
         from_graph6("I" + "?" * 300_000)  # zero bits far past what n needs
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A@", "graph6 padding bits not zero"),
+    ("~?", "truncated graph6 header"),
+    ("~~??", "truncated graph6 header"),
+])
+def test_graph6_names_a_bad_header_or_padding(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_graph6(text)
+
+
+def test_graph6_reads_the_optional_header():
+    g = from_graph6(">>graph6<<A_")
+    assert (g.n, g.edge_count()) == (2, 1)
 
 
 def test_graph6_header_over_the_cap_is_refused_before_the_body():
@@ -152,3 +167,8 @@ def test_edgelist_rejects_hostile_headers_and_lines(monkeypatch):
     assert from_edgelist(to_edgelist(petersen())).n == 10
     with pytest.raises(CapacityError):
         from_edgelist("p 11 0\n")
+
+
+def test_edgelist_names_a_wrong_edge_count():
+    with pytest.raises(ValueError, match="header claims 2 edges, file has 1"):
+        from_edgelist("p 3 2\n0 1\n")

@@ -63,6 +63,17 @@ def test_bad_tables_rejected():
         ])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([], "empty table"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+    ([[0, 1], [1, 2]], r"entry table\[1\]\[1\] = 2 out of range"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation"),
+])
+def test_bad_tables_are_named(table, message):
+    with pytest.raises(GroupError, match=message):
+        Group(table)
+
+
 def test_associativity_is_checked_exactly():
     # Z_128 with the intercalate at rows and columns 1 and 65 swapped: still
     # a latin square with identity 0, but (1*1)*2 = 68 while 1*(1*2) = 4
@@ -203,6 +214,16 @@ def test_rank_capacity(monkeypatch):
     for search in (minimal_generating_size, pair_with_order_ge4, triple_with_order_ge3):
         with pytest.raises(CapacityError, match="capped at order 512"):
             search(g)
+
+
+def test_rank_cap_is_half_the_vertex_cap(monkeypatch):
+    # the largest group whose m >= 2 parts fit within the vertex cap
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "2048")
+    assert minimal_generating_size(cyclic(513)) == 1
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "100")
+    assert minimal_generating_size(cyclic(50)) == 1
+    with pytest.raises(CapacityError, match="capped at order 50, got 51"):
+        minimal_generating_size(cyclic(51))
 
 
 def test_pair_with_order_ge4(battery):

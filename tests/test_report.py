@@ -109,7 +109,7 @@ def test_nonexistence_certificate_checks_the_clause():
     assert reverify(cert).ok
     with pytest.raises(ValueError, match="classification says 'a'"):
         nonexistence_certificate(dihedral(6), 3, "b")
-    with pytest.raises(ValueError, match="classification says None"):
+    with pytest.raises(ValueError, match="classification does not exclude C6, m=3"):
         nonexistence_certificate(cyclic(6), 3, "a")
 
 
@@ -120,6 +120,35 @@ def test_search_certificate_nonexistence():
     assert cert["route"] == "exhaustive search (normalized mode)"
     assert cert["evidence"]["examined"] == 4
     assert reverify(cert).ok
+
+
+@pytest.mark.parametrize("group, m, mode, reason", [
+    (cyclic(2), 3, "bogus", "claimed 'bogus', recomputed 'normalized'"),
+    (cyclic(2), 3, None, "field missing"),
+    (cyclic(2), 3, "degree-scan", "claimed 'degree-scan', recomputed 'normalized'"),
+    (cyclic(1), 6, "normalized", "claimed 'normalized', recomputed 'degree-scan'"),
+], ids=["unknown", "missing", "scan-mode-for-C2", "normalized-for-C1"])
+def test_a_forged_search_mode_fails_before_any_rerun(monkeypatch, group, m, mode,
+                                                     reason):
+    cert = search_certificate(decide_existence(group, m))
+    if mode is None:
+        del cert["evidence"]["mode"]
+    else:
+        cert["evidence"]["mode"] = mode
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran for a mode no rerun reports")
+
+    monkeypatch.setattr(mhaar.search, "space_size", refuse)
+    monkeypatch.setattr(mhaar.search, "decide_existence", refuse)
+    assert reverify(cert) == Verdict(False, "evidence.mode", reason)
+
+
+def test_search_certificates_of_every_mode_reverify():
+    for group, m, mode in ((cyclic(2), 3, "normalized"), (cyclic(2), 3, "exhaustive"),
+                           (cyclic(1), 6, "normalized")):
+        cert = search_certificate(decide_existence(group, m, mode=mode))
+        assert reverify(cert).ok, (group, mode)
 
 
 def test_search_certificate_witness():

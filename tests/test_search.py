@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from math import comb, prod
 
 import pytest
@@ -208,6 +209,30 @@ def test_m2_small_groups_all_negative():
         r = decide_existence(g, 2, mode="exhaustive")
         assert not r.exists and r.exhausted, g.label
         assert r.examined == 2 ** g.order  # one subset block
+
+
+def test_abelian_inversion_swaps_the_parts_of_every_two_part_graph():
+    # (g, i) -> (g^-1, 3 - i) maps the edge {(x, 1), (t*x, 2)} onto
+    # {((t*x)^-1, 1), (x^-1, 2)}, again an edge: t*(t*x)^-1 = x^-1 in an
+    # abelian group
+    rng = random.Random(2)
+    for spec in ("C6", "C2xC4", "C3^2", "C12"):
+        group = parse_group_spec(spec)
+        n = group.order
+        swap = [n + group.inv(x) for x in range(n)] + [group.inv(x) for x in range(n)]
+        for _ in range(10):
+            block = rng.sample(range(n), rng.randint(1, n))
+            graph = build_graph(ConnectionMatrix(group, 2, {(1, 2): block}))
+            assert all(graph.has_edge(swap[u], swap[v]) for u, v in graph.edges()), spec
+
+
+def test_no_abelian_group_has_a_two_part_hgr():
+    # the swap above is an automorphism that is not a right translation;
+    # these are the abelian groups of order <= 12, one of each type
+    for spec in [f"C{n}" for n in range(1, 13)] + ["C2^2", "C2^3", "C2xC4", "C3^2",
+                                                   "C2xC6"]:
+        r = decide_existence(parse_group_spec(spec), 2)
+        assert not r.exists and r.exhausted, spec
 
 
 # -- positive verdicts ---------------------------------------------------------
