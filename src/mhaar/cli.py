@@ -110,8 +110,7 @@ def _cmd_search(args) -> int:
     group = parse_group_spec(args.group)
     if args.workers < 1:  # unused, but a value below 1 still exits 1
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget,
-                           early_exit=not args.count_all)
+    rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget)
     print(rep)
     print(f"profiles: {rep.profiles}, examined: {rep.examined}, "
           f"elapsed: {rep.elapsed:.2f}s")
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate cap before refusing (default 1e8)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: the search runs in one process")
-    p.add_argument("--count-all", action="store_true",
-                   help="keep searching past the first witness")
     p.add_argument("--out", metavar="FILE", help="write the witness matrix JSON")
     p.add_argument("--certificate", metavar="FILE",
                    help="write a witness or nonexistence certificate")

@@ -61,7 +61,11 @@ def to_graph6(g: Graph) -> str:
 def from_graph6(s: str) -> Graph:
     """Parse one graph6 string; n is checked against the vertex cap, and
     the body's length against n, before the body is decoded."""
-    data = s.strip().encode("ascii")
+    try:
+        data = s.strip().encode("ascii")
+    except UnicodeEncodeError as e:
+        raise ValueError(f"graph6 is ASCII, but character {e.object[e.start]!r} "
+                         f"at position {e.start} is not") from None
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     n, used = _decode_n(data)

@@ -49,9 +49,7 @@ This is sound: a skipped candidate is isomorphic to an earlier one, so
 by induction to a candidate the engine answered "no".  The first
 witness has no earlier image (it would be an earlier witness), so it is
 reached at the same position, and `examined` still counts every
-candidate.  Skipping stops at the first witness of a profile (or
-degree), so counts of all witnesses are unchanged too.  Exhaustive mode
-skips nothing and stays a literal check.
+candidate.  Exhaustive mode skips nothing and stays a literal check.
 
 Normalized mode also skips whole profiles (McKay 1998).  Relabelling the
 parts by a permutation t maps a candidate of profile P onto an
@@ -59,11 +57,9 @@ isomorphic candidate of profile t(P), inverting a block whose parts
 change order; t(P) has P's row sums, so it is a profile of the same
 valency.  If t(P) is lexicographically smaller, it came earlier in the
 walk, and its normalized candidates hold every isomorphism class of its
-profile, so P holds no witness unless t(P) did.  So until the first
-witness, such a profile is counted in `examined` and never decided.
-After it, every profile is decided, since an earlier profile with
-witnesses says nothing about how many P holds; so `--count-all` counts
-stay exact.  At m <= 3 every profile is least: its row sums force all
+profile, so P holds no witness unless t(P) did, and then the search
+would have ended there.  So such a profile is counted in `examined` and
+never decided.  At m <= 3 every profile is least: its row sums force all
 sizes equal.
 
 The degree scan is orderly (Read 1978; McKay 1998): a swap decides
@@ -175,10 +171,13 @@ class SearchReport(NamedTuple):
     profiles: int
     total_space: Optional[int]  # None when the mode streams without a precount
     examined: int
-    witnesses: int
     witness: Optional[ConnectionMatrix]
-    exhausted: bool
     elapsed: float
+
+    # the search stops at its first witness, and enumerates the whole
+    # space when it finds none
+    witnesses = property(lambda self: int(self.exists))
+    exhausted = property(lambda self: not self.exists)
 
     def __str__(self) -> str:
         head = (f"{self.group.label} m={self.m} [{self.mode}] "
@@ -186,7 +185,7 @@ class SearchReport(NamedTuple):
                 + ("" if self.total_space is None else f"/{self.total_space}"))
         if self.exists:
             return head + f": witness found ({self.witnesses} seen)"
-        return head + (": none exist" if self.exhausted else ": none seen")
+        return head + ": none exist"
 
 
 # -- the trivial group: an orderly scan over regular graphs --------------------
@@ -287,27 +286,27 @@ def _moves(state: tuple[int, ...], n: int) -> dict[tuple[int, ...], tuple[int, i
     return moves
 
 
-def _degree_scan(m: int, d: int, examined: int, budget: int,
-                 early_exit: bool) -> tuple[int, int, Optional[Graph]]:
+def _degree_scan(m: int, d: int, examined: int,
+                 budget: int) -> tuple[int, Optional[Graph]]:
     """Decide the d-regular graphs on m vertices with N(0) = {1..d}.
 
-    Returns (examined, witnesses, first witness), `examined` counted on
-    from the value passed in.  Every d-regular graph is isomorphic to
-    one of these.  Rows N+(u) = {v > u : uv an edge} are chosen for
+    Returns (examined, first witness), `examined` counted on from the
+    value passed in.  Every d-regular graph is isomorphic to one of
+    these.  Rows N+(u) = {v > u : uv an edge} are chosen for
     u = 1, 2, ... as sorted combinations of the later vertices that
     still need an edge, and a row survives only if the remaining degrees
     can still be met; so the graphs come in increasing order of
     (N+(1), ..., N+(m-1)), rows compared as sorted tuples.
 
-    Until the first witness, a row prefix is cut when swapping two
-    adjacent vertices k, k+1 of N(0), or of its complement, maps every
-    completion to an earlier graph (the swap fixes 0 and N(0), so the
-    image is in the stream).  Rows u < k change only where u sees exactly
-    one of k, k+1, so the first such row decides: it gives an earlier
-    image if it sees k+1 only.  If no row below k does, rows k and k+1
-    trade their parts above k+1, and the image is earlier if row k+1's
-    part holds the lowest bit in which they differ.  A cut prefix's
-    graphs are counted as examined without being built.
+    A row prefix is cut when swapping two adjacent vertices k, k+1 of
+    N(0), or of its complement, maps every completion to an earlier
+    graph (the swap fixes 0 and N(0), so the image is in the stream).
+    Rows u < k change only where u sees exactly one of k, k+1, so the
+    first such row decides: it gives an earlier image if it sees k+1
+    only.  If no row below k does, rows k and k+1 trade their parts
+    above k+1, and the image is earlier if row k+1's part holds the
+    lowest bit in which they differ.  A cut prefix's graphs are counted
+    as examined without being built.
     """
     bits = [0] * m
     bits[0] = (2 << d) - 2
@@ -316,8 +315,6 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
     rem = [0] + [d - 1] * d + [d] * (m - d - 1)
     swaps = sum(1 << k for k in itertools.chain(range(1, d), range(d + 1, m - 1)))
     memo: dict[tuple[int, ...], tuple[int, int]] = {}
-    witnesses = 0
-    first = None
 
     def row(u: int, split: int) -> list:
         # split: the swaps k that some row below u sees exactly one of
@@ -343,19 +340,17 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
         tail = sum(rem[u + 1:])
         if tail % 2 or tail < 2 * max(rem[u + 1:], default=0):
             continue
-        cut = False
-        if first is None:
-            above = bits[u] >> (u + 1) << (u + 1)  # N+(u)
-            # the swaps (k, k+1), k > u, that row u is the first to see
-            # exactly one of; the image is earlier where that one is k+1
-            fresh = (above ^ above >> 1) & swaps >> (u + 1) << (u + 1) & ~split
-            split |= fresh
-            # the swap (u-1, u) once both its rows are fixed
-            k = u - 1
-            diff = (bits[k] ^ bits[u]) >> (u + 1)
-            cut = bool(fresh & above >> 1
-                       or swaps >> k & 1 and not split >> k & 1
-                       and above >> (u + 1) & diff & -diff)
+        above = bits[u] >> (u + 1) << (u + 1)  # N+(u)
+        # the swaps (k, k+1), k > u, that row u is the first to see
+        # exactly one of; the image is earlier where that one is k+1
+        fresh = (above ^ above >> 1) & swaps >> (u + 1) << (u + 1) & ~split
+        split |= fresh
+        # the swap (u-1, u) once both its rows are fixed
+        k = u - 1
+        diff = (bits[k] ^ bits[u]) >> (u + 1)
+        cut = bool(fresh & above >> 1
+                   or swaps >> k & 1 and not split >> k & 1
+                   and above >> (u + 1) & diff & -diff)
         if u + 1 < m and not cut:
             stack.append(row(u + 1, split))
             continue
@@ -367,18 +362,13 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
             continue
         graph = Graph(m, list(bits))
         if only_translations(graph, 1):
-            witnesses += 1
-            if first is None:
-                first = graph
-            if early_exit:
-                break
-    return examined, witnesses, first
+            return examined, graph
+    return examined, None
 
 
-def _trivial_group_scan(group: Group, m: int, budget: int,
-                        early_exit: bool) -> SearchReport:
+def _trivial_group_scan(group: Group, m: int, budget: int) -> SearchReport:
     t0 = time.perf_counter()
-    examined = witnesses = 0
+    examined = 0
     witness = None
     # degrees 0..2 and their complements force symmetries (swaps of
     # isolated vertices or matched pairs, rotations of cycle unions),
@@ -386,23 +376,19 @@ def _trivial_group_scan(group: Group, m: int, budget: int,
     for d in range(3, (m - 1) // 2 + 1):
         if m * d % 2:
             continue
-        examined, found, first = _degree_scan(m, d, examined, budget, early_exit)
-        witnesses += found
-        if witness is None and first is not None:
+        examined, first = _degree_scan(m, d, examined, budget)
+        if first is not None:
             from .catalog import matrix_from_graph  # only on a witness
             witness = matrix_from_graph(group, first)
-            if early_exit:
-                break
-    stopped_early = witness is not None and early_exit
+            break
     return SearchReport(
         group=group, m=m, mode="degree-scan",
         exists=witness is not None, profiles=0, total_space=None,
-        examined=examined, witnesses=witnesses, witness=witness,
-        exhausted=not stopped_early, elapsed=time.perf_counter() - t0)
+        examined=examined, witness=witness, elapsed=time.perf_counter() - t0)
 
 
-def c1_regular_asymmetric_scan(m: int, budget: int = DEFAULT_BUDGET,
-                               early_exit: bool = True) -> SearchReport:
+def c1_regular_asymmetric_scan(m: int,
+                               budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Scan the regular graphs on m vertices for an asymmetric one.
 
     Over the trivial group a connection matrix is just a graph on the
@@ -416,7 +402,7 @@ def c1_regular_asymmetric_scan(m: int, budget: int = DEFAULT_BUDGET,
     """
     if m > 10:
         raise ValueError(f"scan supports m <= 10, got {m}")
-    return decide_existence(cyclic(1), m, budget=budget, early_exit=early_exit)
+    return decide_existence(cyclic(1), m, budget=budget)
 
 
 # -- one profile at a time -----------------------------------------------------
@@ -546,31 +532,25 @@ def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                  profile: Profile, forced: frozenset[int], space: int,
-                 early_exit: bool, skip: bool
-                 ) -> tuple[int, int, Optional[ConnectionMatrix]]:
-    """Scan one profile; returns (examined, witnesses, first witness).
+                 skip: bool) -> tuple[int, Optional[ConnectionMatrix]]:
+    """Scan one profile; returns (examined, first witness).
 
     With skip, a candidate that a part translation maps to an earlier
-    one is counted but not decided, until the profile's first witness.
+    one is counted but not decided.
     """
     target = group.order
     earlier = (_translation_check(group, m, cells, profile, forced)
                if skip and space > 1 else None)
-    examined = witnesses = 0
-    first = None
+    examined = 0
     for choice in _profile_candidates(target, profile, forced):
         examined += 1
-        if earlier is not None and first is None and earlier(choice):
+        if earlier is not None and earlier(choice):
             continue
         blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
         cm = ConnectionMatrix(group, m, blocks)
         if only_translations(build_graph(cm), target):
-            witnesses += 1
-            if first is None:
-                first = cm
-            if early_exit:
-                break
-    return examined, witnesses, first
+            return examined, cm
+    return examined, None
 
 
 def _check_mode(mode: str) -> None:
@@ -614,16 +594,14 @@ def _plan(group: Group, m: int,
 
 
 def decide_existence(group: Group, m: int, mode: str = "normalized",
-                     budget: int = DEFAULT_BUDGET,
-                     early_exit: bool = True) -> SearchReport:
+                     budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Search every candidate matrix for (group, m); no theory involved.
 
     Returns a report whose `exists`/`witness` fields carry the answer.
-    A nonexistence verdict requires `exhausted` to be true, which it
-    always is when no witness was found (the space is finite and fully
-    enumerated; a budget overflow raises CapacityError instead).  The
-    profiles are decided one after another, in plan order, in this
-    process.
+    The search stops at its first witness; without one it has enumerated
+    the whole finite space (a budget overflow raises CapacityError
+    instead).  The profiles are decided one after another, in plan
+    order, in this process.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -631,7 +609,7 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     n = group.order
     check_vertex_cap(m * n)  # before the cells, the plan or a graph is built
     if n == 1:
-        return _trivial_group_scan(group, m, budget, early_exit)
+        return _trivial_group_scan(group, m, budget)
 
     t0 = time.perf_counter()
     # counted first, so an oversized space is refused before any candidate
@@ -640,27 +618,22 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     normalized = mode == "normalized"
     relabelled = _relabelling_check(m, cells)
 
-    examined = witnesses = 0
+    examined = 0
     witness = None
     for profile, forced, space in _plan(group, m, mode):
-        if normalized and witness is None and relabelled(profile):
+        if normalized and relabelled(profile):
             # decided with the earlier profile a part relabelling maps it to
             examined += space
             continue
-        ex, wit, first = _run_profile(group, m, cells, profile, forced, space,
-                                      early_exit, normalized)
+        ex, witness = _run_profile(group, m, cells, profile, forced, space,
+                                   normalized)
         examined += ex
-        witnesses += wit
-        if first is not None and witness is None:
-            witness = first
-            if early_exit:
-                break
+        if witness is not None:
+            break
     return SearchReport(
         group=group, m=m, mode=mode,
         exists=witness is not None, profiles=profiles, total_space=total,
-        examined=examined, witnesses=witnesses, witness=witness,
-        exhausted=not (early_exit and witness is not None),
-        elapsed=time.perf_counter() - t0)
+        examined=examined, witness=witness, elapsed=time.perf_counter() - t0)
 
 
 def space_size(group: Group, m: int, mode: str = "normalized",

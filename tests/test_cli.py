@@ -233,12 +233,14 @@ def test_witness_over_a_table_whose_descriptor_names_a_file(capsys, tmp_path,
     assert code == EXIT_OK and "verdict: 3-HGR" in out
 
 
-def test_search_count_all(capsys):
-    code, out, _ = run(capsys, "search", "--group", "C6", "-m", "3",
-                       "--count-all")
+def test_search_has_no_count_all(capsys):
+    # the search stops at its first witness
+    code, out, _ = run(capsys, "search", "--group", "C6", "-m", "3")
     assert code == EXIT_OK
-    assert "examined 4033/4033" in out
-    assert "(672 seen)" in out
+    assert "examined 25/4033: witness found (1 seen)" in out
+    code, _, err = run(capsys, "search", "--group", "C6", "-m", "3",
+                       "--count-all")
+    assert code == EXIT_ERROR and "--count-all" in err
 
 
 def test_search_capacity(capsys):
@@ -348,6 +350,46 @@ def test_reverify_names_malformed_fields(capsys, tmp_path, cert_kind, key, value
     assert f"certificate fails at '{key}'" in out
 
 
+# a field equal to the recomputed value in a different JSON type
+WRONG_TYPE = [
+    pytest.param(CERT_COMMANDS["witness"], ["evidence", "aut_order"], 6.0,
+                 "'evidence.aut_order': claimed 6.0, recomputed 6", id="aut_order"),
+    pytest.param(CERT_COMMANDS["witness"], ["evidence", "regular"], 1,
+                 "'evidence.regular': claimed 1, recomputed True", id="regular"),
+    pytest.param(CERT_COMMANDS["witness"], ["evidence", "valencies"], [4.0, 4, 4],
+                 "'evidence.valencies': claimed [4.0, 4, 4], recomputed [4, 4, 4]",
+                 id="valencies"),
+    pytest.param(("search", "--group", "C2^2", "-m", "3"), ["evidence", "witnesses"],
+                 False, "'evidence.witnesses': claimed False, recomputed 0",
+                 id="witnesses"),
+    pytest.param(("search", "--group", "C2^2", "-m", "3"), ["evidence", "examined"],
+                 96.0, "'evidence.examined': claimed 96.0, recomputed 96",
+                 id="examined"),
+    pytest.param(CERT_COMMANDS["witness"], ["schema"], True,
+                 "'schema': unsupported schema True, expected 1", id="schema"),
+]
+
+
+@pytest.mark.parametrize("command,path,value,failure", WRONG_TYPE)
+def test_reverify_checks_json_types(capsys, tmp_path, command, path, value,
+                                    failure):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, *command, "--certificate", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    code, _, _ = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_OK  # the genuine certificate
+    *parents, key = path
+    node = cert
+    for parent in parents:
+        node = node[parent]
+    assert node[key] == value and json.dumps(node[key]) != json.dumps(value)
+    node[key] = value
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "reverify", str(cert_path))
+    assert code == EXIT_NEGATIVE
+    assert out == f"certificate fails at {failure}\n"
+
+
 # a malformed group is named in the words of Group.from_json
 MALFORMED_GROUP = [
     pytest.param({}, "group", "needs 'order' and 'table' keys", id="empty"),
@@ -433,6 +475,14 @@ def test_oracle_aut_names_a_file_that_is_not_utf8(capsys, tmp_path):
     code, out, err = run(capsys, "oracle-aut", str(path))
     assert code == EXIT_ERROR and out == ""
     assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_oracle_aut_names_a_graph6_line_that_is_not_ascii(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text(petersen_g6().replace("h", "é", 1) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle-aut", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: graph6 is ASCII, but character 'é' at position 1 is not\n"
 
 
 def test_oracle_aut_missing_file(capsys):

@@ -129,6 +129,13 @@ def test_graph6_names_a_bad_header_or_padding(text, message):
         from_graph6(text)
 
 
+def test_graph6_names_a_character_that_is_not_ascii():
+    # the Petersen graph with its first body byte 'h' replaced
+    with pytest.raises(ValueError, match="graph6 is ASCII, but character 'é' "
+                                         "at position 1 is not"):
+        from_graph6("IéeA@GUAo")
+
+
 def test_graph6_reads_the_optional_header():
     g = from_graph6(">>graph6<<A_")
     assert (g.n, g.edge_count()) == (2, 1)

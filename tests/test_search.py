@@ -15,7 +15,6 @@ from mhaar.graphs import Graph
 from mhaar.groups import (CapacityError, cyclic, dihedral, elem_abelian,
                           parse_group_spec, quaternion8)
 from mhaar.search import (
-    SearchReport,
     _assignment_count,
     _cells,
     _plan,
@@ -252,14 +251,6 @@ def test_witness_found_exhaustive_too():
     assert r.exists and r.examined == 235
 
 
-def test_count_all_keeps_going():
-    r = decide_existence(cyclic(6), 3, mode="normalized", early_exit=False)
-    assert r.exists and r.exhausted
-    assert r.examined == 4033  # the whole normalized space
-    assert r.witnesses == 672
-    assert is_m_hgr(r.witness).ok  # first witness is still returned
-
-
 def test_argument_validation():
     with pytest.raises(ValueError, match="m must be >= 2"):
         decide_existence(cyclic(2), 1)
@@ -303,9 +294,6 @@ def test_c1_scan_contract():
 def test_report_str_shapes():
     r = decide_existence(cyclic(2), 3)
     assert str(r) == "C2 m=3 [normalized] examined 4/4: none exist"
-    s = SearchReport(cyclic(2), 3, "normalized", False, 3, 4, 2, 0, None,
-                     False, 0.0)
-    assert str(s).endswith("none seen")
 
 
 # -- the degree scan before it cut row prefixes -----------------------------------
@@ -391,33 +379,23 @@ def seeded_stream(m, d):
     return tuple(_regular_graphs_seeded(m, d))
 
 
-def reference_scan(m, early_exit, engine):
+def reference_scan(m, engine):
     """The degree scan on the full stream: every graph is examined, and
     the engine decides each one that no swap maps to an earlier graph,
-    until the degree's first witness."""
-    group = cyclic(1)
-    examined = witnesses = calls = 0
-    first = None
+    until the first witness."""
+    examined = calls = 0
     for d in range(3, (m - 1) // 2 + 1):
         if m * d % 2:
             continue
-        seen_witness = False
         for graph in seeded_stream(m, d):
             examined += 1
-            if not seen_witness and _swap_gives_earlier(graph.bits, m, d):
+            if _swap_gives_earlier(graph.bits, m, d):
                 continue
             calls += 1
             if engine(graph, 1):
-                witnesses += 1
-                seen_witness = True
-                if first is None:
-                    first = matrix_from_graph(group, graph)
-                if early_exit:
-                    break
-        if first is not None and early_exit:
-            break
-    return (examined, witnesses, calls,
-            None if first is None else first.upper_items())
+                return (examined, 1, calls,
+                        matrix_from_graph(cyclic(1), graph).upper_items())
+    return examined, 0, calls, None
 
 
 # -- skipping candidates that map to earlier ones ---------------------------------
@@ -426,26 +404,17 @@ def reference_scan(m, early_exit, engine):
 # one engine call per candidate.
 
 
-def literal_search(group, m, early_exit=True, engine=only_translations):
+def literal_search(group, m, engine=only_translations):
     cells = _cells(m)
-    examined = witnesses = 0
-    first = None
+    examined = 0
     for profile, forced, _ in _plan(group, m, "normalized"):
         for choice in _profile_candidates(group.order, profile, forced):
             examined += 1
             blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
             cm = ConnectionMatrix(group, m, blocks)
             if engine(build_graph(cm), group.order):
-                witnesses += 1
-                if first is None:
-                    first = cm
-                if early_exit:
-                    break
-        if first is not None and early_exit:
-            break
-    return (first is not None, examined, witnesses,
-            not (early_exit and first is not None),
-            None if first is None else first.upper_items())
+                return True, examined, 1, False, cm.upper_items()
+    return False, examined, 0, True, None
 
 
 def literal_scan(m):
@@ -512,10 +481,7 @@ def sparse_triangle_free(graph, n):
                for v in range(graph.n))
 
 
-def test_skip_keeps_every_witness_counted(monkeypatch):
-    expected = literal_search(cyclic(6), 3, early_exit=False)
-    assert expected[:3] == (True, 4033, 672)
-    assert outcome(decide_existence(cyclic(6), 3, early_exit=False)) == expected
+def test_skip_reaches_the_first_witness(monkeypatch):
     # across profiles: a stand-in engine that answers an isomorphism
     # invariant, with witnesses in profiles that relabelling maps to
     # earlier ones; the first is candidate 44, after skipped profiles
@@ -523,10 +489,6 @@ def test_skip_keeps_every_witness_counted(monkeypatch):
     first = literal_search(cyclic(4), 4, engine=sparse_triangle_free)
     assert first[1:3] == (44, 1)
     assert outcome(decide_existence(cyclic(4), 4)) == first
-    expected = literal_search(cyclic(4), 4, early_exit=False,
-                              engine=sparse_triangle_free)
-    assert expected[:3] == (True, 45036, 2239)
-    assert outcome(decide_existence(cyclic(4), 4, early_exit=False)) == expected
 
 
 @pytest.mark.parametrize("m", range(3, 10))
@@ -534,21 +496,15 @@ def test_degree_scan_skip_agrees_with_the_literal_loop(m):
     assert outcome(c1_regular_asymmetric_scan(m)) == literal_scan(m)
 
 
-def test_degree_scan_skip_keeps_every_witness_counted(monkeypatch):
-    # a stand-in engine that answers an isomorphism invariant: the 96
+def test_degree_scan_skip_reaches_the_first_witness(monkeypatch):
+    # a stand-in engine that answers an isomorphism invariant: the
     # triangle-free cubic graphs on 8 vertices, the first at position 249
-    def triangle_free(graph, n):
-        return not any(graph.triangle_count(v) for v in range(graph.n))
-
     expected_first = next(graph for graph in _regular_graphs_seeded(8, 3)
                           if triangle_free(graph, 1))
     monkeypatch.setattr(mhaar.search, "only_translations", triangle_free)
-    r = c1_regular_asymmetric_scan(8, early_exit=False)
-    assert (r.exists, r.examined, r.witnesses, r.exhausted) == (True, 553, 96, True)
-    first = r.witness
-    assert first == matrix_from_graph(cyclic(1), expected_first)
     r = c1_regular_asymmetric_scan(8)
-    assert (r.examined, r.witnesses, r.witness) == (249, 1, first)
+    assert (r.examined, r.witnesses, r.witness) == (
+        249, 1, matrix_from_graph(cyclic(1), expected_first))
 
 
 def translation_gives_earlier(group, m, cells, forced, choice):
@@ -635,13 +591,9 @@ def test_skip_cuts_engine_calls(engine_calls):
             ("C2", 5, 658, 81), ("C2^2", 3, 96, 40), ("C4", 3, 96, 28),
             ("C10", 2, 513, 108), ("D8", 2, 129, 28), ("C2", 6, 3892, 76),
             ("C1", 9, 14634, 81)]:
-        group = parse_group_spec(spec)
-        for early_exit in (True, False):
-            engine_calls.clear()
-            r = decide_existence(group, m, early_exit=early_exit)
-            assert (r.examined, len(engine_calls)) == (examined, calls), spec
-            if r.exists:  # --count-all decides every candidate past it
-                break
+        engine_calls.clear()
+        r = decide_existence(parse_group_spec(spec), m)
+        assert (r.examined, len(engine_calls)) == (examined, calls), spec
 
 
 def test_exhaustive_mode_decides_every_candidate(engine_calls):
@@ -691,14 +643,13 @@ def all_on_a_triangle(graph, n):
     return all(graph.triangle_count(v) for v in range(graph.n))
 
 
-@pytest.mark.parametrize("early_exit", [True, False])
 @pytest.mark.parametrize("engine", [only_translations, triangle_free,
                                     all_on_a_triangle],
                          ids=["engine", "triangle-free", "all-on-a-triangle"])
 @pytest.mark.parametrize("m", range(3, 10))
-def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine, early_exit):
+def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine):
     # the stand-ins answer isomorphism invariants, so the cut prefixes are
-    # sound for them too; they give the scan witnesses to count past
+    # sound for them too; they give the scan earlier witnesses to stop at
     calls = []
 
     def counting(graph, n):
@@ -706,10 +657,10 @@ def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine, early_exit
         return engine(graph, n)
 
     monkeypatch.setattr(mhaar.search, "only_translations", counting)
-    r = c1_regular_asymmetric_scan(m, early_exit=early_exit)
+    r = c1_regular_asymmetric_scan(m)
     got = (r.examined, r.witnesses, len(calls),
            None if r.witness is None else r.witness.upper_items())
-    assert got == reference_scan(m, early_exit, engine)
+    assert got == reference_scan(m, engine)
 
 
 @pytest.mark.parametrize("m,d", [(m, d) for m in range(2, 10) for d in range(m)]
