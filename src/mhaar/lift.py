@@ -2,11 +2,11 @@
 
 A base on b parts (b in {3, 4, 5}) with valency pattern
 (k+1, ..., k+1, k, ..., k) — b-2 parts of valency k+1, two of valency k
-— extends to any m of the right parity by appending a chain of parts:
+— extends to any m >= b+2 of the parity of b by appending a chain of
+parts:
 
   - {1}-links at (i, i+2) for b-1 <= i <= m-2,
-  - a filler block M of size k-1 at (i, i+1) for every i of the same
-    parity as b+1 with b+1 <= i <= m-3,
+  - a filler block M of size k-1 at (i, i+1) for i = b+1, b+3, ..., m-3,
   - a filler block N of size k at (m-1, m).
 
 The two base parts of valency k each pick up one {1}-link, the chain
@@ -25,9 +25,9 @@ filler sizes to |G|; the result then loses regularity but keeps
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .autos import automorphism_group
+from .autos import only_translations
 from .cayley import ConnectionMatrix, build_graph
 from .graphs import Graph
 
@@ -36,41 +36,8 @@ class LiftError(ValueError):
     pass
 
 
-VALID_BASE_PARTS = (3, 4, 5)
-
-
 def min_target_parts(base_parts: int) -> int:
-    return {3: 5, 4: 6, 5: 7}[base_parts]
-
-
-def chain_filler_layout(base_parts: int, m: int) -> dict:
-    """Block positions of the chain, without any group content.
-
-    Returns {"one_links": [(i, i+2), ...], "small_fillers": [(i, i+1), ...],
-    "large_filler": (m-1, m)} with the base untouched at parts 1..base_parts.
-    """
-    if base_parts not in VALID_BASE_PARTS:
-        raise LiftError(f"base must have 3, 4, or 5 parts, got {base_parts}")
-    lo = min_target_parts(base_parts)
-    if m < lo:
-        raise LiftError(f"a {base_parts}-part base extends to m >= {lo}, got m={m}")
-    if m % 2 != lo % 2:
-        raise LiftError(
-            f"a {base_parts}-part base extends to {'odd' if lo % 2 else 'even'} m only, "
-            f"got m={m}")
-    small = [(i, i + 1) for i in range(base_parts + 1, m - 2)
-             if i % 2 == (base_parts + 1) % 2]
-    links = [(i, i + 2) for i in range(base_parts - 1, m - 1)]
-    return {"one_links": links, "small_fillers": small, "large_filler": (m - 1, m)}
-
-
-def _pattern_k(valencies: tuple[int, ...]) -> Optional[int]:
-    """k such that valencies == (k+1,)*(b-2) + (k,)*2, or None."""
-    b = len(valencies)
-    k = valencies[-1]
-    if valencies == (k + 1,) * (b - 2) + (k, k):
-        return k
-    return None
+    return base_parts + 2
 
 
 def triangle_profile(graph: Graph, n: int) -> tuple[str, ...]:
@@ -92,15 +59,13 @@ class LiftPlan(NamedTuple):
     """Resolved parameters of a chain extension."""
 
     k: int
-    filler_small: frozenset[int]
-    filler_large: frozenset[int]
-    layout: dict  # chain_filler_layout(base parts, m)
+    chain: dict[tuple[int, int], frozenset[int]]  # the blocks the chain adds
     graph: Graph  # the base graph, built once for the triangle and PGSR checks
 
 
 def plan_lift(base: ConnectionMatrix, m: int,
               relax_fillers: bool = False) -> LiftPlan:
-    """Validate the base shape and resolve the filler sets.
+    """Validate the base shape and the target m, and lay out the chain.
 
     The fillers are the lexicographically least subsets of sizes k-1
     and k, clamped to |G| when relax_fillers waives k <= |G|.  Every
@@ -108,14 +73,22 @@ def plan_lift(base: ConnectionMatrix, m: int,
     target m come first, before the base graph is built.
     """
     b = base.m
-    layout = chain_filler_layout(b, m)
+    if b not in (3, 4, 5):
+        raise LiftError(f"base must have 3, 4, or 5 parts, got {b}")
+    if m < b + 2:
+        raise LiftError(f"a {b}-part base extends to m >= {b + 2}, got m={m}")
+    if m % 2 != b % 2:
+        raise LiftError(
+            f"a {b}-part base extends to {'odd' if b % 2 else 'even'} m only, "
+            f"got m={m}")
     for i in range(1, b + 1):
         if base.block(i, i):
             raise LiftError(f"base violates the empty-diagonal hypothesis at part {i}")
-    k = _pattern_k(base.valencies())
-    if k is None:
+    val = base.valencies()
+    k = val[-1]
+    if val != (k + 1,) * (b - 2) + (k, k):
         raise LiftError(
-            f"base valencies {base.valencies()} do not match the required pattern "
+            f"base valencies {val} do not match the required pattern "
             f"(k+1 on the first {b - 2} parts, k on the last two)")
     if k < 2:
         raise LiftError(f"base violates the hypothesis k >= 2 (k={k})")
@@ -131,8 +104,11 @@ def plan_lift(base: ConnectionMatrix, m: int,
             "base violates the triangle hypothesis: parts "
             f"{bad} have vertices on no 3-cycle")
     # k <= n unless relaxed, so the clamp only bites on relaxed bases
-    return LiftPlan(k, frozenset(range(min(k - 1, n))), frozenset(range(min(k, n))),
-                    layout, graph)
+    chain = {(i, i + 2): frozenset([0]) for i in range(b - 1, m - 1)}
+    small = frozenset(range(min(k - 1, n)))
+    chain.update({(i, i + 1): small for i in range(b + 1, m - 2, 2)})
+    chain[(m - 1, m)] = frozenset(range(min(k, n)))
+    return LiftPlan(k, chain, graph)
 
 
 def lift_base(base: ConnectionMatrix, m: int,
@@ -140,21 +116,11 @@ def lift_base(base: ConnectionMatrix, m: int,
     """Extend a 3/4/5-part PGSR base to an m-part connection matrix.
 
     plan_lift checks the base's shape, its triangles and the target m;
-    the base must also have |Aut| equal to the group order.
+    the base must also have |Aut| equal to the group order, which the
+    engine's decision mode answers without computing the order.
     """
     plan = plan_lift(base, m, relax_fillers)
-    aut = automorphism_group(plan.graph)
-    if aut.order != base.group.order:
-        raise LiftError(
-            f"base is not a PGSR: |Aut|={aut.order}, group order "
-            f"{base.group.order}")
-    layout = plan.layout
-    blocks: dict[tuple[int, int], frozenset[int]] = {}
-    for i, j, s in base.upper_items():
-        blocks[(i, j)] = s
-    for pos in layout["one_links"]:
-        blocks[pos] = frozenset([0])
-    for pos in layout["small_fillers"]:
-        blocks[pos] = plan.filler_small
-    blocks[layout["large_filler"]] = plan.filler_large
-    return ConnectionMatrix(base.group, m, blocks)
+    if not only_translations(plan.graph, base.group.order):
+        raise LiftError(f"base is not a PGSR: |Aut| > |G| = {base.group.order}")
+    blocks = {(i, j): s for i, j, s in base.upper_items()}
+    return ConnectionMatrix(base.group, m, {**blocks, **plan.chain})

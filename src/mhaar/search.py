@@ -605,6 +605,8 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     _check_mode(mode)
     n = group.order
     check_vertex_cap(m * n)  # before the cells, the plan or a graph is built

@@ -370,6 +370,60 @@ def test_large_closed_form_orders(name, make, order):
         assert all(graph.has_edge(p[u], p[v]) for u, v in graph.edges())
 
 
+def cfi(base, twisted=False):
+    """The Cai-Furer-Immerman graph over a base graph.
+
+    Each base vertex v gets a middle vertex per even-size subset S of its
+    edges and two end vertices (0 and 1) per incident edge e; a middle
+    vertex meets end 1 of each e in S and end 0 of each e not in S.
+    Across each base edge, end i meets end i on the other side; the
+    twisted graph crosses its first edge (end i meets end 1-i).
+    """
+    edges = list(base.edges())
+    ends, pairs, n = {}, [], 0
+    for v in range(base.n):
+        mine = [e for e, uw in enumerate(edges) if v in uw]
+        for e in mine:
+            ends[v, e] = (n, n + 1)
+            n += 2
+        for r in range(0, len(mine) + 1, 2):
+            for subset in itertools.combinations(mine, r):
+                pairs += [(n, ends[v, e][e in subset]) for e in mine]
+                n += 1
+    for e, (u, w) in enumerate(edges):
+        flip = twisted and e == 0
+        pairs += [(ends[u, e][i], ends[w, e][i ^ flip]) for i in (0, 1)]
+    return Graph.from_edges(n, pairs)
+
+
+def prism():
+    return Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                (0, 3), (1, 4), (2, 5)])
+
+
+# |Aut(CFI(X))| = 2^(|E|-|V|+1) |Aut(X)| for a connected base X, twisted or not
+CFI = [
+    ("K4", lambda: complete(4), 2 ** 3 * 24),
+    ("K3,3", lambda: complete_bipartite(3, 3), 2 ** 4 * 72),
+    ("prism", prism, 2 ** 4 * 12),
+    ("Q3", lambda: hypercube(3), 2 ** 5 * 48),
+    ("petersen", petersen, 2 ** 6 * 120),
+]
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("name,make,order", CFI, ids=[k[0] for k in CFI])
+def test_cfi_closed_form_orders(name, make, order, twisted):
+    base = make()
+    graph = cfi(base, twisted)
+    assert graph.n == sum(base.degree(v) * 2 + 2 ** (base.degree(v) - 1)
+                          for v in range(base.n))
+    res = automorphism_group(graph)
+    assert res.order == order
+    for p in res.generators:
+        assert all(graph.has_edge(p[u], p[v]) for u, v in graph.edges())
+
+
 def test_generators_generate_the_order_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     graphs = [hypercube(6), disjoint_copies(petersen(), 4),

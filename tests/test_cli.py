@@ -259,6 +259,14 @@ def test_search_workers_below_1_exits_1(capsys):
     assert "workers must be >= 1, got 0" in err
 
 
+def test_search_negative_budget_exits_1(capsys):
+    # refused before the degree scan, which would exit 4 at degree 4
+    code, out, err = run(capsys, "search", "--group", "C1", "-m", "11",
+                         "--budget", "-5")
+    assert code == EXIT_ERROR and not out
+    assert "budget must be >= 0, got -5" in err
+
+
 def test_search_m2_works_here(capsys):
     code, out, _ = run(capsys, "search", "--group", "C3", "-m", "2")
     assert code == EXIT_NEGATIVE

@@ -150,6 +150,14 @@ def test_graph6_header_over_the_cap_is_refused_before_the_body():
         from_graph6(header)
 
 
+def test_graph6_long_header_meets_the_cap():
+    from mhaar.graphs import CapacityError
+    # "~~" and six bytes declare 2^24 vertices; the cap refuses them
+    # before the one body byte is read
+    with pytest.raises(CapacityError, match="16777216 vertices"):
+        from_graph6("~~?@?????")
+
+
 def test_edgelist_round_trip():
     g = petersen()
     text = to_edgelist(g)

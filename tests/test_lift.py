@@ -2,19 +2,21 @@
 
 import pytest
 
-from mhaar.autos import automorphism_group, is_m_hgr
+from mhaar.autos import automorphism_group, is_m_hgr, only_translations
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
-from mhaar.groups import cyclic
+from mhaar.constructions import generic_base
+from mhaar.groups import cyclic, parse_group_spec
 from mhaar.lift import (
     LiftError,
-    VALID_BASE_PARTS,
-    chain_filler_layout,
+    LiftPlan,
     lift_base,
     min_target_parts,
     plan_lift,
     triangle_profile,
 )
+
+ONE = frozenset([0])
 
 
 def base_c6():
@@ -32,52 +34,68 @@ def base_c3_five():
     return build_entry(entries(tag="C3", m=5, kind="pgsr", source="derived")[0])
 
 
+def base_c3_four():
+    """Recorded 4-part C3 base with k=5 > |G| = 3."""
+    return build_entry(entries(tag="C3", m=4, kind="pgsr", source="recorded")[0])
+
+
+def base_excess_symmetry():
+    """3-part C6 base of the right shape, triangles everywhere, |Aut| = 768."""
+    return ConnectionMatrix(cyclic(6), 3, {(1, 2): [0, 1], (1, 3): [0, 5], (2, 3): [5]})
+
+
 # -- layout geometry -----------------------------------------------------------
 
 
 def test_layout_shape_4_to_10():
-    lay = chain_filler_layout(4, 10)
-    assert lay["one_links"] == [(3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)]
-    assert lay["small_fillers"] == [(5, 6), (7, 8)]
-    assert lay["large_filler"] == (9, 10)
+    chain = plan_lift(base_c2cubed(), 10).chain
+    assert [p for p, s in chain.items() if s == ONE] == [
+        (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)]
+    assert {p: s for p, s in chain.items() if s != ONE} == {
+        (5, 6): frozenset([0, 1, 2]), (7, 8): frozenset([0, 1, 2]),
+        (9, 10): frozenset([0, 1, 2, 3])}
 
 
 def test_layout_shape_minimal_targets():
-    assert min_target_parts(3) == 5
-    assert min_target_parts(4) == 6
-    assert min_target_parts(5) == 7
-    assert chain_filler_layout(3, 5) == {
-        "one_links": [(2, 4), (3, 5)], "small_fillers": [], "large_filler": (4, 5)}
-    assert chain_filler_layout(5, 7) == {
-        "one_links": [(4, 6), (5, 7)], "small_fillers": [], "large_filler": (6, 7)}
-    assert chain_filler_layout(3, 9)["small_fillers"] == [(4, 5), (6, 7)]
+    assert [min_target_parts(b) for b in (3, 4, 5)] == [5, 6, 7]
+    assert plan_lift(base_c6(), 5).chain == {
+        (2, 4): ONE, (3, 5): ONE, (4, 5): frozenset([0, 1, 2])}
+    assert plan_lift(base_c3_five(), 7).chain == {
+        (4, 6): ONE, (5, 7): ONE, (6, 7): frozenset([0, 1, 2])}
+    assert plan_lift(base_c6(), 7).chain == {
+        (2, 4): ONE, (3, 5): ONE, (4, 6): ONE, (5, 7): ONE,
+        (4, 5): frozenset([0, 1]), (6, 7): frozenset([0, 1, 2])}
+    small = [p for p, s in plan_lift(base_c6(), 9).chain.items()
+             if s == frozenset([0, 1])]
+    assert small == [(4, 5), (6, 7)]
 
 
-@pytest.mark.parametrize("b", VALID_BASE_PARTS)
+@pytest.mark.parametrize("b", [3, 4, 5])
 @pytest.mark.parametrize("extra", [0, 2, 4, 6])
 def test_layout_blocks_disjoint(b, extra):
+    base = {3: base_c6, 4: base_c2cubed, 5: base_c3_five}[b]()
     m = min_target_parts(b) + extra
-    lay = chain_filler_layout(b, m)
-    positions = lay["one_links"] + lay["small_fillers"] + [lay["large_filler"]]
-    assert len(positions) == len(set(positions))
-    for i, j in positions:
+    chain = plan_lift(base, m).chain
+    # m-b links, a small filler per two parts past b+2, one large filler
+    assert len(chain) == (m - b) + (m - b - 2) // 2 + 1
+    for i, j in chain:
         assert 1 <= i < j <= m
         assert j > b  # the base stays untouched
 
 
 def test_layout_parity_and_floor():
     with pytest.raises(LiftError, match="odd m only"):
-        chain_filler_layout(3, 6)
+        plan_lift(base_c6(), 6)
     with pytest.raises(LiftError, match="even m only"):
-        chain_filler_layout(4, 7)
+        plan_lift(base_c2cubed(), 7)
     with pytest.raises(LiftError, match="odd m only"):
-        chain_filler_layout(5, 8)
+        plan_lift(base_c3_five(), 8)
     with pytest.raises(LiftError, match="m >= 5"):
-        chain_filler_layout(3, 3)
+        plan_lift(base_c6(), 3)
     with pytest.raises(LiftError, match="m >= 7"):
-        chain_filler_layout(5, 5)
+        plan_lift(base_c3_five(), 5)
     with pytest.raises(LiftError, match="3, 4, or 5 parts"):
-        chain_filler_layout(6, 10)
+        plan_lift(ConnectionMatrix(cyclic(3), 6, {}), 10)
 
 
 # -- plan validation -----------------------------------------------------------
@@ -85,10 +103,9 @@ def test_layout_parity_and_floor():
 
 def test_plan_resolves_defaults():
     plan = plan_lift(base_c6(), 7)
+    assert LiftPlan._fields == ("k", "chain", "graph")
     assert plan.k == 3
-    assert plan.layout == chain_filler_layout(3, 7)
-    assert plan.filler_small == frozenset([0, 1])
-    assert plan.filler_large == frozenset([0, 1, 2])
+    assert plan.graph.n == 18  # the base graph, three parts of six
 
 
 def test_plan_rejects_bad_shapes():
@@ -105,12 +122,12 @@ def test_plan_rejects_bad_shapes():
 
 
 def test_plan_rejects_oversized_k():
-    base = build_entry(entries(tag="C3", m=4, kind="pgsr", source="recorded")[0])
+    base = base_c3_four()
     with pytest.raises(LiftError, match=r"k <= \|G\|"):
         plan_lift(base, 6)
-    plan = plan_lift(base, 6, relax_fillers=True)
-    assert len(plan.filler_small) == 3  # clamped from k-1=4 to |G|=3
-    assert len(plan.filler_large) == 3  # clamped from k=5
+    chain = plan_lift(base, 8, relax_fillers=True).chain
+    assert chain[(5, 6)] == frozenset([0, 1, 2])  # clamped from k-1=4 to |G|=3
+    assert chain[(7, 8)] == frozenset([0, 1, 2])  # clamped from k=5
 
 
 def test_plan_rejects_triangle_free_base():
@@ -124,11 +141,25 @@ def test_plan_rejects_triangle_free_base():
 
 def test_lift_base_rejects_excess_symmetry():
     # triangles everywhere, but |Aut| = 768 over a group of order 6
-    g = cyclic(6)
-    base = ConnectionMatrix(g, 3, {(1, 2): [0, 1], (1, 3): [0, 5], (2, 3): [5]})
+    base = base_excess_symmetry()
     assert triangle_profile(build_graph(base), 6) == ("all", "all", "all")
-    with pytest.raises(LiftError, match="not a PGSR"):
+    with pytest.raises(LiftError, match=r"not a PGSR: \|Aut\| > \|G\| = 6"):
         lift_base(base, 5)
+
+
+def test_decision_mode_answers_the_pgsr_question():
+    # lift_base asks only_translations what automorphism_group would count
+    bases = [build_entry(e) for e in entries(kind="pgsr")]
+    for spec in ("C2^4", "C2^5", "C3^4", "C2^4xC3", "C7xC7", "D8xC3"):
+        bases += [generic_base(parse_group_spec(spec), parts)[0] for parts in (3, 4)]
+    bases.append(base_excess_symmetry())
+    assert len(bases) == 36
+    answers = []
+    for cm in bases:
+        graph, n = build_graph(cm), cm.group.order
+        answers.append(only_translations(graph, n))
+        assert answers[-1] == (automorphism_group(graph).order == n), cm
+    assert answers == [True] * 35 + [False]
 
 
 # -- full extensions -----------------------------------------------------------
@@ -139,6 +170,9 @@ def test_lift3_produces_hgrs():
     for m in (5, 7, 9):
         out = lift_base(base, m)
         assert out.m == m
+        blocks = {(i, j): s for i, j, s in out.upper_items()}
+        assert blocks == {**{(i, j): s for i, j, s in base.upper_items()},
+                          **plan_lift(base, m).chain}
         assert out.valencies() == (4,) * m
         v = is_m_hgr(out)
         assert v.ok and v.aut_order == 6, f"m={m}: {v.reason}"
@@ -182,7 +216,7 @@ def test_triangles_stay_in_the_base():
 
 
 def test_relaxed_lift_keeps_aut_order():
-    base = build_entry(entries(tag="C3", m=4, kind="pgsr", source="recorded")[0])
+    base = base_c3_four()
     out = lift_base(base, 8, relax_fillers=True)
     assert not out.is_regular()  # clamping broke the valency bookkeeping
     assert automorphism_group(build_graph(out)).order == 3

@@ -260,6 +260,16 @@ def test_argument_validation():
         decide_existence(elem_abelian(2, 2), 3, mode="exhaustive", budget=100)
 
 
+def test_negative_budget_is_refused_before_any_scan():
+    for group, m in ((cyclic(1), 3), (cyclic(1), 11), (cyclic(2), 3)):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
+            decide_existence(group, m, budget=-5)
+    # a budget of 0 is valid: C1/3 has no candidate, C2/3 has one too many
+    assert not decide_existence(cyclic(1), 3, budget=0).exists
+    with pytest.raises(CapacityError, match="budget of 0 candidates"):
+        decide_existence(cyclic(2), 3, budget=0)
+
+
 # -- trivial group degree scan --------------------------------------------------
 
 
