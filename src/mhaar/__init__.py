@@ -28,7 +28,7 @@ _EXPORTS = {
               "brute_force_aut_order", "check_claim", "evidence", "is_m_hgr",
               "is_m_pgsr"),
     "catalog": ("CatalogEntry", "asymmetric_regular_graph", "build_entry",
-                "entries", "lift_base_entry", "matrix_from_graph"),
+                "entries", "matrix_from_graph"),
     "cayley": ("CayleyError", "ConnectionMatrix", "Verdict", "build_graph",
                "is_m_haar", "load_matrix", "right_translation"),
     "constructions": ("HGR_MIN_PARTS", "SynthesisError", "SynthesisResult",

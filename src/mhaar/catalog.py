@@ -200,23 +200,6 @@ def build_entry(entry: CatalogEntry, group: Optional[Group] = None) -> Connectio
     return cm
 
 
-def lift_base_entry(tag: str, m: int) -> CatalogEntry:
-    """Pick the chain-extension base entry for extending tag to m parts.
-
-    Odd m uses a 3- or 5-part base, even m a 4-part base; only bases
-    whose k fits inside the group qualify (the recorded k=5 bases for
-    C3 and C2^2 do not, which is what the derived entries are for).
-    """
-    want_parts = (3, 5) if m % 2 else (4,)
-    order = catalog_group(tag).order
-    cands = [e for e in entries(tag=tag, kind="pgsr")
-             if e.m in want_parts and e.k <= order and e.m + 2 <= m]
-    if not cands:
-        raise GroupError(f"no usable chain-extension base for {tag} toward m={m}")
-    cands.sort(key=lambda e: (e.m, e.source != "recorded", e.k))
-    return cands[0]
-
-
 # -- asymmetric regular graphs -------------------------------------------------
 
 ASYM_REGULAR_MIN_VERTICES = 10

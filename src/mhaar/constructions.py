@@ -21,13 +21,13 @@ from typing import NamedTuple, Optional
 
 from .autos import is_m_hgr
 from .catalog import (asymmetric_regular_graph, build_entry, entries,
-                      lift_base_entry, matrix_from_graph, word_blocks)
+                      matrix_from_graph, word_blocks)
 from .cayley import ConnectionMatrix, Verdict
 from .graphs import check_vertex_cap
 from .groups import (Group, GroupError, identify_catalog_group,
                      minimal_generating_set, pair_with_order_ge4,
                      triple_with_order_ge3)
-from .lift import lift_base
+from .lift import LiftError, lift_base
 
 HGR_MIN_PARTS = 3
 
@@ -182,10 +182,13 @@ def _catalog_witness(tag: str, group: Group, m: int, seed: int) -> tuple[Connect
         template = asymmetric_regular_graph(m, seed=seed)
         return (matrix_from_graph(group, template),
                 f"asymmetric 4-regular template (seed={seed})")
-    base_entry = lift_base_entry(tag, m)
-    base = build_entry(base_entry, group)
-    return (lift_base(base, m),
-            f"chain extension of catalog base [{base_entry}]")
+    for entry in entries(tag=tag, kind="pgsr"):
+        try:  # lift_base refuses a base whose shape does not extend to m
+            return (lift_base(build_entry(entry, group), m),
+                    f"chain extension of catalog base [{entry}]")
+        except LiftError:
+            continue
+    raise GroupError(f"no usable chain-extension base for {tag} toward m={m}")
 
 
 def _generic_witness(group: Group, m: int) -> tuple[ConnectionMatrix, str]:

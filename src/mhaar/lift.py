@@ -18,9 +18,9 @@ and the extension inherits |Aut| = |G|.
 Base requirements checked here: diagonal-free, the valency pattern for
 some k with 2 <= k <= |G|, a triangle through every base vertex, and
 |Aut| = |G|.  The fillers are the lexicographically least subsets of
-G of their size.  relax_fillers=True waives k <= |G| and clamps the
-filler sizes to |G|; the result then loses regularity but keeps
-|Aut| = |G| for the bases shipped in the catalog.
+G of their size.  plan_lift's relax_fillers=True waives k <= |G| and
+clamps the filler sizes to |G|; the base merged with that chain loses
+regularity but keeps |Aut| = |G| for the bases shipped in the catalog.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def plan_lift(base: ConnectionMatrix, m: int,
     b = base.m
     if b not in (3, 4, 5):
         raise LiftError(f"base must have 3, 4, or 5 parts, got {b}")
-    if m < b + 2:
-        raise LiftError(f"a {b}-part base extends to m >= {b + 2}, got m={m}")
+    least = min_target_parts(b)
+    if m < least:
+        raise LiftError(f"a {b}-part base extends to m >= {least}, got m={m}")
     if m % 2 != b % 2:
         raise LiftError(
             f"a {b}-part base extends to {'odd' if b % 2 else 'even'} m only, "
@@ -94,9 +95,7 @@ def plan_lift(base: ConnectionMatrix, m: int,
         raise LiftError(f"base violates the hypothesis k >= 2 (k={k})")
     n = base.group.order
     if k > n and not relax_fillers:
-        raise LiftError(
-            f"base violates the hypothesis k <= |G| (k={k}, |G|={n}); "
-            "pass relax_fillers=True to clamp the filler sizes instead")
+        raise LiftError(f"base violates the hypothesis k <= |G| (k={k}, |G|={n})")
     graph = build_graph(base)
     bad = [i + 1 for i, p in enumerate(triangle_profile(graph, n)) if p != "all"]
     if bad:
@@ -111,15 +110,14 @@ def plan_lift(base: ConnectionMatrix, m: int,
     return LiftPlan(k, chain, graph)
 
 
-def lift_base(base: ConnectionMatrix, m: int,
-              relax_fillers: bool = False) -> ConnectionMatrix:
+def lift_base(base: ConnectionMatrix, m: int) -> ConnectionMatrix:
     """Extend a 3/4/5-part PGSR base to an m-part connection matrix.
 
     plan_lift checks the base's shape, its triangles and the target m;
     the base must also have |Aut| equal to the group order, which the
     engine's decision mode answers without computing the order.
     """
-    plan = plan_lift(base, m, relax_fillers)
+    plan = plan_lift(base, m)
     if not only_translations(plan.graph, base.group.order):
         raise LiftError(f"base is not a PGSR: |Aut| > |G| = {base.group.order}")
     blocks = {(i, j): s for i, j, s in base.upper_items()}

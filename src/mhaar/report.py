@@ -147,6 +147,14 @@ def _compare(claimed: dict, recomputed: dict) -> Verdict:
     return Verdict(True)
 
 
+def _written_only(claimed: dict, written: dict, verdict: Verdict) -> Verdict:
+    """verdict, unless the evidence holds a key that its kind never writes."""
+    for field in claimed:
+        if verdict and field not in written:
+            return Verdict(False, f"evidence.{field}", "no certificate of this kind writes it")
+    return verdict
+
+
 def _reverify_witness(cert: dict, group: Group, kind: str) -> Verdict:
     try:
         cm = ConnectionMatrix.from_entries(group, cert["m"], cert["matrix"])
@@ -170,7 +178,7 @@ def _reverify_witness(cert: dict, group: Group, kind: str) -> Verdict:
             return Verdict(False, "aut_generators",
                            f"entry {idx} is not an automorphism of the graph")
     # the claim itself, not just internal consistency
-    return check_claim(ev, kind)
+    return _written_only(cert["evidence"], ev.fields, check_claim(ev, kind))
 
 
 def _reverify_classified(cert: dict, group: Group) -> Verdict:
@@ -183,7 +191,8 @@ def _reverify_classified(cert: dict, group: Group) -> Verdict:
     if claimed != actual:
         return Verdict(False, "evidence.clause",
                        f"claimed {claimed!r}, classification says {actual!r}")
-    return Verdict(True)
+    written = {"clause": actual, "group_order": group.order}
+    return _written_only(cert["evidence"], written, _compare(cert["evidence"], written))
 
 
 def _reverify_search(cert: dict, group: Group) -> Verdict:
@@ -205,7 +214,8 @@ def _reverify_search(cert: dict, group: Group) -> Verdict:
     if report.exists:
         return Verdict(False, "kind",
                        f"search finds a witness for {group.label}, m={m}")
-    return _compare(claimed, _search_evidence(report))
+    written = _search_evidence(report)
+    return _written_only(claimed, written, _compare(claimed, written))
 
 
 def reverify(cert: dict) -> Verdict:
@@ -213,11 +223,13 @@ def reverify(cert: dict) -> Verdict:
 
     Takes a decoded certificate, as `load_certificate` reads it from a
     file.  The group table, the matrix entries, and the (kind, m) claim
-    are the only trusted inputs; everything else is rederived.  A
-    witness certificate's answer is the claim check's Verdict, with its
-    aut_order and evidence.  Nonexistence-search certificates are
-    re-verified by re-running the full enumeration, which costs what
-    the original search cost; a rerun that finds a witness stops there.
+    are the only trusted inputs; everything else is rederived, and an
+    evidence key the kind never writes fails after the kind's own
+    checks.  A witness certificate's answer is the claim check's
+    Verdict, with its aut_order and evidence.  Nonexistence-search
+    certificates are re-verified by re-running the full enumeration,
+    which costs what the original search cost; a rerun that finds a
+    witness stops there.
     """
     if not isinstance(cert, dict):
         return Verdict(False, "json", "certificate is not an object")

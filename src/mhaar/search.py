@@ -387,8 +387,7 @@ def _trivial_group_scan(group: Group, m: int, budget: int) -> SearchReport:
         examined=examined, witness=witness, elapsed=time.perf_counter() - t0)
 
 
-def c1_regular_asymmetric_scan(m: int,
-                               budget: int = DEFAULT_BUDGET) -> SearchReport:
+def c1_regular_asymmetric_scan(m: int) -> SearchReport:
     """Scan the regular graphs on m vertices for an asymmetric one.
 
     Over the trivial group a connection matrix is just a graph on the
@@ -402,7 +401,7 @@ def c1_regular_asymmetric_scan(m: int,
     """
     if m > 10:
         raise ValueError(f"scan supports m <= 10, got {m}")
-    return decide_existence(cyclic(1), m, budget=budget)
+    return decide_existence(cyclic(1), m)
 
 
 # -- one profile at a time -----------------------------------------------------

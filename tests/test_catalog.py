@@ -12,7 +12,6 @@ from mhaar.catalog import (
     build_entry,
     entries,
     g0_generators,
-    lift_base_entry,
     matrix_from_graph,
 )
 from mhaar.cayley import build_graph
@@ -88,37 +87,6 @@ def test_g0_generators_x27_noncommuting():
 def test_g0_generators_unknown_tag():
     with pytest.raises(GroupError, match="catalog tag"):
         g0_generators(cyclic(7), "C7")
-
-
-# -- chain-extension base selection --------------------------------------------
-
-
-def test_lift_base_entry_odd_targets():
-    # C3 only fits k=3, so the derived 5-part base wins for odd m
-    e = lift_base_entry("C3", 7)
-    assert (e.m, e.k, e.source) == (5, 3, "derived")
-    # C6 fits k=3 via its recorded 3-part base
-    e = lift_base_entry("C6", 5)
-    assert (e.m, e.k, e.source) == (3, 3, "recorded")
-    # D6 carries a recorded 3-part base with k=5
-    e = lift_base_entry("D6", 9)
-    assert (e.m, e.k, e.source) == (3, 5, "recorded")
-
-
-def test_lift_base_entry_even_targets():
-    e = lift_base_entry("C2^3", 6)
-    assert (e.m, e.k) == (4, 4)
-    # the recorded C3 4-part base has k=5 > |C3|; only the derived one fits
-    e = lift_base_entry("C3", 6)
-    assert (e.m, e.k, e.source) == (4, 3, "derived")
-
-
-def test_lift_base_entry_requires_headroom():
-    # target must exceed the base by at least the two chain parts
-    with pytest.raises(GroupError, match="no usable chain-extension base"):
-        lift_base_entry("C6", 4)
-    with pytest.raises(GroupError, match="no usable chain-extension base"):
-        lift_base_entry("C2", 5)
 
 
 # -- asymmetric regular templates ----------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mhaar.autos import is_m_hgr
+from mhaar.catalog import entries
 from mhaar.constructions import (
     HGR_MIN_PARTS,
     NONEXISTENT,
@@ -96,10 +97,30 @@ def test_catalog_route_relabeled_group():
     assert r.verdict.aut_order == 6
 
 
+# the base of each catalog tag's chain extension, as (parts, source, k)
+# for even m, then for odd m: the recorded C3 and C2^2 bases with k = 5
+# exceed |G|, so those tags start from derived ones
+_CHAIN_BASES = {
+    "C3": ((4, "derived", 3), (5, "derived", 3)),
+    "C2^2": ((4, "recorded", 4), (5, "derived", 3)),
+    **{tag: ((4, "recorded", 4), (3, "recorded", 3)) for tag in ("C4", "C5", "C6")},
+    **{tag: ((4, "recorded", 4), (3, "recorded", 5))
+       for tag in ("C2^3", "C3^2", "D6", "A4", "X27")},
+}
+
+
 def test_catalog_lift_route():
     r = synthesize(cyclic(6), 5)
     assert r.exists and "chain extension of catalog base" in r.route
     assert r.matrix.m == 5 and r.verdict.ok
+    for tag, bases in _CHAIN_BASES.items():
+        # C3 and C2^2 have a recorded witness at m = 5
+        for m in range(6 if tag in ("C3", "C2^2") else 5, 17):
+            parts, source, k = bases[m % 2]
+            base, = entries(tag=tag, m=parts, kind="pgsr", source=source)
+            assert base.k == k
+            r = synthesize(catalog_group(tag), m, verify=False)
+            assert r.route == f"chain extension of catalog base [{base}]", (tag, m)
 
 
 def test_template_route():

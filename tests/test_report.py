@@ -440,6 +440,31 @@ def test_reverify_classified_tampering():
     assert not check.ok and check.field == "evidence.clause"
 
 
+# the three kinds of certificate, as the CLI writes them for these commands
+_OUTCOMES = {
+    "synthesize D6/3": lambda: synthesize(dihedral(6), 3),
+    "synthesize C6/3": lambda: synthesize(cyclic(6), 3),
+    "search C2^2/3": lambda: decide_existence(parse_group_spec("C2^2"), 3),
+}
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("synthesize D6/3", "group_order", 99),
+    ("synthesize D6/3", "group_order", "6"),
+    ("synthesize D6/3", "group_order", None),  # deleted
+    ("synthesize D6/3", "aut_order", 12),
+    ("synthesize C6/3", "hamiltonian", True),
+    ("search C2^2/3", "exists_proof", "trust me"),
+])
+def test_reverify_checks_every_evidence_key_of_the_kind(command, key, bad):
+    # a classified group_order is compared with its JSON type, and a key
+    # the certificate's kind never writes fails at that key
+    cert = emit(_OUTCOMES[command]())
+    assert reverify(cert).ok
+    check = reverify(tampered(cert, **{f"evidence__{key}": bad}))
+    assert not check.ok and check.field == f"evidence.{key}", check
+
+
 def test_reverify_search_tampering():
     cert = search_certificate(decide_existence(cyclic(2), 3))
     check = reverify(tampered(cert, evidence__examined=17))

@@ -298,7 +298,7 @@ def test_c1_scan_contract():
     with pytest.raises(ValueError, match="m must be >= 2"):
         c1_regular_asymmetric_scan(1)
     with pytest.raises(CapacityError, match="degree scan exceeded budget"):
-        c1_regular_asymmetric_scan(9, budget=100)
+        decide_existence(cyclic(1), 9, budget=100)
 
 
 def test_report_str_shapes():
@@ -694,9 +694,9 @@ def test_c1_scan_m10_is_pinned(engine_calls):
 
 def test_c1_scan_budget_covers_the_counted_graphs():
     # 14,634 graphs at C1/9, nearly all counted in cut prefixes
-    assert c1_regular_asymmetric_scan(9, budget=14634).examined == 14634
+    assert decide_existence(cyclic(1), 9, budget=14634).examined == 14634
     with pytest.raises(CapacityError, match="degree scan exceeded budget"):
-        c1_regular_asymmetric_scan(9, budget=14633)
+        decide_existence(cyclic(1), 9, budget=14633)
 
 
 def test_search_package_keeps_no_full_stream():
