@@ -32,6 +32,13 @@ exhaustive search, needed because the recorded 4/5-part bases for C3
 and C2^2 have k = 5 exceeding |G|, which no filler set can satisfy.
 Exhaustive search also showed no 3-part replacement exists for either
 group (27 and 144 candidates), hence the 4- and 5-part shapes.
+
+Beyond the recorded range (m >= 10), the witnesses for the groups of
+order 1 and 2 are |G| disjoint copies of an asymmetric 4-regular
+template on the m parts (`asymmetric_regular_graph`, `matrix_from_graph`).
+A template is the union of two seeded random Hamiltonian cycles, so it
+is connected and loop-free by construction; it is drawn again while the
+two cycles share an edge or the engine finds a nontrivial automorphism.
 """
 
 from __future__ import annotations
@@ -203,12 +210,14 @@ def build_entry(entry: CatalogEntry, group: Optional[Group] = None) -> Connectio
 # -- asymmetric regular graphs -------------------------------------------------
 
 ASYM_REGULAR_MIN_VERTICES = 10
-_PAIRING_ATTEMPT_CAP = 200000
+_ATTEMPT_CAP = 200000
 
 
 def asymmetric_regular_graph(m: int, seed: int = 0) -> Graph:
     """A connected 4-regular graph on m >= 10 vertices with trivial
-    automorphism group, by seeded random stub pairing plus rejection.
+    automorphism group: the union of two seeded random Hamiltonian
+    cycles, redrawn while they share an edge or the union has a
+    nontrivial automorphism.
 
     No regular graph on fewer than 10 vertices is asymmetric (verified
     exhaustively by the scan in the search module), hence the floor.
@@ -222,24 +231,21 @@ def asymmetric_regular_graph(m: int, seed: int = 0) -> Graph:
             f"no asymmetric regular graph exists on {m} < "
             f"{ASYM_REGULAR_MIN_VERTICES} vertices")
     rng = random.Random(f"{seed}:{m}:4")  # seed, vertices, degree
-    for _ in range(_PAIRING_ATTEMPT_CAP):
-        stubs = [v for v in range(m) for _ in range(4)]
-        rng.shuffle(stubs)
-        g = Graph(m)
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or g.has_edge(u, v):
-                ok = False
-                break
-            g.add_edge(u, v)
-        if not ok or not g.is_connected():
+    for _ in range(_ATTEMPT_CAP):
+        # two Hamiltonian cycles: connected and loop-free, and 4-regular
+        # when they share no edge
+        edges = set()
+        for _ in range(2):
+            tour = list(range(m))
+            rng.shuffle(tour)
+            edges.update(frozenset(e) for e in zip(tour, tour[1:] + tour[:1]))
+        if len(edges) < 2 * m:
             continue
+        g = Graph.from_edges(m, map(tuple, edges))
         if only_translations(g, 1):
             return g
     raise CapacityError(  # pragma: no cover - acceptance rate is high
-        "no asymmetric 4-regular graph found in "
-        f"{_PAIRING_ATTEMPT_CAP} pairing attempts")
+        f"no asymmetric 4-regular graph found in {_ATTEMPT_CAP} attempts")
 
 
 def matrix_from_graph(group: Group, template: Graph) -> ConnectionMatrix:

@@ -106,11 +106,10 @@ class ConnectionMatrix:
 
     def to_json(self) -> dict:
         # compact group form only for a grammar spec that reproduces the exact
-        # table: a relabeled copy would deserialize incorrectly, and an "@file"
-        # descriptor (untrusted, from a table file) names some other file
+        # table: a relabeled copy would deserialize incorrectly
         grp: Union[str, dict] = self.group.to_json()
         spec = self.group.descriptor
-        if spec and not spec.strip().startswith("@"):
+        if spec:
             try:
                 if parse_group_spec(spec).table == self.group.table:
                     grp = spec

@@ -6,10 +6,12 @@ Exit codes: 0 success (witness found / property holds / listing done),
 4 capacity refusal (search space or graph size over budget), 1 errors.
 
 Group specs use a small grammar: Cn, Cn^k, Dn, Q8, A4, X27, products
-joined with "x" (e.g. C2^2xC4), or @FILE to load a multiplication-table
-JSON.  Dn is the dihedral group of ORDER n, so D6 is the symmetries of
-a triangle.  Set MHAAR_MAX_VERTICES to raise the automorphism engine's
-default 1024-vertex cap.
+joined with "x" (e.g. C2^2xC4).  Dn is the dihedral group of ORDER n,
+so D6 is the symmetries of a triangle.  On the command line only,
+--group @FILE loads a multiplication-table JSON instead; a matrix
+file's "group" is a spec or a table, never a file name.  Set
+MHAAR_MAX_VERTICES to raise the automorphism engine's default
+1024-vertex cap.
 """
 
 from __future__ import annotations
@@ -53,11 +55,18 @@ def _write_witness(cm, path: str, fmt: str) -> None:
     print(f"witness written to {path} ({fmt})", file=sys.stderr)
 
 
+def _group(spec: str):
+    """The group of a --group value: "@FILE" loads a table file, and only
+    here, so a matrix file's group string can never name a file."""
+    from .groups import load_group, parse_group_spec
+    spec = spec.strip()
+    return load_group(spec[1:]) if spec.startswith("@") else parse_group_spec(spec)
+
+
 def _cmd_synthesize(args) -> int:
     from .constructions import synthesize
-    from .groups import parse_group_spec
     from .report import certificate_json, write_certificate
-    group = parse_group_spec(args.group)
+    group = _group(args.group)
     if args.m == 2:
         print("m=2 is outside the classification this tool mechanizes; "
               "the exhaustive search can decide individual cases:", file=sys.stderr)
@@ -105,9 +114,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .groups import parse_group_spec
     from .search import decide_existence
-    group = parse_group_spec(args.group)
+    group = _group(args.group)
     if args.workers < 1:  # unused, but a value below 1 still exits 1
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     rep = decide_existence(group, args.m, mode=args.mode, budget=args.budget)

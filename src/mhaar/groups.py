@@ -538,7 +538,10 @@ def catalog_group(tag: str) -> Group:
 
 # -- group spec parsing -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^(?:C(\d+)(?:\^(\d+))?|D(\d+)|Q8|A4|X27)$")
+# ASCII digits only, and at most 18 of them: far above any order within
+# the vertex cap, and far below the digit limit of int()
+_DIGITS = "([0-9]{1,18})"
+_TOKEN_RE = re.compile(rf"^(?:C{_DIGITS}(?:\^{_DIGITS})?|D{_DIGITS}|Q8|A4|X27)$")
 _NAMED = {"Q8": (quaternion8, 8), "A4": (alternating4, 12), "X27": (extraspecial27, 27)}
 
 
@@ -547,8 +550,8 @@ def parse_group_spec(spec: str) -> Group:
 
     Grammar: Cn, Cn^k, Dn (n = group order, even, >= 6), Q8, A4, X27,
     and products of these joined by a lowercase "x" (spaces optional),
-    e.g. "C2^2xC4" or "D8 x C3".  A spec starting with "@" names a JSON
-    multiplication-table file instead.
+    e.g. "C2^2xC4" or "D8 x C3".  Only the grammar is read: the command
+    line's "@FILE" form is mapped to `load_group` by the CLI.
 
     The order follows from the grammar, and a spec whose order is over
     the vertex cap, or with more factors than the bit length of the cap,
@@ -558,8 +561,6 @@ def parse_group_spec(spec: str) -> Group:
     spec = spec.strip()
     if not spec:
         raise GroupError("empty group spec")
-    if spec.startswith("@"):
-        return load_group(spec[1:])
     cap = vertex_cap()
     plan = []  # (constructor, arguments, copies), left to right
     order = 1
@@ -572,7 +573,7 @@ def parse_group_spec(spec: str) -> Group:
         if not mm:
             raise GroupError(
                 f"bad group token {token!r} at position {at} "
-                "(expected Cn, Cn^k, Dn, Q8, A4, X27, or @file)")
+                "(expected Cn, Cn^k, Dn, Q8, A4 or X27)")
         if token in _NAMED:
             make, size = _NAMED[token]
             plan.append((make, (), 1))

@@ -92,12 +92,15 @@ def test_g0_generators_unknown_tag():
 # -- asymmetric regular templates ----------------------------------------------
 
 
-def test_asymmetric_regular_graph_basic():
-    g = asymmetric_regular_graph(10)
-    assert g.n == 10
+@pytest.mark.parametrize("m,seed", [(m, seed) for m in (10, 11, 12, 20)
+                                    for seed in range(8)] + [(400, 3)])
+def test_asymmetric_regular_graph_basic(m, seed):
+    g = asymmetric_regular_graph(m, seed=seed)
+    assert g.n == m
     assert {g.degree(v) for v in range(g.n)} == {4}
     assert g.is_connected()
     assert automorphism_group(g).order == 1
+    assert asymmetric_regular_graph(m, seed=seed).bits == g.bits
 
 
 def test_asymmetric_regular_graph_deterministic():
@@ -105,7 +108,7 @@ def test_asymmetric_regular_graph_deterministic():
     b = asymmetric_regular_graph(12, seed=3)
     assert a.bits == b.bits
     c = asymmetric_regular_graph(12, seed=4)
-    assert a.bits != c.bits  # different seed, different pairing
+    assert a.bits != c.bits  # different seed, different cycles
 
 
 def test_asymmetric_regular_graph_bounds():

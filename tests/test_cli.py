@@ -183,6 +183,18 @@ def test_verify_pgsr_kind(capsys, tmp_path):
     assert code == EXIT_NEGATIVE and "not a 3-HGR" in out
 
 
+def test_verify_matrix_group_never_names_a_file(capsys, tmp_path):
+    # "@FILE" is a command-line form only: in a matrix file it is a bad
+    # group token, even when FILE is a valid table
+    table = tmp_path / "c2t.json"
+    table.write_text(json.dumps(cyclic(2).to_json()))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"group": f"@{table}", "m": 3, "entries": []}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert "error: bad group token '@" in err
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/matrix.json")
     assert code == EXIT_ERROR and "error:" in err

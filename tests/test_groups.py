@@ -306,6 +306,13 @@ def test_parse_group_spec_errors():
         parse_group_spec("D7")  # odd dihedral order
     with pytest.raises(GroupError):
         parse_group_spec("D4")  # below the order >= 6 convention
+    # ASCII digits only, and a bounded run of them: a non-ASCII digit and a
+    # number past int()'s digit limit are both bad tokens, named as such
+    for token in ("C\u0663", "C" + "9" * 5000, "D" + "9" * 5000, "C2^" + "9" * 5000):
+        with pytest.raises(GroupError, match="bad group token"):
+            parse_group_spec(f"C2x{token}")
+    with pytest.raises(GroupError, match="bad group token '@"):
+        parse_group_spec("@table.json")  # a table file is a command-line form
 
 
 def test_group_json_round_trip(tmp_path, battery):
@@ -314,8 +321,6 @@ def test_group_json_round_trip(tmp_path, battery):
     path.write_text(json.dumps(g.to_json()))
     h = load_group(str(path))
     assert h.table == g.table
-    spec_loaded = parse_group_spec(f"@{path}")
-    assert spec_loaded.table == g.table
     # table files written while groups still carried element names load too
     path.write_text(json.dumps({**g.to_json(), "names": ["1"] + ["g"] * 11}))
     assert load_group(str(path)).table == g.table

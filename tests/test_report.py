@@ -162,7 +162,7 @@ def test_search_certificate_witness():
 # the certificate text of one outcome per route: catalog, generic recipes of
 # rank 2 and 5, chain extension, the order-1 and order-2 templates, both
 # classified negatives, and a searched nonexistence and witness
-CERTIFICATE_DIGEST = "2cd9a45b9fb3705fdc132d76a44a0ae8ec7999bc620317db0fcd2eb107722e6a"
+CERTIFICATE_DIGEST = "93119e23a9918225ab97f8aaf479bfb2f25804377c3c0039cd1991cbf0643adb"
 
 
 def test_certificates_are_pinned():
