@@ -55,6 +55,36 @@ first-path orbit sizes.  Subtrees are pruned when their refinement-trace
 invariant differs from the first path's at the same depth; equal hashes
 are always explored, so a hash collision costs time, never soundness.
 
+Early abort (McKay & Piperno 2014).  The first path records the running
+trace hash after each split of each child's refinement, one list per
+depth, and a later child at that depth stops refining at the first
+split whose hash differs from the first path's, or at a split the first
+path did not make; it is pruned without the rest of its refinement, and
+the split is not made.  The trace is label-invariant, so a child that
+an automorphism maps onto the first path has the same hash after every
+split and is never cut.  The final test is kept: a child whose splits
+all match but which ends with fewer cells is pruned as before.  The
+rule differs from refining to the end only when two different split
+sequences collide in the final 64-bit hash: that subtree used to be
+explored and is now cut.  Different split sequences mean that no
+automorphism maps one node onto the other, so the cut subtree holds no
+automorphism, and the order stays exact.
+
+Known translations.  `automorphism_group(graph, known)` may be given
+`known(v, w)`, a permutation that should take vertex v to vertex w, or
+None; `evidence` passes the right translations of a Haar graph.  It is
+asked only in full mode, at the root, after the orbit test, once the
+first leaf is found one level below the root (the first-path vertex v0
+alone makes the partition discrete).  A root child w is then accepted
+without refinement when sigma = known(v0, w) takes v0 to w and passes
+the adjacency check; the node is counted, sigma is kept as a generator
+and its orbits merged.  The root partition is invariant under every
+automorphism, so an automorphism taking v0 to w carries the first leaf
+onto w's leaf; the first leaf is discrete, so that automorphism is
+unique, and it is the generator that refining w would have found.  A
+map that fails either check is ignored and w is refined as before, so
+a wrong `known` costs time, never a result.
+
 Vertex colourings are derived from the graph alone (degree and triangle
 count per vertex), so results are label-independent.
 
@@ -76,7 +106,10 @@ stabilizer of the first-path vertex is nontrivial, and its elements map
 the first leaf to other leaves under the first root child, or the orbit
 of that vertex, a union of parts, holds another part, whose root child
 is tried and has the image of the first leaf below it.  So the search
-finds a generator unless |Aut| = n.  No order is computed.
+finds a generator unless |Aut| = n.  No order is computed.  The root key
+is computed once per part, at its first vertex: the translations are
+automorphisms, so (degree, triangle count) is constant on each part,
+and the cells and hash are those of the key read at every vertex.
 
 The claim check (`evidence`, `check_claim`) works on connection
 matrices, so it needs `cayley`, and `cayley` needs `groups`.  It imports
@@ -88,12 +121,15 @@ compiling or loading any group or matrix code.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 
 if TYPE_CHECKING:
     from .cayley import ConnectionMatrix, Verdict
+
+# known(v, w): a permutation that should take vertex v to w, or None
+Known = Callable[[int, int], Optional[Sequence[int]]]
 
 _FNV = 1099511628211
 _MASK = (1 << 64) - 1
@@ -189,15 +225,23 @@ class _Partition:
 # -- equitable refinement -----------------------------------------------------
 
 
-def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> int:
+def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int,
+            trace: Optional[list[int]] = None, follow: bool = False) -> Optional[int]:
     """Refine the partition in place to equitability; returns the updated
     trace hash.
+
+    With a `trace` and `follow` false, the hash after each split is
+    appended to it.  With `follow` true, the refinement stops and returns
+    None at the first split whose hash differs from the trace's at that
+    position, or that goes past its end (the early abort, see the module
+    docstring); the split is then not made.
 
     Precondition: every cell not on the worklist is one the partition is
     already equitable against (the last fragment of a split is not
     queued, see the module docstring).
     """
     starts, wide, wstarts = ptn.starts, ptn.wide, ptn.wstarts
+    expect = iter(trace) if follow else None
     wl = list(worklist)
     qi = 0
     while qi < len(wl) and wide:
@@ -245,6 +289,11 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int) -> in
                 h = _hmix(h, c)
                 h = _hmix(h, p.bit_count())
                 parts.append(p)
+            if expect is not None:
+                if next(expect, None) != h:
+                    return None
+            elif trace is not None:
+                trace.append(h)
             # recorded before the discrete return, so that undo restores it
             wide_parts = ptn.split(ci, k, parts)
             if not wide:
@@ -302,13 +351,19 @@ class _Orbits:
         return sorted(tuple(vs) for vs in groups.values())
 
 
-def automorphism_group(graph: Graph) -> AutResult:
+def automorphism_group(graph: Graph, known: Optional[Known] = None) -> AutResult:
     """Exact automorphism group of the graph.
+
+    `known(v, w)`, when given, returns a permutation that should take
+    vertex v to vertex w, or None; the search tries it before it refines
+    a root child w, and keeps it only if it is an automorphism taking v to
+    w (see the module docstring).  A wrong answer costs time, never a
+    result: every field of the result is the same with or without it.
 
     The vertex cap guards against accidental huge inputs (override with
     the MHAAR_MAX_VERTICES environment variable).
     """
-    res = _search(graph, 0)
+    res = _search(graph, 0, known)
     assert res is not None  # only the decision mode stops early
     return res
 
@@ -326,7 +381,7 @@ def only_translations(graph: Graph, n: int) -> bool:
     return _search(graph, n) is not None
 
 
-def _root_partition(graph: Graph) -> tuple[_Partition, int]:
+def _root_partition(graph: Graph, part: int = 0) -> tuple[_Partition, int]:
     """The root's equitable partition and its trace hash.
 
     The initial cells are the classes of (degree, triangle count), in key
@@ -334,11 +389,17 @@ def _root_partition(graph: Graph) -> tuple[_Partition, int]:
     precondition: every cell has one degree, so the partition is already
     equitable against the vertex set, and the last cell is the vertex
     set less the queued ones.
+
+    With part > 0 (the decision mode) the key is computed once per part,
+    at its first vertex: the right translations are automorphisms, regular
+    on each part, so the key is constant on it.
     """
+    step = part or 1
+    block = (1 << step) - 1
     classes: dict[tuple[int, int], int] = {}
-    for v in range(graph.n):
+    for v in range(0, graph.n, step):
         key = (graph.degree(v), graph.triangle_count(v))
-        classes[key] = classes.get(key, 0) | 1 << v
+        classes[key] = classes.get(key, 0) | block << v
     cells = [classes[k] for k in sorted(classes)]
     h = 0
     for mask in cells:
@@ -347,7 +408,8 @@ def _root_partition(graph: Graph) -> tuple[_Partition, int]:
     return ptn, _refine(graph.bits, ptn, cells[:-1], h)
 
 
-def _search(graph: Graph, part: int) -> Optional[AutResult]:
+def _search(graph: Graph, part: int,
+            known: Optional[Known] = None) -> Optional[AutResult]:
     """The search loop; part > 0 is the decision mode of `only_translations`,
     which returns None at the first generator instead of going on."""
     n = graph.n
@@ -355,7 +417,7 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
-    ptn, h0 = _root_partition(graph)
+    ptn, h0 = _root_partition(graph, part)
     cells, wide, trail = ptn.cells, ptn.wide, ptn.trail
 
     identity = tuple(range(n))
@@ -363,6 +425,9 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
     orbits = _Orbits(n)
     first_leaf: Optional[list[int]] = None
     first_invs: list[int] = []
+    # first_traces[d]: the hash after each split refining the first path's
+    # child of its depth-d node
+    first_traces: list[list[int]] = []
     first_branch: list[int] = []
     order = 1
     nodes = 0
@@ -422,15 +487,31 @@ def _search(graph: Graph, part: int) -> Optional[AutResult]:
                     seen = any(orbits.find(t) == root for t in tried)
                 if seen:
                     continue
+                if not depth and known is not None and len(first_invs) == 2:
+                    # the first leaf is one level down: the automorphism
+                    # taking its vertex to v, if any, is the one below v
+                    aut = known(first_branch[0], v)
+                    if (aut is not None and aut[first_branch[0]] == v
+                            and _is_automorphism(bits, aut)):
+                        nodes += 1
+                        tried.append(v)
+                        found.append(tuple(aut))
+                        orbits.add(aut)
+                        continue
             tried.append(v)
             ptn.undo(mark)
             ch = _hmix(h, ptn.individualize(low))
-            ch = _refine(bits, ptn, [low], ch)
-            ch = _hmix(ch, len(cells))
             if first:
+                trace: list[int] = []
+                first_traces.append(trace)
+                ch = _hmix(_refine(bits, ptn, [low], ch, trace), len(cells))
                 node = (ch, True, depth + 1)
-            elif depth + 1 < len(first_invs) and ch == first_invs[depth + 1]:
-                node = (ch, False, anchor)
+            elif depth < len(first_traces):
+                ch = _refine(bits, ptn, [low], ch, first_traces[depth], follow=True)
+                if ch is not None:
+                    ch = _hmix(ch, len(cells))
+                    if ch == first_invs[depth + 1]:
+                        node = (ch, False, anchor)
     return AutResult(order, found, orbits.orbits(), nodes)
 
 
@@ -507,7 +588,7 @@ def evidence(cm: ConnectionMatrix) -> Evidence:
     from .cayley import build_graph
     check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
     graph = build_graph(cm)
-    aut = automorphism_group(graph)
+    aut = automorphism_group(graph, _translations(cm))
     n = cm.group.order
     # the engine lists orbits as sorted tuples in sorted order
     parts = [tuple(range(i * n, (i + 1) * n)) for i in range(cm.m)]
@@ -522,6 +603,19 @@ def evidence(cm: ConnectionMatrix) -> Evidence:
         "connected": graph.is_connected(),
         "orbits_are_parts": aut.orbits == parts,
     })
+
+
+def _translations(cm: ConnectionMatrix) -> Known:
+    """The right translation taking v to w when they lie in the same part,
+    for `automorphism_group`'s `known`: (h, i) -> (h * h_v^-1 * h_w, i)."""
+    from .cayley import right_translation
+    g, n = cm.group, cm.group.order
+
+    def known(v: int, w: int) -> Optional[list[int]]:
+        if v // n != w // n:
+            return None
+        return right_translation(cm, g.mul(g.inv(v % n), w % n))
+    return known
 
 
 def check_claim(witness: Union[ConnectionMatrix, Evidence], kind: str) -> Verdict:

@@ -329,6 +329,14 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
     that rank by at most t - L, and a generating tuple spans the quotient.
     So the cut removes only subtrees without a solution, and the tuple found
     does not depend on it.
+
+    A sibling whose closure <prefix, e> an earlier sibling already had is
+    not recursed into.  The closure fixes the quotient images, and the
+    later sibling's subtree starts no earlier than the earlier one's, so
+    it admits only elements the earlier subtree also admitted; whether a
+    tuple generates depends only on the closure and the elements after
+    it, so when the earlier subtree found nothing, the later one cannot
+    either.  The tuple found does not depend on the memo.
     """
     n = g.order
     cap = vertex_cap() // 2  # the largest group a graph within the cap holds, m >= 2
@@ -343,6 +351,7 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
     def extend(prefix: tuple[int, ...], closure: frozenset[int], images: list,
                start: int) -> Optional[tuple[int, ...]]:
         left = t - len(prefix) - 1  # elements still to come after e
+        tried: set[frozenset[int]] = set()  # the closures recursed into
         for e in range(start, n):
             if e in closure or (not prefix and orders[e] < first_order):
                 continue
@@ -364,7 +373,8 @@ def _first_generating_tuple(g: Group, t: int, first_order: int = 1) -> Optional[
                 sub = subgroup_generated(g, tup)
                 if len(sub) == n:
                     return tup + (0,) * left
-                if left:
+                if left and sub not in tried:
+                    tried.add(sub)
                     res = extend(tup, sub, grown, e + 1 if prefix else 1)
                     if res is not None:
                         return res

@@ -8,12 +8,14 @@ from math import factorial
 
 import pytest
 
+import mhaar.search
 from mhaar.autos import (
     BRUTE_FORCE_LIMIT,
     _hmix,
     _Partition,
     _refine,
     _root_partition,
+    _translations,
     automorphism_group,
     brute_force_aut_order,
     is_m_hgr,
@@ -520,6 +522,103 @@ def test_translations_within_random_matrices():
         assert order % g.order == 0
 
 
+# -- the root's known translations --------------------------------------------
+
+
+def _translation_cases():
+    """Connection matrices over the battery and a few groups of order 32-49,
+    at m = 2..6 and at most 300 vertices: random ones (many with excess
+    symmetry) and synthesized witnesses."""
+    rng = random.Random(4711)
+    groups = battery_groups()
+    for spec in ("C2^5", "Q8xC4", "D18xC2", "D8xC5", "C2^4xC3", "C7xC7"):
+        groups[spec] = parse_group_spec(spec)
+    cms = []
+    for name in sorted(groups):
+        g = groups[name]
+        for m in range(2, min(6, 300 // g.order) + 1):
+            cms.append(random_matrix(g, m, rng, diagonal=rng.random() < 0.3,
+                                     density=rng.random()))
+    for spec, m in [("Q8", 3), ("A4", 5), ("D8xC3", 6), ("C2^5", 4), ("X27", 6),
+                    ("C7xC7", 6), ("C6", 4), ("D10", 3)]:
+        cms.append(synthesize(parse_group_spec(spec), m, verify=False).matrix)
+    return cms
+
+
+def test_known_translations_change_no_result():
+    calls = []
+    for cm in _translation_cases():
+        graph, known = build_graph(cm), _translations(cm)
+
+        def counting(v, w):
+            calls.append(w)
+            return known(v, w)
+        assert automorphism_group(graph, counting) == automorphism_group(graph)
+    # the shortcut is tried (222 times, on 97 of the 158 graphs)
+    assert len(calls) >= 200
+
+
+def test_wrong_known_changes_no_result():
+    def swap(v, w):
+        # sends v to w, but is no automorphism of a graph with |Aut| = |G|
+        p = list(range(graph.n))
+        p[v], p[w] = w, v
+        return p
+
+    def elsewhere(v, w):
+        # a genuine automorphism, but it sends v to a vertex other than w
+        n = cm.group.order
+        for k in (1, 2):
+            other = v - v % n + (v + k) % n
+            if other != w:
+                return known(v, other)
+
+    for cm in _translation_cases()[::3]:
+        graph, known = build_graph(cm), _translations(cm)
+        plain = automorphism_group(graph)
+        for wrong in (swap, elsewhere, lambda v, w: range(graph.n)):
+            assert automorphism_group(graph, wrong) == plain
+
+
+# -- the early abort -----------------------------------------------------------
+
+
+def _cubic_triangle_free(n, seed):
+    """A seeded random connected cubic graph without triangles, by pairing
+    three stubs per vertex until the pairing is simple."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if any(u == w for u, w in pairs) or len(set(map(frozenset, pairs))) < len(pairs):
+            continue
+        graph = Graph.from_edges(n, pairs)
+        if graph.is_connected() and not any(map(graph.triangle_count, range(n))):
+            return graph
+
+
+@pytest.mark.parametrize("n,bound,digest", [
+    (100, 1000, "c8471ad21bf1b49fbea6960e2a6e8cb5ba7ec5555de49023aa375ebb0490daa0"),
+    (200, 1500, "9f092d2f9639e2b7d752a3154c7ee8e3d79eca55c7057495e9f7f37bbcf99fa8"),
+])
+def test_pruned_children_stop_at_their_first_split_off_the_trace(monkeypatch, n, bound, digest):
+    # one cell at the root: every root child but the first is refined and
+    # pruned; refined to the end, they made 8,961 and 36,491 splits
+    graph = _cubic_triangle_free(n, n)
+    splits = []
+    split = _Partition.split
+
+    def counting(self, ci, k, parts):
+        splits.append(ci)
+        return split(self, ci, k, parts)
+
+    monkeypatch.setattr(_Partition, "split", counting)
+    res = automorphism_group(graph)
+    assert len(splits) <= bound
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+
 # -- the decision mode ---------------------------------------------------------
 
 
@@ -538,6 +637,24 @@ def test_only_translations_matches_the_order():
     answers = [only_translations(graph, n) for graph, n in graphs]
     assert answers == [automorphism_group(graph).order == n for graph, n in graphs]
     assert 0 < sum(answers) < len(answers)
+
+
+def test_decision_mode_root_key_per_part(monkeypatch):
+    # the key read once per part gives the cells and hash of the key read
+    # at every vertex, on every graph the searches ask about
+    calls = []
+
+    def checking(graph, n):
+        ptn, h = _root_partition(graph, n)
+        ref, ref_h = _root_partition(graph)
+        assert (ptn.cells, h) == (ref.cells, ref_h)
+        calls.append(n)
+        return only_translations(graph, n)
+
+    monkeypatch.setattr(mhaar.search, "only_translations", checking)
+    for spec, m in [("D6", 3), ("C2^2", 3)]:
+        mhaar.search.decide_existence(parse_group_spec(spec), m)
+    assert len(calls) > 100
 
 
 @pytest.mark.parametrize("group,m,blocks,order", [

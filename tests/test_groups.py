@@ -150,14 +150,14 @@ def test_group_tables_are_pinned():
 
 def test_rank_search_budget():
     # the seven from Q8xQ8xC8 took over 30 s each before the quotient cut;
-    # the last six are the slowest of the grammar found so far, A4xA4xC3
-    # and five of order 512
+    # A4xA4xC3 and the five of order 512 were the slowest of the grammar
+    # with it; D6xC83 and D6xC17xC5 took over 1 s before the sibling memo
     for spec, rank in [("C3^4", 4), ("C2^6", 6), ("C2^3xC2^4", 7), ("D8xD8", 4),
                        ("Q8xQ8xC8", 5), ("C2^3xD18", 4), ("C2^4xA4", 4),
                        ("C2^4xC3^2", 4), ("C2^4xD10", 5), ("C2^4xD6", 5),
                        ("C2^4xQ8", 6), ("A4xA4xC3", 3), ("C2^9", 9),
                        ("Q8xQ8xQ8", 6), ("D8xD8xD8", 6), ("C2^3xD8xD8", 7),
-                       ("C2^6xQ8", 8)]:
+                       ("C2^6xQ8", 8), ("D6xC83", 2), ("D6xC17xC5", 2)]:
         g = parse_group_spec(spec)
         t0 = time.perf_counter()
         assert len(minimal_generating_set(g)) == rank, spec
@@ -178,6 +178,23 @@ def test_quotient_cut_keeps_the_first_tuple(monkeypatch):
     monkeypatch.setattr(groups_module, "_frattini_quotients", lambda g: [])
     for (spec, t, f), tup in cut.items():
         assert _first_generating_tuple(parse_group_spec(spec), t, f) == tup, (spec, t, f)
+
+
+def test_sibling_memo_keeps_the_first_tuple():
+    # the tuples as computed before siblings with a closure already tried
+    # were skipped; the D6 products are where the memo cuts most
+    specs = ("C2^4xC3", "D8xC2", "Q8xC4", "A4xC2^2", "C3^3", "D6xD6", "X27xC3",
+             "D6xC83", "C83xD6", "D6xC85", "C85xD6", "D6xC17xC5", "C5xC17xD6")
+    found = {}
+    for spec in specs:
+        g = parse_group_spec(spec)
+        found[spec] = [_first_generating_tuple(g, t, f)
+                       for t in range(1, 5) for f in (1, 3, 4)]
+    assert found["D6xC83"][3:6] == [(83, 250), (83, 250), (84, 249)]
+    assert found["D6xC17xC5"][3:6] == [(85, 261), (85, 261), (86, 260)]
+    assert found["C5xC17xD6"][3:6] == [(1, 111), (1, 111), (7, 105)]
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == (
+        "44f330b696bf0a3c32764c2f65f7e45bbf59954355074e6d1273f3ae6398c4e2")
 
 
 def test_rank_lower_bound():
