@@ -85,6 +85,28 @@ unique, and it is the generator that refining w would have found.  A
 map that fails either check is ignored and w is refined as before, so
 a wrong `known` costs time, never a result.
 
+The quotient root.  `evidence` also tells `automorphism_group` the part
+size |G| of a Haar graph: its right translations are automorphisms,
+regular on each run of |G| consecutive vertices (a part).  Every root
+cell is then a union of parts.  The initial key is constant on a part,
+and if every cell and splitter so far is a union of parts, a
+translation carrying one vertex of a part onto another fixes them all,
+so every vertex of a part has the same count into the splitter and no
+split cuts a part.  So the root is refined one bit per part: a cell or
+splitter is the mask of its parts' first vertices, the parts a splitter
+S touches come from `adj`, the parts adjacent to each part, a part's
+count into S is read at its first vertex v as `(bits[v] & S *
+block).bit_count()`, where block = (1 << |G|) - 1 widens each first
+vertex to its part, and each size is mixed into the hash times |G|.
+This is the vertex-level refinement split for split: the same splitters
+in the same order make the same splits, with the same counts and cell
+indices, and each size times |G| is the vertex count.  Refinement stops
+once every cell is one part; the splitters the vertex-level refinement
+would still process then split nothing, so they mix nothing.  The final
+cells, widened by `* block`, are the vertex-level root, with its hash.
+The decision mode keeps the vertex-level refinement of its per-part key
+(below): on its 18-24-vertex graphs the quotient was measured slower.
+
 Vertex colourings are derived from the graph alone (degree and triangle
 count per vertex), so results are label-independent.
 
@@ -226,7 +248,8 @@ class _Partition:
 
 
 def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int,
-            trace: Optional[list[int]] = None, follow: bool = False) -> Optional[int]:
+            trace: Optional[list[int]] = None, follow: bool = False,
+            adj: Optional[list[int]] = None, size: int = 1) -> Optional[int]:
     """Refine the partition in place to equitability; returns the updated
     trace hash.
 
@@ -236,29 +259,42 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int,
     position, or that goes past its end (the early abort, see the module
     docstring); the split is then not made.
 
+    With `adj`, the partition is of parts of `size` consecutive vertices
+    (the quotient root, see the module docstring): each cell and splitter
+    is a mask of its parts' first vertices, and `adj[v]`, for the first
+    vertex v of a part, is the mask of the parts adjacent to v's part.
+
     Precondition: every cell not on the worklist is one the partition is
     already equitable against (the last fragment of a split is not
     queued, see the module docstring).
     """
     starts, wide, wstarts = ptn.starts, ptn.wide, ptn.wstarts
     expect = iter(trace) if follow else None
+    if adj is None:
+        adj = bits
+    block = (1 << size) - 1
     wl = list(worklist)
     qi = 0
     while qi < len(wl) and wide:
         splitter = wl[qi]
         qi += 1
-        single = not splitter & (splitter - 1)
-        if single:
-            touched = bits[splitter.bit_length() - 1]
+        if not splitter & (splitter - 1):
+            touched = adj[splitter.bit_length() - 1]
+            # one vertex, not one part of several
+            single = size == 1
         else:
             touched = 0
             b = splitter
             while b:
                 low = b & -b
-                touched |= bits[low.bit_length() - 1]
+                touched |= adj[low.bit_length() - 1]
                 b ^= low
+            single = False
         if not touched:
             continue
+        if not single:
+            # the splitter's vertices, each part widened from its first
+            span = splitter * block
         shift = 0
         # only the non-singleton cells can split
         for k in [k for k, c in enumerate(wide) if c & touched]:
@@ -276,7 +312,7 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int,
                 b = hit
                 while b:
                     low = b & -b
-                    cnt = (bits[low.bit_length() - 1] & splitter).bit_count()
+                    cnt = (bits[low.bit_length() - 1] & span).bit_count()
                     buckets[cnt] = buckets.get(cnt, 0) | low
                     b ^= low
                 if len(buckets) == 1:
@@ -287,7 +323,7 @@ def _refine(bits: list[int], ptn: _Partition, worklist: list[int], h: int,
             for c in sorted(buckets):
                 p = buckets[c]
                 h = _hmix(h, c)
-                h = _hmix(h, p.bit_count())
+                h = _hmix(h, p.bit_count() * size)
                 parts.append(p)
             if expect is not None:
                 if next(expect, None) != h:
@@ -351,7 +387,8 @@ class _Orbits:
         return sorted(tuple(vs) for vs in groups.values())
 
 
-def automorphism_group(graph: Graph, known: Optional[Known] = None) -> AutResult:
+def automorphism_group(graph: Graph, known: Optional[Known] = None,
+                       part: int = 0) -> AutResult:
     """Exact automorphism group of the graph.
 
     `known(v, w)`, when given, returns a permutation that should take
@@ -360,10 +397,18 @@ def automorphism_group(graph: Graph, known: Optional[Known] = None) -> AutResult
     w (see the module docstring).  A wrong answer costs time, never a
     result: every field of the result is the same with or without it.
 
+    `part` > 0 states what `only_translations` assumes: the right
+    translations by a group of order `part` are automorphisms, acting
+    regularly on each run of `part` consecutive vertices.  The root is
+    then refined one part at a time (see the module docstring), with the
+    same result; a graph that breaks the assumption may get a wrong one.
+
     The vertex cap guards against accidental huge inputs (override with
     the MHAAR_MAX_VERTICES environment variable).
     """
-    res = _search(graph, 0, known)
+    if part:
+        _check_parts(graph, part)
+    res = _search(graph, part, False, known)
     assert res is not None  # only the decision mode stops early
     return res
 
@@ -376,12 +421,17 @@ def only_translations(graph: Graph, n: int) -> bool:
     Stops at the first automorphism the search finds; no order is
     computed.  The vertex cap applies as for `automorphism_group`.
     """
+    _check_parts(graph, n)
+    return _search(graph, n, True) is not None
+
+
+def _check_parts(graph: Graph, n: int) -> None:
     if n < 1 or graph.n % n:
         raise ValueError(f"{graph.n} vertices do not split into parts of size {n}")
-    return _search(graph, n) is not None
 
 
-def _root_partition(graph: Graph, part: int = 0) -> tuple[_Partition, int]:
+def _root_partition(graph: Graph, part: int = 0,
+                    quotient: bool = False) -> tuple[_Partition, int]:
     """The root's equitable partition and its trace hash.
 
     The initial cells are the classes of (degree, triangle count), in key
@@ -390,34 +440,54 @@ def _root_partition(graph: Graph, part: int = 0) -> tuple[_Partition, int]:
     equitable against the vertex set, and the last cell is the vertex
     set less the queued ones.
 
-    With part > 0 (the decision mode) the key is computed once per part,
-    at its first vertex: the right translations are automorphisms, regular
-    on each part, so the key is constant on it.
+    With part > 0 the right translations are automorphisms, regular on
+    each part, so the key is constant on a part and is computed once per
+    part, at its first vertex.  The decision mode then refines the
+    vertices as before; with `quotient`, the parts are refined, one bit
+    each, and the final cells widened to their vertices (see the module
+    docstring).
     """
+    n, bits = graph.n, graph.bits
     step = part or 1
     block = (1 << step) - 1
+    # the vertices a bit of a cell stands for, and the bits of one part
+    size, unit = (step, 1) if quotient else (1, block)
     classes: dict[tuple[int, int], int] = {}
-    for v in range(0, graph.n, step):
+    for v in range(0, n, step):
         key = (graph.degree(v), graph.triangle_count(v))
-        classes[key] = classes.get(key, 0) | block << v
+        classes[key] = classes.get(key, 0) | unit << v
     cells = [classes[k] for k in sorted(classes)]
     h = 0
     for mask in cells:
-        h = _hmix(h, mask.bit_count())
+        h = _hmix(h, mask.bit_count() * size)
     ptn = _Partition(cells)
-    return ptn, _refine(graph.bits, ptn, cells[:-1], h)
+    if size == 1:
+        return ptn, _refine(bits, ptn, cells[:-1], h)
+    # the parts adjacent to each part, read at its first vertex
+    adj = [0] * n
+    for v in range(0, n, step):
+        b = bits[v]
+        while b:
+            u = (b & -b).bit_length() - 1
+            first = u - u % step
+            adj[v] |= 1 << first
+            b &= ~block << first  # the rest of u's part adds nothing
+    h = _refine(bits, ptn, cells[:-1], h, adj=adj, size=step)
+    return _Partition([c * block for c in ptn.cells]), h
 
 
-def _search(graph: Graph, part: int,
+def _search(graph: Graph, part: int, decide: bool,
             known: Optional[Known] = None) -> Optional[AutResult]:
-    """The search loop; part > 0 is the decision mode of `only_translations`,
-    which returns None at the first generator instead of going on."""
+    """The search loop; `decide` is the decision mode of `only_translations`,
+    which returns None at the first generator instead of going on.  With
+    part > 0 the right translations are automorphisms (see
+    `automorphism_group`)."""
     n = graph.n
     check_vertex_cap(n)
     if n == 0:
         return AutResult(1, [], [])
     bits = graph.bits
-    ptn, h0 = _root_partition(graph, part)
+    ptn, h0 = _root_partition(graph, part, quotient=not decide)
     cells, wide, trail = ptn.cells, ptn.wide, ptn.trail
 
     identity = tuple(range(n))
@@ -453,7 +523,7 @@ def _search(graph: Graph, part: int,
                 sigma_l[zv] = c.bit_length() - 1
             sigma = tuple(sigma_l)
             if sigma != identity and _is_automorphism(bits, sigma):
-                if part:
+                if decide:
                     return None  # not a right translation, so |Aut| > part
                 found.append(sigma)
                 orbits.add(sigma)
@@ -478,7 +548,7 @@ def _search(graph: Graph, part: int,
             if first:
                 first_branch.append(v)
             elif on_first:
-                if part:
+                if decide:
                     # no orbits merge in this mode; at the root a right
                     # translation carries v onto a tried child in its part
                     seen = not depth and any(t // part == v // part for t in tried)
@@ -588,8 +658,8 @@ def evidence(cm: ConnectionMatrix) -> Evidence:
     from .cayley import build_graph
     check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
     graph = build_graph(cm)
-    aut = automorphism_group(graph, _translations(cm))
     n = cm.group.order
+    aut = automorphism_group(graph, _translations(cm), n)
     # the engine lists orbits as sorted tuples in sorted order
     parts = [tuple(range(i * n, (i + 1) * n)) for i in range(cm.m)]
     return Evidence(cm, graph, aut, {

@@ -7,6 +7,8 @@ then u), six bits per printable byte, offset 63.
 
 from __future__ import annotations
 
+import binascii
+
 from .graphs import Graph, check_vertex_cap
 
 
@@ -44,8 +46,12 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
-# the printable byte of each 6-bit chunk, keyed by its binary digits
-_SIX_BITS = {format(w, "06b"): chr(w + 63) for w in range(64)}
+# graph6 writes each 6-bit chunk w as the byte w + 63, where base64 writes
+# the w-th letter of its alphabet
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
 
 
 def to_graph6(g: Graph) -> str:
@@ -53,9 +59,12 @@ def to_graph6(g: Graph) -> str:
     # lowest u first
     body = "".join(format(g.bits[v] & ((1 << v) - 1), f"0{v}b")[::-1]
                    for v in range(1, g.n))
-    body += "0" * (-len(body) % 6)
-    return _encode_n(g.n).decode("ascii") + "".join(
-        _SIX_BITS[body[k : k + 6]] for k in range(0, len(body), 6))
+    chars = -(-len(body) // 6)
+    # base64 packs whole 3-byte groups; the padding bits are zero
+    body += "0" * (-len(body) % 24)
+    packed = int(body or "0", 2).to_bytes(len(body) // 8, "big")
+    return _encode_n(g.n).decode("ascii") + binascii.b2a_base64(
+        packed, newline=False)[:chars].translate(_TO_GRAPH6).decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:
@@ -75,23 +84,24 @@ def from_graph6(s: str) -> Graph:
     if len(body) != -(-need // 6):
         raise ValueError(f"graph6 body has {len(body)} bytes, "
                          f"{n} vertices need {-(-need // 6)}")
-    bits: list[int] = []
-    for byte in body:
-        if not 63 <= byte <= 126:
-            raise ValueError(f"bad graph6 byte {byte}")
-        word = byte - 63
-        for k in range(5, -1, -1):
-            bits.append(word >> k & 1)
-    if any(bits[need:]):
+    # base64 decoding skips bytes outside its alphabet, so check them first
+    bad = body.translate(None, _GRAPH6)
+    if bad:
+        raise ValueError(f"bad graph6 byte {bad[0]}")
+    b64 = body.translate(_FROM_GRAPH6) + b"A" * (-len(body) % 4)
+    stream = format(int.from_bytes(binascii.a2b_base64(b64), "big"),
+                    f"0{len(b64) * 6}b")
+    if "1" in stream[need:]:
         raise ValueError("graph6 padding bits not zero")
-    g = Graph(n)
-    k = 0
-    for v in range(n):
-        for u in range(v):
-            if bits[k]:
-                g.add_edge(u, v)
-            k += 1
-    return g
+    # row v of this n x n square holds column v of the body reversed and
+    # padded, so int(row, 2) has bit u set for each neighbour u < v; the
+    # square's column holding bit v of every row, read bottom up, has bit
+    # w set for each neighbour w > v
+    square = "".join(stream[v * (v - 1) // 2 : v * (v + 1) // 2][::-1].rjust(n, "0")
+                     for v in range(n))
+    bits = [int(square[v * n : (v + 1) * n], 2)
+            | int(square[n - 1 - v :: n][::-1], 2) for v in range(n)]
+    return Graph(n, bits)
 
 
 def to_edgelist(g: Graph) -> str:

@@ -168,15 +168,18 @@ def _reverify_witness(cert: dict, group: Group, kind: str) -> Verdict:
         return Verdict(False, "graph6",
                        "claimed encoding differs from the rebuilt graph")
     generators = cert["aut_generators"]
-    if not isinstance(generators, list):
-        return Verdict(False, "aut_generators", "not a list")
-    for idx, perm in enumerate(generators):
-        if (not isinstance(perm, list) or not all(type(x) is int for x in perm)
-                or sorted(perm) != list(range(ev.graph.n))
-                or any(not ev.graph.has_edge(perm[u], perm[v])
-                       for u, v in ev.graph.edges())):
-            return Verdict(False, "aut_generators",
-                           f"entry {idx} is not an automorphism of the graph")
+    # the engine's own generators are automorphisms; compared as JSON, so
+    # that true is not 1
+    if json.dumps(generators) != json.dumps([list(p) for p in ev.aut.generators]):
+        if not isinstance(generators, list):
+            return Verdict(False, "aut_generators", "not a list")
+        for idx, perm in enumerate(generators):
+            if (not isinstance(perm, list) or not all(type(x) is int for x in perm)
+                    or sorted(perm) != list(range(ev.graph.n))
+                    or any(not ev.graph.has_edge(perm[u], perm[v])
+                           for u, v in ev.graph.edges())):
+                return Verdict(False, "aut_generators",
+                               f"entry {idx} is not an automorphism of the graph")
     # the claim itself, not just internal consistency
     return _written_only(cert["evidence"], ev.fields, check_claim(ev, kind))
 

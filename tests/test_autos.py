@@ -580,6 +580,37 @@ def test_wrong_known_changes_no_result():
             assert automorphism_group(graph, wrong) == plain
 
 
+# -- the quotient root ---------------------------------------------------------
+
+
+def _quotient_cases():
+    """The translation cases, and the C2/400 template witness at four seeds."""
+    cms = _translation_cases()
+    c2 = cyclic(2)
+    cms += [synthesize(c2, 400, verify=False, seed=s).matrix for s in (0, 1, 3, 305)]
+    return [(build_graph(cm), cm.group.order) for cm in cms]
+
+
+def test_quotient_root_is_the_vertex_root():
+    split = 0
+    for graph, n in _quotient_cases():
+        ptn, h = _root_partition(graph, n, quotient=True)
+        ref, ref_h = _root_partition(graph)
+        # the trail is left empty: the search never undoes the root's splits
+        assert (h, ptn.cells, ptn.starts, ptn.wide, ptn.wstarts, ptn.trail) == \
+            (ref_h, ref.cells, ref.starts, ref.wide, ref.wstarts, [])
+        split += len(ref.cells) > 1
+    # the refinement has work to do on most of them
+    assert split > 100
+
+
+def test_part_size_changes_no_result():
+    for graph, n in _quotient_cases():
+        assert automorphism_group(graph, part=n) == automorphism_group(graph)
+    with pytest.raises(ValueError, match="parts of size"):
+        automorphism_group(petersen(), part=3)
+
+
 # -- the early abort -----------------------------------------------------------
 
 

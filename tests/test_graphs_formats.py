@@ -94,8 +94,65 @@ def test_graph6_matches_the_per_bit_encoder():
     rng = random.Random(12)
     graphs = [random_graph(n, rng.random(), rng) for n in range(71)]
     graphs.append(random_graph(300, 0.3, rng))
+    graphs.append(random_graph(800, 0.005, rng))  # the size of the C2/400 witness
     for g in graphs:
         assert to_graph6(g) == _to_graph6_per_bit(g), g.n
+
+
+def _from_graph6_per_bit(s: str) -> Graph:
+    """The decoder before base64: the same checks in the same order, then
+    one bit per vertex pair."""
+    data = s.strip().encode("ascii")
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    if data[0] != 126:
+        n, used = data[0] - 63, 1
+    else:
+        n, used = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63), 4
+    body = data[used:]
+    need = n * (n - 1) // 2
+    if len(body) != -(-need // 6):
+        raise ValueError(f"graph6 body has {len(body)} bytes, "
+                         f"{n} vertices need {-(-need // 6)}")
+    bits = []
+    for byte in body:
+        if not 63 <= byte <= 126:
+            raise ValueError(f"bad graph6 byte {byte}")
+        bits += [(byte - 63) >> k & 1 for k in range(5, -1, -1)]
+    if any(bits[need:]):
+        raise ValueError("graph6 padding bits not zero")
+    g = Graph(n)
+    k = 0
+    for v in range(n):
+        for u in range(v):
+            if bits[k]:
+                g.add_edge(u, v)
+            k += 1
+    return g
+
+
+def _decoded(decode, s):
+    try:
+        return decode(s).bits
+    except ValueError as e:
+        return str(e)
+
+
+def test_graph6_decoder_matches_the_per_bit_decoder():
+    rng = random.Random(14)
+    graphs = [random_graph(n, rng.random(), rng) for n in range(71)]
+    graphs += [random_graph(300, 0.3, rng), random_graph(1024, 0.5, rng)]
+    for g in graphs:
+        text = to_graph6(g)
+        assert from_graph6(text).bits == _from_graph6_per_bit(text).bits == g.bits
+    # one byte replaced, appended or cut: the same graph or the same message
+    for g in graphs[2:71]:
+        text = to_graph6(g)
+        head = 1 if g.n <= 62 else 4
+        k = rng.randrange(head, len(text))
+        for bad in (text[:k] + chr(rng.randint(33, 126)) + text[k + 1:],
+                    text + chr(rng.randint(33, 126)), text[:-1]):
+            assert _decoded(from_graph6, bad) == _decoded(_from_graph6_per_bit, bad), bad
 
 
 def test_triangle_count_matches_the_definition():

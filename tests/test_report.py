@@ -339,6 +339,20 @@ def test_reverify_reads_booleans_as_malformed(c6_cert):
     assert (check.ok, check.field) == (False, "aut_generators")
 
 
+def test_reverify_checks_edges_only_for_generators_it_did_not_find(c6_cert, monkeypatch):
+    from mhaar.graphs import Graph
+    calls = []
+    has_edge = Graph.has_edge
+    monkeypatch.setattr(Graph, "has_edge",
+                        lambda g, u, v: calls.append((u, v)) or has_edge(g, u, v))
+    assert reverify(c6_cert)
+    assert not calls
+    # the identity is an automorphism, but not one the engine lists
+    gens = c6_cert["aut_generators"] + [list(range(18))]
+    assert reverify(tampered(c6_cert, aut_generators=gens))
+    assert calls
+
+
 @pytest.mark.parametrize("elems, field", [
     ([1, 5], "evidence.edges"),  # a valid diagonal block: another graph
     ([0], "matrix"),  # the identity would be a loop
