@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .graphs import DEFAULT_BUDGET, CapacityError
+from .graphs import DEFAULT_BUDGET, CapacityError, read_input
 
 # Each command imports the modules it runs inside its _cmd_ function, so
 # a fresh `mhaar` process loads and compiles only those.  Beside cli and
@@ -157,11 +157,7 @@ def _cmd_reverify(args) -> int:
 
 def _load_graph(path: str):
     from .formats import from_edgelist, from_graph6
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
+    text = read_input(path)
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

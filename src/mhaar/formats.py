@@ -28,22 +28,23 @@ def _encode_n(n: int) -> bytes:
 
 
 def _decode_n(data: bytes) -> tuple[int, int]:
-    """Return (n, bytes consumed)."""
+    """Return (n, bytes consumed); each byte of n must be a graph6 byte."""
     if not data:
         raise ValueError("empty graph6 string")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 header")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        return n, 4
-    if len(data) < 8:
+        digits, used = data[:1], 1
+    elif len(data) >= 2 and data[1] != 126:
+        digits, used = data[1:4], 4
+    else:
+        digits, used = data[2:8], 8
+    if len(data) < used:
         raise ValueError("truncated graph6 header")
     n = 0
-    for k in range(2, 8):
-        n = (n << 6) | (data[k] - 63)
-    return n, 8
+    for byte in digits:
+        if not 63 <= byte <= 126:
+            raise ValueError(f"bad graph6 byte {byte}")
+        n = n << 6 | byte - 63
+    return n, used
 
 
 # graph6 writes each 6-bit chunk w as the byte w + 63, where base64 writes

@@ -4,9 +4,10 @@ Python ints are the bitsets, so all the hot set algebra (neighbourhood
 intersections, cell counts in refinement) is C-level popcount work.
 
 The vertex cap lives here too: every reader of untrusted input checks
-it before it allocates a graph, a group table or a part.  So does the
+it before it allocates a graph, a group table or a part.  So do the
 search's default candidate budget, which the CLI reads without loading
-the search.
+the search, and `read_input`, the one reader of input files, whose byte
+limit derives from the cap.
 """
 
 from __future__ import annotations
@@ -41,6 +42,34 @@ def check_vertex_cap(n: int) -> None:
     if n > cap:
         raise CapacityError(f"graph has {n} vertices, over the cap of {cap} "
                             "(set MHAAR_MAX_VERTICES to raise it)")
+
+
+def input_byte_cap() -> int:
+    """The most bytes an input file may hold: 16 per entry of a square
+    table on the vertex cap, and at least 64 KiB.
+
+    The largest legitimate inputs grow with the square of the vertex
+    count: at the default cap, the edge list of K1024 is about 5 MB and a
+    1024-element group table about 6 MB of JSON (12 MB indented).
+    """
+    cap = vertex_cap()
+    return max(1 << 16, 16 * cap * cap)
+
+
+def read_input(path: str) -> str:
+    """The text of an input file, read as UTF-8 up to `input_byte_cap`
+    bytes; a longer file raises CapacityError naming it."""
+    limit = input_byte_cap()
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise CapacityError(f"{path}: over {limit} bytes, the input cap for "
+                            f"{vertex_cap()} vertices "
+                            "(set MHAAR_MAX_VERTICES to raise it)")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
 
 
 class Graph:

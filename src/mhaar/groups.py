@@ -22,7 +22,7 @@ import operator
 import re
 from typing import Iterable, Optional, Sequence
 
-from .graphs import CapacityError, vertex_cap
+from .graphs import CapacityError, read_input, vertex_cap
 
 
 class GroupError(ValueError):
@@ -176,18 +176,19 @@ class Group:
 
 def read_json(path: str):
     """The JSON value in a file; the one reader behind every JSON file the
-    CLI loads.  A file that is not UTF-8 JSON, or is nested too deeply for
-    the decoder, raises ValueError naming the file, not a bare decoder
-    error or RecursionError."""
+    CLI loads.  The file is read through `graphs.read_input`, so a file
+    past its byte limit raises CapacityError.  A file that is not UTF-8
+    JSON, or is nested too deeply for the decoder, raises ValueError
+    naming the file, not a bare decoder error or RecursionError."""
     import json  # here, so that a command that reads no file never loads it
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(f"{path}: invalid JSON: {e}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    text = read_input(path)
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError
+        raise ValueError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load_group(path: str) -> Group:

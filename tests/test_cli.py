@@ -497,6 +497,41 @@ def test_oracle_aut_names_a_file_that_is_not_utf8(capsys, tmp_path):
     assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("text,byte", [(">?", 62), ("!", 33), ("~?!?", 33)])
+def test_oracle_aut_refuses_a_graph6_header_byte_below_63(capsys, tmp_path, text, byte):
+    # such a byte used to decode to a negative vertex count
+    path = tmp_path / "g.g6"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "oracle-aut", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: bad graph6 byte {byte}\n"
+
+
+def test_every_input_file_is_read_up_to_a_byte_cap(capsys, tmp_path, monkeypatch):
+    from mhaar.graphs import input_byte_cap, read_input
+    monkeypatch.setenv("MHAAR_MAX_VERTICES", "8")
+    limit = input_byte_cap()
+    assert limit == 1 << 16  # the floor: 16 * 8 * 8 bytes is less
+    at = tmp_path / "at.txt"
+    at.write_text("#" * limit)
+    assert len(read_input(str(at))) == limit
+    over = tmp_path / "over.json"
+    over.write_text(" " * limit + "{}")  # valid JSON, one byte too long
+    for argv in (("oracle-aut", str(over)), ("verify", str(over)),
+                 ("reverify", str(over)), ("search", "--group", f"@{over}", "-m", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CAPACITY, ""), argv
+        assert f"{over}: over {limit} bytes, the input cap for 8 vertices" in err
+
+
+def test_the_byte_cap_admits_k1024_and_a_1024_element_table(monkeypatch):
+    from mhaar.graphs import input_byte_cap
+    monkeypatch.delenv("MHAAR_MAX_VERTICES", raising=False)
+    edges = sum(len(f"{u} {v}\n") for v in range(1024) for u in range(v))
+    table = 1024 * 1024 * len("1023, ")
+    assert max(edges, table) < 7_000_000 < input_byte_cap() // 2
+
+
 def test_oracle_aut_names_a_graph6_line_that_is_not_ascii(capsys, tmp_path):
     path = tmp_path / "g.g6"
     path.write_text(petersen_g6().replace("h", "é", 1) + "\n", encoding="utf-8")

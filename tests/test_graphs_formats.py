@@ -180,6 +180,11 @@ def test_graph6_rejects_garbage():
     ("A@", "graph6 padding bits not zero"),
     ("~?", "truncated graph6 header"),
     ("~~??", "truncated graph6 header"),
+    # a header byte outside 63..126 would decode to a negative or wrong n
+    (">?", "bad graph6 byte 62"),
+    ("!", "bad graph6 byte 33"),
+    ("~?!?", "bad graph6 byte 33"),
+    ("~~?@?!??", "bad graph6 byte 33"),  # refused before the cap
 ])
 def test_graph6_names_a_bad_header_or_padding(text, message):
     with pytest.raises(ValueError, match=message):
