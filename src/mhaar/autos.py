@@ -110,28 +110,34 @@ The decision mode keeps the vertex-level refinement of its per-part key
 Vertex colourings are derived from the graph alone (degree and triangle
 count per vertex), so results are label-independent.
 
-`only_translations(graph, n)` runs the same loop as a yes/no question:
-is |Aut| = n, for a graph whose right translations by a group of order
-n are automorphisms, acting regularly on each part (each run of n
+`extra_automorphism(graph, n)` runs the same loop in decision mode: is
+|Aut| = n, for a graph whose right translations by a group of order n
+are automorphisms, acting regularly on each part (each run of n
 consecutive vertices)?  Two things change.  At the root, a child in the
 same part as a child already tried is skipped: a right translation maps
 one onto the other, so their subtrees are isomorphic, and the root
 cells are unions of parts because the translations are automorphisms.
 (The union-find is not seeded with the translations: below the root
 they do not fix the first-path vertices, so orbit pruning there would be
-unsound.)  And the search stops at the first generator it accepts.
-Found below the first child of the root, it fixes a vertex, which no
-translation but the identity does; found under another root child, it
-moves the first-path vertex into another part, which no translation
-does.  Either way |Aut| > n.  Conversely, if |Aut| > n, either the
-stabilizer of the first-path vertex is nontrivial, and its elements map
-the first leaf to other leaves under the first root child, or the orbit
-of that vertex, a union of parts, holds another part, whose root child
-is tried and has the image of the first leaf below it.  So the search
-finds a generator unless |Aut| = n.  No order is computed.  The root key
-is computed once per part, at its first vertex: the translations are
-automorphisms, so (degree, triangle count) is constant on each part,
-and the cells and hash are those of the key read at every vertex.
+unsound.)  And the search stops at the first generator it accepts, and
+returns it.  Found below the first child of the root, it fixes a vertex
+and is not the identity, which no translation does; found under another
+root child, it moves the first-path vertex into another part, which no
+translation does.  Either way it is not a right translation, so
+|Aut| > n.  Neither property depends on the graph or on the group's
+table, so the map is no right translation of any graph on the same
+parts: a search keeps the maps it is given, and a kept map that
+preserves a later candidate's adjacency shows |Aut| > n for that one
+too (see `search`).  Conversely, if |Aut| > n, either the stabilizer of
+the first-path vertex is nontrivial, and its elements map the first
+leaf to other leaves under the first root child, or the orbit of that
+vertex, a union of parts, holds another part, whose root child is tried
+and has the image of the first leaf below it.  So the search finds a
+generator unless |Aut| = n, and then returns None.  No order is
+computed.  The root key is computed once per part, at its first vertex:
+the translations are automorphisms, so (degree, triangle count) is
+constant on each part, and the cells and hash are those of the key read
+at every vertex.
 
 The claim check (`evidence`, `check_claim`) works on connection
 matrices, so it needs `cayley`, and `cayley` needs `groups`.  It imports
@@ -397,7 +403,7 @@ def automorphism_group(graph: Graph, known: Optional[Known] = None,
     w (see the module docstring).  A wrong answer costs time, never a
     result: every field of the result is the same with or without it.
 
-    `part` > 0 states what `only_translations` assumes: the right
+    `part` > 0 states what `extra_automorphism` assumes: the right
     translations by a group of order `part` are automorphisms, acting
     regularly on each run of `part` consecutive vertices.  The root is
     then refined one part at a time (see the module docstring), with the
@@ -409,20 +415,28 @@ def automorphism_group(graph: Graph, known: Optional[Known] = None,
     if part:
         _check_parts(graph, part)
     res = _search(graph, part, False, known)
-    assert res is not None  # only the decision mode stops early
+    assert isinstance(res, AutResult)  # only the decision mode returns a map
     return res
 
 
-def only_translations(graph: Graph, n: int) -> bool:
-    """Whether |Aut(graph)| = n, for a graph whose automorphisms include
+def extra_automorphism(graph: Graph, n: int) -> Optional[tuple[int, ...]]:
+    """An automorphism of the graph that is not a right translation, or
+    None when |Aut(graph)| = n, for a graph whose automorphisms include
     the right translations by a group of order n, acting regularly on
     each run of n consecutive vertices (the parts of `build_graph`).
 
-    Stops at the first automorphism the search finds; no order is
-    computed.  The vertex cap applies as for `automorphism_group`.
+    The map returned, as the image of each vertex, is the first generator
+    the search accepts: it fixes a vertex and is not the identity, or it
+    moves a vertex into another part (see the module docstring).  Either
+    way it is no right translation on these parts, whatever the graph,
+    so it refutes any graph on them whose adjacency it preserves.  No
+    order is computed.  The vertex cap applies as for
+    `automorphism_group`.
     """
     _check_parts(graph, n)
-    return _search(graph, n, True) is not None
+    res = _search(graph, n, True)
+    assert not isinstance(res, AutResult)  # the decision mode returns a map
+    return res
 
 
 def _check_parts(graph: Graph, n: int) -> None:
@@ -476,16 +490,17 @@ def _root_partition(graph: Graph, part: int = 0,
     return _Partition([c * block for c in ptn.cells]), h
 
 
-def _search(graph: Graph, part: int, decide: bool,
-            known: Optional[Known] = None) -> Optional[AutResult]:
-    """The search loop; `decide` is the decision mode of `only_translations`,
-    which returns None at the first generator instead of going on.  With
+def _search(graph: Graph, part: int, decide: bool, known: Optional[Known] = None
+            ) -> Union[AutResult, tuple[int, ...], None]:
+    """The search loop; `decide` is the decision mode of
+    `extra_automorphism`, which returns the first generator it accepts
+    instead of going on, and None if it accepts none.  With
     part > 0 the right translations are automorphisms (see
     `automorphism_group`)."""
     n = graph.n
     check_vertex_cap(n)
     if n == 0:
-        return AutResult(1, [], [])
+        return None if decide else AutResult(1, [], [])
     bits = graph.bits
     ptn, h0 = _root_partition(graph, part, quotient=not decide)
     cells, wide, trail = ptn.cells, ptn.wide, ptn.trail
@@ -524,7 +539,7 @@ def _search(graph: Graph, part: int, decide: bool,
             sigma = tuple(sigma_l)
             if sigma != identity and _is_automorphism(bits, sigma):
                 if decide:
-                    return None  # not a right translation, so |Aut| > part
+                    return sigma  # not a right translation, so |Aut| > part
                 found.append(sigma)
                 orbits.add(sigma)
                 del stack[anchor + 1 :]  # back to the first-path node it branched from
@@ -582,7 +597,7 @@ def _search(graph: Graph, part: int, decide: bool,
                     ch = _hmix(ch, len(cells))
                     if ch == first_invs[depth + 1]:
                         node = (ch, False, anchor)
-    return AutResult(order, found, orbits.orbits(), nodes)
+    return None if decide else AutResult(order, found, orbits.orbits(), nodes)
 
 
 # old name, no longer exported; perfbench/test_perfbench.py still checks

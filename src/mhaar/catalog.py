@@ -224,7 +224,7 @@ def asymmetric_regular_graph(m: int, seed: int = 0) -> Graph:
     The result is deterministic in (m, seed) and is certified
     asymmetric by the automorphism engine before being returned.
     """
-    from .autos import only_translations
+    from .autos import extra_automorphism
 
     if m < ASYM_REGULAR_MIN_VERTICES:
         raise ValueError(
@@ -242,7 +242,7 @@ def asymmetric_regular_graph(m: int, seed: int = 0) -> Graph:
         if len(edges) < 2 * m:
             continue
         g = Graph.from_edges(m, map(tuple, edges))
-        if only_translations(g, 1):
+        if extra_automorphism(g, 1) is None:
             return g
     raise CapacityError(  # pragma: no cover - acceptance rate is high
         f"no asymmetric 4-regular graph found in {_ATTEMPT_CAP} attempts")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .autos import only_translations
+from .autos import extra_automorphism
 from .cayley import ConnectionMatrix, build_graph
 from .graphs import Graph
 
@@ -118,7 +118,7 @@ def lift_base(base: ConnectionMatrix, m: int) -> ConnectionMatrix:
     engine's decision mode answers without computing the order.
     """
     plan = plan_lift(base, m)
-    if not only_translations(plan.graph, base.group.order):
+    if extra_automorphism(plan.graph, base.group.order) is not None:
         raise LiftError(f"base is not a PGSR: |Aut| > |G| = {base.group.order}")
     blocks = {(i, j): s for i, j, s in base.upper_items()}
     return ConnectionMatrix(base.group, m, {**blocks, **plan.chain})

@@ -34,9 +34,21 @@ degree-feasibility pruning, which is far smaller than the generic
 profile space.
 
 Every candidate graph has the right translations as automorphisms, so
-it is a witness exactly when they are all of Aut; each candidate asks
-the engine only that (`autos.only_translations`), which stops at the
-first automorphism that is not a translation instead of computing |Aut|.
+it is a witness exactly when they are all of Aut; the engine is asked
+only that (`autos.extra_automorphism`), and stops at the first
+automorphism that is not a translation instead of computing |Aut|.  It
+returns that map, and each search keeps the last few maps it was given
+(`_decider`), one list for all of its profiles or degrees.  A candidate
+is first checked against the kept maps, the one used last first, and
+the engine runs only when none of them preserves its adjacency.  This
+is sound: a map from the engine fixes a vertex without being the
+identity, or moves a vertex into another part, so it is no right
+translation whatever the graph, and every candidate of a search has the
+same vertices and parts.  A kept map that passes is an automorphism
+that is not a translation, so the candidate is decided "no" exactly as
+the engine would decide it.  A witness passes no kept map, so it
+reaches the engine; the answers, `examined` and the witness are those
+of the engine alone, and only the number of engine calls falls.
 
 Both streams also skip the engine for a candidate that a known
 isomorphism maps onto an earlier candidate of the same stream.  In
@@ -49,7 +61,8 @@ This is sound: a skipped candidate is isomorphic to an earlier one, so
 by induction to a candidate the engine answered "no".  The first
 witness has no earlier image (it would be an earlier witness), so it is
 reached at the same position, and `examined` still counts every
-candidate.  Exhaustive mode skips nothing and stays a literal check.
+candidate.  Exhaustive mode skips nothing: it decides every candidate,
+by a kept map or by the engine.
 
 Normalized mode also skips whole profiles (McKay 1998).  Relabelling the
 parts by a permutation t maps a candidate of profile P onto an
@@ -100,7 +113,7 @@ import time
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .autos import automorphism_group, only_translations  # noqa: F401
+from .autos import _is_automorphism, automorphism_group, extra_automorphism  # noqa: F401
 from .cayley import ConnectionMatrix, build_graph
 from .graphs import DEFAULT_BUDGET, Graph, check_vertex_cap
 from .groups import CapacityError, Group, cyclic
@@ -110,6 +123,7 @@ from .groups import CapacityError, Group, cyclic
 
 Profile = tuple[int, ...]  # block sizes along lex-ordered cells (i, j), i < j
 Blocks = tuple[tuple[int, ...], ...]  # one candidate: a sorted block per cell
+Decide = Callable[[Graph, int], bool]  # whether |Aut(graph)| = n (`_decider`)
 
 
 def _cells(m: int) -> list[tuple[int, int]]:
@@ -295,9 +309,10 @@ def _moves(state: tuple[int, ...], n: int) -> dict[tuple[int, ...], tuple[int, i
     return moves
 
 
-def _degree_scan(m: int, d: int, examined: int,
-                 budget: int) -> tuple[int, Optional[Graph]]:
-    """Decide the d-regular graphs on m vertices with N(0) = {1..d}.
+def _degree_scan(m: int, d: int, examined: int, budget: int,
+                 decide: Decide) -> tuple[int, Optional[Graph]]:
+    """Decide the d-regular graphs on m vertices with N(0) = {1..d}, each
+    by `decide` (see `_decider`).
 
     Returns (examined, first witness), `examined` counted on from the
     value passed in.  Every d-regular graph is isomorphic to one of
@@ -370,7 +385,7 @@ def _degree_scan(m: int, d: int, examined: int,
         if cut:
             continue
         graph = Graph(m, list(bits))
-        if only_translations(graph, 1):
+        if decide(graph, 1):
             return examined, graph
     return examined, None
 
@@ -379,13 +394,14 @@ def _trivial_group_scan(group: Group, m: int, budget: int) -> SearchReport:
     t0 = time.perf_counter()
     examined = 0
     witness = None
+    decide = _decider()
     # degrees 0..2 and their complements force symmetries (swaps of
     # isolated vertices or matched pairs, rotations of cycle unions),
     # and complements preserve Aut, so only 3 <= d <= (m-1)/2 matters
     for d in range(3, (m - 1) // 2 + 1):
         if m * d % 2:
             continue
-        examined, first = _degree_scan(m, d, examined, budget)
+        examined, first = _degree_scan(m, d, examined, budget, decide)
         if first is not None:
             from .catalog import matrix_from_graph  # only on a witness
             witness = matrix_from_graph(group, first)
@@ -411,6 +427,49 @@ def c1_regular_asymmetric_scan(m: int) -> SearchReport:
     if m > 10:
         raise ValueError(f"scan supports m <= 10, got {m}")
     return decide_existence(cyclic(1), m)
+
+
+# -- deciding a candidate: the kept refutations, then the engine ----------------
+
+# the refutations a search keeps.  A miss tries every one, at about 1.5 us
+# each against 150-210 us for an engine call on 18-32 vertices, so a miss
+# costs at most about half an engine call; a longer list saved no time on
+# the largest searches measured (C2^3/3, Q8xC2/2, C2^4/2)
+_KEPT = 64
+
+
+def _decider() -> Decide:
+    """A decision for the candidates of one search: whether |Aut(graph)|
+    = n, the right translations alone.
+
+    It keeps the last `_KEPT` maps that refuted a candidate, the most
+    recently used first.  A kept map that preserves a candidate's adjacency
+    decides it "no" and moves to the front; only when none does is the
+    engine asked, and a map it returns goes to the front.  Every kept map
+    is an `extra_automorphism` of an earlier candidate, so it is no right
+    translation on these parts whatever the graph, and every candidate
+    has the same vertices and parts: a map that passes shows |Aut| > n.
+    So each answer is the engine's, and only the number of engine calls
+    changes.  A witness passes no kept map, so it always reaches the
+    engine.
+    """
+    kept: list[tuple[int, ...]] = []
+
+    def decide(graph: Graph, n: int) -> bool:
+        bits = graph.bits
+        for k, sigma in enumerate(kept):
+            if _is_automorphism(bits, sigma):
+                if k:
+                    kept.insert(0, kept.pop(k))
+                return False
+        sigma = extra_automorphism(graph, n)
+        if sigma is None:
+            return True
+        kept.insert(0, sigma)
+        del kept[_KEPT:]
+        return False
+
+    return decide
 
 
 # -- one profile at a time -----------------------------------------------------
@@ -583,8 +642,9 @@ def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                  profile: Profile, forced: frozenset[int], space: int,
-                 skip: bool) -> tuple[int, Optional[ConnectionMatrix]]:
-    """Scan one profile; returns (examined, first witness).
+                 skip: bool, decide: Decide) -> tuple[int, Optional[ConnectionMatrix]]:
+    """Scan one profile, deciding each candidate by `decide` (see
+    `_decider`); returns (examined, first witness).
 
     Each cell's block ranges over a pool of sorted blocks (a forced
     block's pool holds only the blocks with the identity), and the
@@ -619,7 +679,7 @@ def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                     continue
                 blocks = {cell: elems for cell, elems in zip(cells, choice) if elems}
                 cm = ConnectionMatrix(group, m, blocks)
-                if only_translations(build_graph(cm), n):
+                if decide(build_graph(cm), n):
                     return examined, cm
             continue
         step = next(stack[-1], None)
@@ -705,13 +765,14 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
 
     examined = 0
     witness = None
+    decide = _decider()  # one list of refutations for every profile
     for profile, forced, space in _plan(group, m, mode):
         if normalized and relabelled(profile):
             # decided with the earlier profile a part relabelling maps it to
             examined += space
             continue
         ex, witness = _run_profile(group, m, cells, profile, forced, space,
-                                   normalized)
+                                   normalized, decide)
         examined += ex
         if witness is not None:
             break

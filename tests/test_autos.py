@@ -12,15 +12,16 @@ import mhaar.search
 from mhaar.autos import (
     BRUTE_FORCE_LIMIT,
     _hmix,
+    _is_automorphism,
     _Partition,
     _refine,
     _root_partition,
     _translations,
     automorphism_group,
     brute_force_aut_order,
+    extra_automorphism,
     is_m_hgr,
     is_m_pgsr,
-    only_translations,
 )
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
@@ -135,7 +136,7 @@ def test_capacity_env(monkeypatch):
     with pytest.raises(CapacityError):
         automorphism_group(petersen())
     with pytest.raises(CapacityError):
-        only_translations(petersen(), 1)
+        extra_automorphism(petersen(), 1)
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
     assert automorphism_group(petersen()).order == 120
     for bad in ("abc", "0", "-5"):
@@ -665,24 +666,39 @@ def test_only_translations_matches_the_order():
     # over the trivial group the parts are single vertices
     graphs += [(graph, 1) for graph in _regular_graphs_seeded(8, 3)]
     assert len(graphs) == 24 * 4 * 5 + 553
-    answers = [only_translations(graph, n) for graph, n in graphs]
+    maps = [extra_automorphism(graph, n) for graph, n in graphs]
+    answers = [sigma is None for sigma in maps]
     assert answers == [automorphism_group(graph).order == n for graph, n in graphs]
     assert 0 < sum(answers) < len(answers)
+    # each map returned is an automorphism, and it fixes a vertex without
+    # being the identity or moves a vertex into another part
+    for (graph, n), sigma in zip(graphs, maps):
+        if sigma is not None:
+            assert _is_automorphism(graph.bits, sigma)
+            moved = [v for v in range(graph.n) if sigma[v] != v]
+            assert moved and (len(moved) < graph.n
+                              or any(sigma[v] // n != v // n for v in moved))
 
 
 def test_decision_mode_root_key_per_part(monkeypatch):
     # the key read once per part gives the cells and hash of the key read
-    # at every vertex, on every graph the searches ask about
+    # at every vertex, on every graph the searches decide
     calls = []
+    decider = mhaar.search._decider
 
-    def checking(graph, n):
-        ptn, h = _root_partition(graph, n)
-        ref, ref_h = _root_partition(graph)
-        assert (ptn.cells, h) == (ref.cells, ref_h)
-        calls.append(n)
-        return only_translations(graph, n)
+    def checking_decider():
+        decide = decider()
 
-    monkeypatch.setattr(mhaar.search, "only_translations", checking)
+        def checking(graph, n):
+            ptn, h = _root_partition(graph, n)
+            ref, ref_h = _root_partition(graph)
+            assert (ptn.cells, h) == (ref.cells, ref_h)
+            calls.append(n)
+            return decide(graph, n)
+
+        return checking
+
+    monkeypatch.setattr(mhaar.search, "_decider", checking_decider)
     for spec, m in [("D6", 3), ("C2^2", 3)]:
         mhaar.search.decide_existence(parse_group_spec(spec), m)
     assert len(calls) > 100
@@ -699,10 +715,11 @@ def test_only_translations_sees_automorphisms_that_only_move_parts(group, m, blo
     res = automorphism_group(graph)
     assert res.order == order
     assert all(len(o) == res.order for o in res.orbits)
-    assert not only_translations(graph, group.order)
+    sigma = extra_automorphism(graph, group.order)
+    assert any(sigma[v] // group.order != v // group.order for v in range(graph.n))
 
 
 def test_only_translations_needs_whole_parts():
     for n in (0, 3):
         with pytest.raises(ValueError, match="parts of size"):
-            only_translations(petersen(), n)
+            extra_automorphism(petersen(), n)

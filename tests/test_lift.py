@@ -2,7 +2,7 @@
 
 import pytest
 
-from mhaar.autos import automorphism_group, is_m_hgr, only_translations
+from mhaar.autos import automorphism_group, extra_automorphism, is_m_hgr
 from mhaar.catalog import build_entry, entries
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.constructions import generic_base
@@ -148,7 +148,7 @@ def test_lift_base_rejects_excess_symmetry():
 
 
 def test_decision_mode_answers_the_pgsr_question():
-    # lift_base asks only_translations what automorphism_group would count
+    # lift_base asks extra_automorphism what automorphism_group would count
     bases = [build_entry(e) for e in entries(kind="pgsr")]
     for spec in ("C2^4", "C2^5", "C3^4", "C2^4xC3", "C7xC7", "D8xC3"):
         bases += [generic_base(parse_group_spec(spec), parts)[0] for parts in (3, 4)]
@@ -157,7 +157,7 @@ def test_decision_mode_answers_the_pgsr_question():
     answers = []
     for cm in bases:
         graph, n = build_graph(cm), cm.group.order
-        answers.append(only_translations(graph, n))
+        answers.append(extra_automorphism(graph, n) is None)
         assert answers[-1] == (automorphism_group(graph).order == n), cm
     assert answers == [True] * 35 + [False]
 

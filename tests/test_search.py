@@ -8,7 +8,7 @@ from math import comb, prod
 import pytest
 
 import mhaar.search
-from mhaar.autos import is_m_hgr, only_translations
+from mhaar.autos import extra_automorphism, is_m_hgr
 from mhaar.catalog import matrix_from_graph
 from mhaar.cayley import ConnectionMatrix, build_graph
 from mhaar.graphs import Graph
@@ -427,7 +427,12 @@ def profile_candidates(n, profile, forced):
     return itertools.product(*profile_pools(n, profile, forced))
 
 
-def literal_search(group, m, engine=only_translations):
+def by_engine(graph, n):
+    """The engine's answer alone, with no kept refutations."""
+    return extra_automorphism(graph, n) is None
+
+
+def literal_search(group, m, engine=by_engine):
     cells = _cells(m)
     examined = 0
     for profile, forced, _ in _plan(group, m, "normalized"):
@@ -449,7 +454,7 @@ def literal_scan(m):
             continue
         for graph in _regular_graphs_seeded(m, d):
             examined += 1
-            if only_translations(graph, 1):
+            if by_engine(graph, 1):
                 witnesses += 1
                 first = matrix_from_graph(group, graph)
                 break
@@ -508,7 +513,7 @@ def test_skip_reaches_the_first_witness(monkeypatch):
     # across profiles: a stand-in engine that answers an isomorphism
     # invariant, with witnesses in profiles that relabelling maps to
     # earlier ones; the first is candidate 44, after skipped profiles
-    monkeypatch.setattr(mhaar.search, "only_translations", sparse_triangle_free)
+    monkeypatch.setattr(mhaar.search, "_decider", lambda: sparse_triangle_free)
     first = literal_search(cyclic(4), 4, engine=sparse_triangle_free)
     assert first[1:3] == (44, 1)
     assert outcome(decide_existence(cyclic(4), 4)) == first
@@ -524,7 +529,7 @@ def test_degree_scan_skip_reaches_the_first_witness(monkeypatch):
     # triangle-free cubic graphs on 8 vertices, the first at position 249
     expected_first = next(graph for graph in _regular_graphs_seeded(8, 3)
                           if triangle_free(graph, 1))
-    monkeypatch.setattr(mhaar.search, "only_translations", triangle_free)
+    monkeypatch.setattr(mhaar.search, "_decider", lambda: triangle_free)
     r = c1_regular_asymmetric_scan(8)
     assert (r.examined, r.witnesses, r.witness) == (
         249, 1, matrix_from_graph(cyclic(1), expected_first))
@@ -645,40 +650,145 @@ def test_swap_check_matches_every_swap(m, d):
         assert _swap_gives_earlier(graph.bits, m, d) == swap_gives_earlier(graph, d)
 
 
+def watch(mp):
+    """Patch the search to record each decision, as (candidate, answer),
+    and each engine call, as (candidate, map or None), a candidate given
+    by its adjacency rows."""
+    decided, engine = [], []
+    decider = mhaar.search._decider
+
+    def watching_decider():
+        decide = decider()
+
+        def watching(graph, n):
+            answer = decide(graph, n)
+            decided.append((tuple(graph.bits), answer))
+            return answer
+
+        return watching
+
+    def watching_engine(graph, n):
+        sigma = extra_automorphism(graph, n)
+        engine.append((tuple(graph.bits), sigma))
+        return sigma
+
+    mp.setattr(mhaar.search, "_decider", watching_decider)
+    mp.setattr(mhaar.search, "extra_automorphism", watching_engine)
+    return decided, engine
+
+
 @pytest.fixture
-def engine_calls(monkeypatch):
-    calls = []
-
-    def counting(graph, n):
-        calls.append(n)
-        return only_translations(graph, n)
-
-    monkeypatch.setattr(mhaar.search, "only_translations", counting)
-    return calls
+def decisions(monkeypatch):
+    return watch(monkeypatch)
 
 
-def test_skip_cuts_engine_calls(engine_calls):
-    # (examined, engine calls) up to the first witness in normalized mode.
-    # D6/3 makes 114 calls of 4033 candidates; part relabellings cut
-    # C2/5 and C2/6 from 346 and 2,600 calls under translations alone;
-    # the degree scan makes 81 calls of C1/9's 14,634 graphs
-    for spec, m, examined, calls in [
-            ("D6", 3, 4033, 114), ("C3", 4, 1199, 136), ("C5", 3, 607, 92),
-            ("C2", 5, 658, 81), ("C2^2", 3, 96, 40), ("C4", 3, 96, 28),
-            ("C10", 2, 513, 108), ("D8", 2, 129, 28), ("C2", 6, 3892, 76),
-            ("C1", 9, 14634, 81)]:
-        engine_calls.clear()
+def test_skip_cuts_engine_calls(decisions):
+    # (examined, decisions, engine calls) up to the first witness in
+    # normalized mode.  D6/3 decides 114 of 4033 candidates; part
+    # relabellings cut C2/5 and C2/6 from 346 and 2,600 decisions under
+    # translations alone; the degree scan decides 81 of C1/9's 14,634
+    # graphs.  The kept refutations decide the rest of each search's
+    # candidates without the engine
+    decided, engine = decisions
+    for spec, m, examined, calls, engine_calls in [
+            ("D6", 3, 4033, 114, 44), ("C3", 4, 1199, 136, 48),
+            ("C5", 3, 607, 92, 16), ("C2", 5, 658, 81, 23),
+            ("C2^2", 3, 96, 40, 17), ("C4", 3, 96, 28, 11),
+            ("C10", 2, 513, 108, 9), ("D8", 2, 129, 28, 15),
+            ("C2", 6, 3892, 76, 31), ("C1", 9, 14634, 81, 42)]:
+        decided.clear()
+        engine.clear()
         r = decide_existence(parse_group_spec(spec), m)
-        assert (r.examined, len(engine_calls)) == (examined, calls), spec
+        assert (r.examined, len(decided), len(engine)) == (
+            examined, calls, engine_calls), spec
 
 
-def test_exhaustive_mode_decides_every_candidate(engine_calls):
+def test_exhaustive_mode_decides_every_candidate(decisions):
+    decided, engine = decisions
     r = decide_existence(elem_abelian(2, 2), 3, mode="exhaustive")
-    assert r.examined == len(engine_calls) == 346
-    engine_calls.clear()
+    assert r.examined == len(decided) == 346
+    assert len(engine) == 29
+    decided.clear()
+    engine.clear()
     # 27 profiles, many of them relabellings of each other
     r = decide_existence(cyclic(2), 4, mode="exhaustive")
-    assert r.examined == len(engine_calls) == 216
+    assert r.examined == len(decided) == 216
+    assert len(engine) == 27
+
+
+def recorded_search(spec, m, mode, miss):
+    """Search, and return its decisions, its engine calls and (exists,
+    examined, witness); with `miss`, no kept refutation ever passes, so
+    the engine decides every candidate."""
+    with pytest.MonkeyPatch.context() as mp:
+        decided, engine = watch(mp)
+        if miss:
+            mp.setattr(mhaar.search, "_is_automorphism", lambda bits, p: False)
+        r = decide_existence(parse_group_spec(spec), m, mode)
+    witness = None if r.witness is None else r.witness.upper_items()
+    return decided, len(engine), (r.exists, r.examined, witness)
+
+
+@pytest.mark.parametrize("spec,m,mode,exists", [
+    ("D6", 3, "normalized", False), ("C2^2", 3, "exhaustive", False),
+    ("C10", 2, "normalized", False), ("C1", 9, "normalized", False),
+    ("Q8", 3, "normalized", True), ("C2", 6, "normalized", True)])
+def test_refutation_list_changes_no_decision(spec, m, mode, exists):
+    kept, calls, report = recorded_search(spec, m, mode, miss=False)
+    alone, every, alone_report = recorded_search(spec, m, mode, miss=True)
+    assert kept == alone
+    assert report == alone_report
+    assert report[0] == exists
+    assert every == len(alone)  # forced to miss, the engine decides each one
+    assert calls < every
+
+
+def right_translations(group, m):
+    """Each x -> x*h on every part, as the image of each vertex."""
+    n = group.order
+    return {tuple(i * n + group.table[x][h] for i in range(m) for x in range(n))
+            for h in range(n)}
+
+
+# the search workload's cases in perfbench/workloads.py
+SEARCH_WORKLOAD = [("D6", 3, "normalized"), ("C3", 4, "normalized"),
+                   ("C5", 3, "normalized"), ("C2", 5, "normalized"),
+                   ("C2^2", 3, "normalized"), ("C4", 3, "normalized"),
+                   ("C10", 2, "normalized"), ("D8", 2, "normalized"),
+                   ("C2^2", 3, "exhaustive"), ("C1", 9, "normalized")]
+
+
+@pytest.mark.parametrize("spec,m,mode", SEARCH_WORKLOAD)
+def test_every_refutation_is_checked_independently(monkeypatch, spec, m, mode):
+    # each "no" comes with a map, a kept one that passed or the engine's.
+    # Each is a permutation that maps every edge of its candidate to an
+    # edge and is no right translation
+    group = parse_group_spec(spec)
+    decided, engine = watch(monkeypatch)
+    hits = []
+    passes = mhaar.search._is_automorphism
+
+    def kept(bits, sigma):
+        hit = passes(bits, sigma)
+        if hit:
+            hits.append((tuple(bits), sigma))
+        return hit
+
+    monkeypatch.setattr(mhaar.search, "_is_automorphism", kept)
+    decide_existence(group, m, mode)
+    refutations = hits + [(bits, sigma) for bits, sigma in engine if sigma is not None]
+    noes = [bits for bits, answer in decided if not answer]
+    assert sorted(bits for bits, _ in refutations) == sorted(noes)
+    assert noes
+    translations = right_translations(group, m)
+    size = m * group.order
+    for bits, sigma in refutations:
+        assert sorted(sigma) == list(range(size))
+        for u in range(size):
+            for v in range(u + 1, size):
+                if bits[u] >> v & 1:
+                    assert bits[sigma[u]] >> sigma[v] & 1
+        assert tuple(sigma) not in translations
 
 
 @pytest.mark.parametrize("group,m,mode", [
@@ -695,12 +805,12 @@ def test_profile_candidates_come_in_increasing_order(monkeypatch, group, m, mode
         return build_graph(cm)
 
     monkeypatch.setattr(mhaar.search, "build_graph", recording)
-    monkeypatch.setattr(mhaar.search, "only_translations", lambda graph, n: False)
     cells = _cells(m)
     skip = mode == "normalized"
     for profile, forced, space in _plan(group, m, mode):
         built.clear()
-        assert _run_profile(group, m, cells, profile, forced, space, skip) == (space, None)
+        assert _run_profile(group, m, cells, profile, forced, space, skip,
+                            lambda graph, n: False) == (space, None)
         stream = [tuple(tuple(sorted(cm.block(i, j))) for i, j in cells) for cm in built]
         assert set(stream) <= set(profile_candidates(group.order, profile, forced))
         assert skip or len(stream) == space
@@ -734,7 +844,7 @@ def all_on_a_triangle(graph, n):
     return all(graph.triangle_count(v) for v in range(graph.n))
 
 
-@pytest.mark.parametrize("engine", [only_translations, triangle_free,
+@pytest.mark.parametrize("engine", [by_engine, triangle_free,
                                     all_on_a_triangle],
                          ids=["engine", "triangle-free", "all-on-a-triangle"])
 @pytest.mark.parametrize("m", range(3, 10))
@@ -747,7 +857,7 @@ def test_orderly_scan_matches_the_full_stream(monkeypatch, m, engine):
         calls.append(n)
         return engine(graph, n)
 
-    monkeypatch.setattr(mhaar.search, "only_translations", counting)
+    monkeypatch.setattr(mhaar.search, "_decider", lambda: counting)
     r = c1_regular_asymmetric_scan(m)
     got = (r.examined, r.witnesses, len(calls),
            None if r.witness is None else r.witness.upper_items())
@@ -763,10 +873,12 @@ def test_graph_count_counts_the_full_stream(m, d):
         1 for _ in _regular_graphs_seeded(m, d))
 
 
-def test_c1_scan_m10_is_pinned(engine_calls):
+def test_c1_scan_m10_is_pinned(decisions):
+    decided, engine = decisions
     r = c1_regular_asymmetric_scan(10)
     assert (r.exists, r.examined, r.witnesses) == (True, 137182, 1)
-    assert len(engine_calls) == 207
+    assert len(decided) == 207
+    assert len(engine) == 72
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4),
              (2, 6), (3, 5), (3, 7), (4, 7), (4, 8), (5, 8), (5, 9), (6, 7),
              (6, 8), (6, 9), (7, 9), (8, 9)]
