@@ -16,8 +16,8 @@ MHAAR_MAX_VERTICES to raise the automorphism engine's default
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
@@ -30,7 +30,9 @@ from .graphs import DEFAULT_BUDGET, CapacityError, read_input
 # degree-scan witness and report only for --certificate, and no json
 # without a file to read or write; synthesize and reverify load report
 # and whatever the claim reruns.  No command loads
-# dataclasses (the result records are NamedTuples) or multiprocessing.
+# dataclasses (the result records are NamedTuples) or multiprocessing,
+# nor argparse with its gettext and locale: parse_args reads the
+# command line from the one option table, COMMANDS.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -191,78 +193,211 @@ def _cmd_oracle_aut(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mhaar",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One option of a command: a flag when its type is bool, else one
+    str or int value.  Its dest is its name without dashes, as argparse
+    names it."""
 
-    p = sub.add_parser("synthesize",
-                       help="decide existence for (group, m) and build a witness")
-    p.add_argument("--group", required=True,
-                   help="group spec, e.g. C6, C2^3, D8 (order 8), @table.json")
-    p.add_argument("-m", type=int, required=True, dest="m",
-                   help="number of parts")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip verification; no certificate is printed")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the random template routes (orders 1 and 2)")
-    p.add_argument("--out", metavar="FILE", help="write the witness to a file")
-    p.add_argument("--format", choices=("json", "edgelist", "graph6"),
-                   default="json", help="witness file format (default json)")
-    p.add_argument("--certificate", metavar="FILE",
-                   help="also write the certificate to a file")
-    p.set_defaults(func=_cmd_synthesize)
+    def __init__(self, name: str, help: str = "", type: type = str, default=None,
+                 choices: tuple = (), required: bool = False):
+        self.name, self.help, self.type, self.default = name, help, type, default
+        self.choices, self.required = choices, required
+        self.dest = name.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("verify", help="check a matrix JSON file")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=("hgr", "pgsr"), default="hgr",
-                   help="property to check (default hgr)")
-    p.set_defaults(func=_cmd_verify)
+    def form(self) -> str:
+        """The option as usage and help show it, e.g. `--format {json,graph6}`."""
+        if self.type is bool:
+            return self.name
+        value = "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+        return f"{self.name} {value}"
 
-    p = sub.add_parser("search",
-                       help="exhaustively decide existence by enumeration")
-    p.add_argument("--group", required=True)
-    p.add_argument("-m", type=int, required=True, dest="m")
-    p.add_argument("--mode", choices=("normalized", "exhaustive"),
-                   default="normalized")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="candidate cap before refusing (default 1e8)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: the search runs in one process")
-    p.add_argument("--out", metavar="FILE", help="write the witness matrix JSON")
-    p.add_argument("--certificate", metavar="FILE",
-                   help="write a witness or nonexistence certificate")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("catalog", help="curated matrices")
-    csub = p.add_subparsers(dest="catalog_command", required=True)
-    pl = csub.add_parser("list", help="list entries")
-    pl.add_argument("--tag")
-    pl.add_argument("--m", type=int)
-    pl.add_argument("--kind", choices=("hgr", "pgsr"))
-    pl.add_argument("--build", metavar="FILE",
-                    help="write the first listed entry as matrix JSON")
-    pl.set_defaults(func=_cmd_catalog_list)
+class Command:
+    """One command: its help line, its handler (or a table of its
+    subcommands), its positionals and its options."""
 
-    p = sub.add_parser("reverify", help="re-check a certificate file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_reverify)
+    def __init__(self, help: str, func, positionals: tuple = (), options: tuple = ()):
+        self.help, self.func, self.positionals, self.options = help, func, positionals, options
 
-    p = sub.add_parser("oracle-aut",
-                       help="automorphism group of a graph6 or edge-list file")
-    p.add_argument("file")
-    p.add_argument("--generators", action="store_true",
-                   help="print the generating permutations")
-    p.set_defaults(func=_cmd_oracle_aut)
-    return parser
+
+COMMANDS = {
+    "synthesize": Command(
+        "decide existence for (group, m) and build a witness", _cmd_synthesize, (), (
+            Option("--group", "group spec, e.g. C6, C2^3, D8 (order 8), @table.json",
+                   required=True),
+            Option("-m", "number of parts", int, required=True),
+            Option("--no-verify", "skip verification; no certificate is printed", bool,
+                   False),
+            Option("--seed", "seed for the random template routes (orders 1 and 2)",
+                   int, 0),
+            Option("--out", "write the witness to a file"),
+            Option("--format", "witness file format (default json)", default="json",
+                   choices=("json", "edgelist", "graph6")),
+            Option("--certificate", "also write the certificate to a file"))),
+    "verify": Command("check a matrix JSON file", _cmd_verify, ("file",), (
+        Option("--kind", "property to check (default hgr)", default="hgr",
+               choices=("hgr", "pgsr")),)),
+    "search": Command(
+        "exhaustively decide existence by enumeration", _cmd_search, (), (
+            Option("--group", "group spec, as for synthesize", required=True),
+            Option("-m", "number of parts", int, required=True),
+            Option("--mode", "candidates to enumerate (default normalized)",
+                   default="normalized", choices=("normalized", "exhaustive")),
+            Option("--budget", "candidate cap before refusing (default 1e8)", int,
+                   DEFAULT_BUDGET),
+            Option("--workers", "accepted and ignored: the search runs in one process",
+                   int, 1),
+            Option("--out", "write the witness matrix JSON"),
+            Option("--certificate", "write a witness or nonexistence certificate"))),
+    "catalog": Command("curated matrices", {
+        "list": Command("list entries", _cmd_catalog_list, (), (
+            Option("--tag", "only the entries of this group, e.g. C6"),
+            Option("--m", "only the entries with this many parts", int),
+            Option("--kind", "only the entries of this kind", choices=("hgr", "pgsr")),
+            Option("--build", "write the first listed entry as matrix JSON")))}),
+    "reverify": Command("re-check a certificate file", _cmd_reverify, ("file",)),
+    "oracle-aut": Command(
+        "automorphism group of a graph6 or edge-list file", _cmd_oracle_aut, ("file",), (
+            Option("--generators", "print the generating permutations", bool, False),)),
+}
+_MHAAR = Command(__doc__ or "", COMMANDS, (), (  # no docstring under -OO
+    Option("--version", "print the version and exit", bool, False),))
+_HELP = ("-h", "--help")
+
+
+def _is_negative_number(tok: str) -> bool:
+    r"""argparse's ^-\d+$|^-\d*\.\d+$: such a token is a value, never an option."""
+    whole, dot, frac = tok[1:].removesuffix("\n").partition(".")
+    return (whole + frac).isdecimal() and bool(frac or not dot)
+
+
+def _lookup(tok: str, names: tuple) -> Optional[tuple[list, Optional[str]]]:
+    """The option names that tok may mean, with its attached value, or
+    None when tok is a value.  As argparse reads them: NAME, NAME=VALUE,
+    -mVALUE, or a prefix of a long NAME; "-", a negative number, and a
+    token with a space that names no option are values, "--" never is."""
+    if tok == "--":
+        return [], None
+    if tok[:1] != "-" or tok == "-" or _is_negative_number(tok):
+        return None
+    name, eq, value = tok.partition("=")
+    if tok in names:
+        return [tok], None
+    if eq and name in names:
+        return [name], value
+    if tok[1] != "-":
+        found, value = [n for n in names if n == tok[:2]], tok[2:]
+    else:
+        found = [n for n in names if n.startswith(name)]
+        value = value if eq else None
+    return None if not found and " " in tok else (found, value)
+
+
+def _usage(prog: str, cmd: Command) -> str:
+    words = [prog, "[-h]"] + [o.form() if o.required else f"[{o.form()}]"
+                              for o in cmd.options]
+    if isinstance(cmd.func, dict):
+        words.append("{" + ",".join(cmd.func) + "} ...")
+    return " ".join(words + list(cmd.positionals))
+
+
+def _help(prog: str, cmd: Command) -> None:
+    sections = [("options", [("-h, --help", "print this help and exit")]
+                 + [(o.form(), o.help) for o in cmd.options])]
+    if isinstance(cmd.func, dict):
+        sections.insert(0, ("commands", [(k, c.help) for k, c in cmd.func.items()]))
+    text = [f"usage: {_usage(prog, cmd)}", "", cmd.help.strip()]
+    for title, rows in sections:
+        width = max(len(left) for left, _ in rows)
+        text += ["", f"{title}:"] + [f"  {left:<{width}}  {doc}".rstrip()
+                                     for left, doc in rows]
+    print("\n".join(text))
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The attributes argparse gave for argv: `command` (and
+    `catalog_command`), `func`, and every dest of the command, with its
+    default when not given.  -h/--help and --version print to stdout and
+    raise SystemExit(0); a usage error writes its message to stderr and
+    raises SystemExit(1).  Options and positionals may come in any
+    order, and "--" ends the options."""
+    ns, values, seen, extras = SimpleNamespace(), [], set(), []
+    prog, cmd, dest = "mhaar", _MHAAR, "command"
+
+    def fail(message: str):
+        print(f"usage: {_usage(prog, cmd)}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR)
+
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            values += tokens
+            break
+        options = {o.name: o for o in cmd.options}
+        names = _HELP + tuple(options)
+        hit = _lookup(tok, names)
+        if hit is None and isinstance(cmd.func, dict):
+            if tok not in cmd.func:
+                fail(f"argument {dest}: invalid choice: {tok!r}")
+            setattr(ns, dest, tok)
+            prog, cmd, dest = f"{prog} {tok}", cmd.func[tok], f"{tok}_command"
+            if not isinstance(cmd.func, dict):
+                ns.func = cmd.func
+                for o in cmd.options:
+                    setattr(ns, o.dest, o.default)
+            continue
+        if hit is None:
+            values.append(tok)
+            continue
+        found, value = hit
+        if len(found) > 1:
+            fail(f"ambiguous option: {tok} could match {', '.join(found)}")
+        if not found:  # reported after the required ones, as argparse does
+            extras.append(tok)
+            continue
+        name = found[0]
+        opt = options.get(name)
+        if opt is None or opt.type is bool:
+            if value is not None:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            if opt is None:
+                _help(prog, cmd)
+            if name == "--version":
+                print(__version__)
+                raise SystemExit(EXIT_OK)
+            value = True
+        else:
+            if value is None:
+                value = next(tokens, "--")
+                if _lookup(value, names) is not None:
+                    fail(f"argument {name}: expected one argument")
+            try:
+                value = opt.type(value)
+            except ValueError:
+                fail(f"argument {name}: invalid {opt.type.__name__} value: {value!r}")
+            if opt.choices and value not in opt.choices:
+                fail(f"argument {name}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(opt.choices)})")
+        seen.add(name)
+        setattr(ns, opt.dest, value)
+    if isinstance(cmd.func, dict):
+        fail(f"the following arguments are required: {dest}")
+    missing = [o.name for o in cmd.options if o.required and o.name not in seen]
+    missing += cmd.positionals[len(values):]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    for name, value in zip(cmd.positionals, values):
+        setattr(ns, name, value)
+    extras += values[len(cmd.positionals):]
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:  # a usage error; --help and --version exit 0
         if e.code:
             return EXIT_ERROR

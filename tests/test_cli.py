@@ -777,11 +777,12 @@ LIST_MODULES = ("import sys, mhaar.cli\n"
 
 def loaded_modules(*argv, expect=EXIT_OK):
     """The modules a fresh `mhaar ARGV` has loaded when it exits; no
-    command loads dataclasses (with inspect, ast and dis behind it)."""
+    command loads dataclasses (with inspect, ast and dis behind it), nor
+    argparse (with gettext and locale)."""
     proc = fresh(*argv, code=LIST_MODULES)
     assert proc.returncode == expect, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
-    assert "dataclasses" not in loaded, argv
+    assert not loaded & {"dataclasses", "argparse", "gettext", "locale"}, argv
     return loaded
 
 
