@@ -3,7 +3,8 @@
 Exit codes: 0 success (witness found / property holds / listing done),
 2 the m=2 boundary case (outside the classification, with guidance),
 3 a definite negative answer (no witness exists / property fails),
-4 capacity refusal (search space or graph size over budget), 1 errors.
+4 capacity refusal (search space or graph size over budget, or out of
+memory), 1 errors.
 
 Group specs use a small grammar: Cn, Cn^k, Dn, Q8, A4, X27, products
 joined with "x" (e.g. C2^2xC4).  Dn is the dihedral group of ORDER n,
@@ -11,7 +12,7 @@ so D6 is the symmetries of a triangle.  On the command line only,
 --group @FILE loads a multiplication-table JSON instead; a matrix
 file's "group" is a spec or a table, never a file name.  Set
 MHAAR_MAX_VERTICES to raise the automorphism engine's default
-1024-vertex cap.
+1024-vertex cap, up to 2048.
 """
 
 from __future__ import annotations
@@ -404,8 +405,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise
     try:
         return args.func(args)
-    except CapacityError as e:
-        print(f"capacity: {e}", file=sys.stderr)
+    except (CapacityError, MemoryError) as e:
+        print(f"capacity: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError) as e:  # GroupError, CayleyError, LiftError too
         print(f"error: {e}", file=sys.stderr)

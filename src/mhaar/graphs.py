@@ -16,6 +16,10 @@ import os
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_MAX_VERTICES = 1024
+# the most MHAAR_MAX_VERTICES may ask for: the largest group table the spec
+# parser then admits builds in about 3 s and 230 MB (D2048, C2^11), where
+# order 4096 takes 9 s (D4096) or 750 MB (C4096)
+MAX_VERTICES_CEILING = 2048
 DEFAULT_BUDGET = 10 ** 8  # candidates a search may count before it refuses
 
 
@@ -24,7 +28,8 @@ class CapacityError(RuntimeError):
 
 
 def vertex_cap() -> int:
-    """The most vertices a graph may have: MHAAR_MAX_VERTICES, default 1024."""
+    """The most vertices a graph may have: MHAAR_MAX_VERTICES, default 1024,
+    at most `MAX_VERTICES_CEILING`."""
     raw = os.environ.get("MHAAR_MAX_VERTICES", "")
     if not raw:
         return DEFAULT_MAX_VERTICES
@@ -32,8 +37,9 @@ def vertex_cap() -> int:
         cap = int(raw)
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ValueError(f"MHAAR_MAX_VERTICES must be a positive integer, got {raw!r}")
+    if not 1 <= cap <= MAX_VERTICES_CEILING:
+        raise ValueError(f"MHAAR_MAX_VERTICES must be an integer from 1 to "
+                         f"{MAX_VERTICES_CEILING}, got {raw!r}")
     return cap
 
 

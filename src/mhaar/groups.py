@@ -5,9 +5,10 @@ stores table[a][b] = a*b; a group is its table and an optional descriptor.
 Constructors for the families used elsewhere (cyclic, elementary abelian,
 dihedral, A4, Q8, the exponent-3 extraspecial group of order 27, direct
 products) all produce documented canonical element orders, so the same group
-always comes back with the same table; all but cyclic build it in one helper,
-_group_on, from a list of elements and their product.  Every table
-is checked against the group axioms exactly (associativity by Light's test).
+always comes back with the same table; all but cyclic groups and products
+build it in one helper, _group_on, from a list of elements and their
+product.  Every table is checked against the group axioms exactly
+(associativity by Light's test).
 One closure, subgroup_generated, serves that check and the one search for
 generating tuples, which the minimum generating set, the generating pair and
 the generating triple all run.  That search refuses a group of order over
@@ -216,17 +217,20 @@ def cyclic(n: int) -> Group:
 def product(factors: Sequence[Group]) -> Group:
     """Direct product with lexicographic tuple ordering of elements.
 
-    Built from the right, one pair at a time: G x (H x K) orders its pairs
-    (g, (h, k)) as the triples (g, h, k).
+    Built from the right, one pair at a time: the pair (a, b) of H x G is
+    element a*|G| + b, and its row comes from row a of H's table and row
+    b of G's.  So G x (H x K) orders its pairs (g, (h, k)) as the triples
+    (g, h, k).
     """
     if not factors:
         return cyclic(1)
     g = factors[-1]
     for h in reversed(factors[:-1]):
-        ht, gt = h.table, g.table
-        g = _group_on(list(itertools.product(range(h.order), range(g.order))),
-                      lambda a, b: (ht[a[0]][b[0]], gt[a[1]][b[1]]),
-                      f"{h.descriptor}x{g.descriptor}" if h.descriptor and g.descriptor else None)
+        k = g.order
+        g = Group([[x * k + y for x in hrow for y in grow]
+                   for hrow in h.table for grow in g.table],
+                  descriptor=f"{h.descriptor}x{g.descriptor}"
+                  if h.descriptor and g.descriptor else None)
     return g
 
 

@@ -25,8 +25,10 @@ candidates exactly over the cell states that the profile walk takes.
 Those counts depend only on m and |G|, so one memo per (m, |G|) serves
 the sizing, the walk and any later sizing or search of the same pair
 (`reverify` checks a certificate's sizes, then reruns its search); the
-last pair's memo is kept.  The walk enters only states that hold
-profiles, so it needs no budget of its own.
+last pair's memo is kept.  The walk is depth-first over an explicit
+stack, so a walk as deep as a thousand cells meets no recursion limit,
+and it enters only states that hold profiles, so it needs no budget of
+its own.
 
 The trivial group gets its own scanner: its blocks are 0/1, so
 candidates are plain d-regular graphs, enumerated row by row with
@@ -79,13 +81,15 @@ Normalized mode tests translations on block prefixes too, as orderly
 generation does (Read 1978; McKay 1998).  A profile's blocks are set in
 cell order, and the prefix of the first k cells is tested once cell k-1
 is set, when the live cells among them join their parts into one
-component and a later cell is live.  If a translation that keeps the
-identity in the forced blocks among the k cells maps the prefix lower,
-every completion is counted and skipped.  This is sound: each later
-forced block joins two components, so at least one of its parts lies
-outside the prefix's one; choosing those parts' a_j in forest order, so
-that each forced block keeps the identity, extends the translation to
-the completion, whose image is then an earlier candidate of the stream.
+component and a later cell is live; `_translation_check` names these
+lengths itself, from the pass over the cells that sets up the test.  If
+a translation that keeps the identity in the forced blocks among the k
+cells maps the prefix lower, every completion is counted and skipped.
+This is sound: each later forced block joins two components, so at
+least one of its parts lies outside the prefix's one; choosing those
+parts' a_j in forest order, so that each forced block keeps the
+identity, extends the translation to the completion, whose image is
+then an earlier candidate of the stream.
 So the engine sees the same candidates in the same order, and
 `examined`, `total_space` and the witness are those of the test on
 whole candidates.  A prefix of two components is not cut: a later block
@@ -390,11 +394,11 @@ def _degree_scan(m: int, d: int, examined: int, budget: int,
     return examined, None
 
 
-def _trivial_group_scan(group: Group, m: int, budget: int) -> SearchReport:
-    t0 = time.perf_counter()
+def _trivial_group_scan(group: Group, m: int, budget: int, decide: Decide
+                        ) -> tuple[int, Optional[ConnectionMatrix]]:
+    """Scan the regular graphs on m vertices, deciding each by `decide`;
+    returns (examined, first witness)."""
     examined = 0
-    witness = None
-    decide = _decider()
     # degrees 0..2 and their complements force symmetries (swaps of
     # isolated vertices or matched pairs, rotations of cycle unions),
     # and complements preserve Aut, so only 3 <= d <= (m-1)/2 matters
@@ -404,12 +408,8 @@ def _trivial_group_scan(group: Group, m: int, budget: int) -> SearchReport:
         examined, first = _degree_scan(m, d, examined, budget, decide)
         if first is not None:
             from .catalog import matrix_from_graph  # only on a witness
-            witness = matrix_from_graph(group, first)
-            break
-    return SearchReport(
-        group=group, m=m, mode="degree-scan",
-        exists=witness is not None, profiles=0, total_space=None,
-        examined=examined, witness=witness, elapsed=time.perf_counter() - t0)
+            return examined, matrix_from_graph(group, first)
+    return examined, None
 
 
 def c1_regular_asymmetric_scan(m: int) -> SearchReport:
@@ -477,9 +477,10 @@ def _decider() -> Decide:
 
 def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
                        profile: Profile, forced: frozenset[int]
-                       ) -> Callable[[Blocks, int], bool]:
+                       ) -> tuple[Callable[[Blocks, int], bool], list[int]]:
     """A test for whether a part translation maps the blocks of the first
-    k cells of a candidate of this profile onto earlier ones.
+    k cells of a candidate of this profile onto earlier ones, and the
+    lengths k that the walk tests it on, then the number of cells.
 
     Translating part i by a_i maps block (i, j) to a_j * T_ij * a_i^-1.
     The image keeps the identity in every forced block among those cells
@@ -491,6 +492,12 @@ def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
     central element fixes every block, so the first part with a live
     block only needs one a_i per coset of the centre.  With k the number
     of cells, this is the test on whole candidates.
+
+    A length k is tested when cell k-1 is live, a later cell is live, and
+    the live cells among the first k join their parts into one component.
+    The forced cells are the spanning forest that a greedy union-find
+    picks in cell order (`_cell_moves`), so those live cells make as many
+    components as they reach parts, less the forced cells among them.
     """
     n = group.order
     table = group.table
@@ -508,10 +515,16 @@ def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
     # there by construction; a part without one gets the cell past the last
     into: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     since = [len(cells)] * (m + 1)  # each part's first live cell
+    ends: list[int] = []
+    components = 0
     for c, i, j in order:
+        components += (since[i] == len(cells)) + (since[j] == len(cells))
         if c in forced:
             into[j].append((c, i))
+            components -= 1
         since[i], since[j] = min(since[i], c), min(since[j], c)
+        if components == 1 and c < order[-1][0]:
+            ends.append(c + 1)
     anchor = [into[j].pop(0) if into[j] else (len(cells), 0) for j in range(m + 1)]
     first = order[0][1] if order else 0  # the least part with a live block
     everything = range(n)
@@ -561,35 +574,7 @@ def _translation_check(group: Group, m: int, cells: Sequence[tuple[int, int]],
         choice, k, end, last = candidate, length, held[length], lasts[length]
         return last > 0 and rec(1, 0, False)
 
-    return earlier
-
-
-def _prefix_ends(cells: Sequence[tuple[int, int]], profile: Profile) -> list[int]:
-    """The lengths k of the block prefixes that the walk tests, in order,
-    then the number of cells: cell k-1 is live, a later cell is live, and
-    the live cells among the first k join their parts into one component.
-    """
-    parent = list(range(cells[-1][1] + 1))  # a union-find forest on the parts
-
-    def root(p: int) -> int:
-        while parent[p] != p:
-            p = parent[p]
-        return p
-
-    seen: set[int] = set()
-    components = 0
-    ends = []
-    for k, ((i, j), s) in enumerate(zip(cells, profile), 1):
-        if not s:
-            continue
-        components += len({i, j} - seen)
-        seen |= {i, j}
-        if root(i) != root(j):
-            parent[root(i)] = root(j)
-            components -= 1
-        if components == 1 and any(profile[k:]):
-            ends.append(k)
-    return ends + [len(cells)]
+    return earlier, ends + [len(cells)]
 
 
 def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
@@ -642,27 +627,27 @@ def _relabelling_check(m: int, cells: Sequence[tuple[int, int]]
 
 def _run_profile(group: Group, m: int, cells: Sequence[tuple[int, int]],
                  profile: Profile, forced: frozenset[int], space: int,
-                 skip: bool, decide: Decide) -> tuple[int, Optional[ConnectionMatrix]]:
+                 decide: Decide) -> tuple[int, Optional[ConnectionMatrix]]:
     """Scan one profile, deciding each candidate by `decide` (see
     `_decider`); returns (examined, first witness).
 
     Each cell's block ranges over a pool of sorted blocks (a forced
     block's pool holds only the blocks with the identity), and the
-    candidates come in increasing order of the block tuple.  With skip,
-    a candidate that a part translation maps to an earlier one is
-    counted but not decided, and so is every completion of a block
-    prefix that `_prefix_ends` tests and a translation maps lower.  The
-    tested prefixes split the cells into segments, and an explicit stack
-    holds one iterator over each open segment's block tuples.
+    candidates come in increasing order of the block tuple.  When cells
+    are forced (normalized mode) and there is more than one candidate, a
+    candidate that a part translation maps to an earlier one is counted
+    but not decided, and so is every completion of a block prefix that
+    `_translation_check` tests and a translation maps lower.  The tested
+    prefixes split the cells into segments, and an explicit stack holds
+    one iterator over each open segment's block tuples.
     """
     n = group.order
     size = len(cells)
     pools = [[(0,) + rest for rest in itertools.combinations(range(1, n), s - 1)]
              if c in forced else list(itertools.combinations(range(n), s))
              for c, s in enumerate(profile)]
-    earlier = (_translation_check(group, m, cells, profile, forced)
-               if skip and space > 1 else None)
-    ends = [size] if earlier is None else _prefix_ends(cells, profile)
+    earlier, ends = (_translation_check(group, m, cells, profile, forced)
+                     if forced and space > 1 else (None, [size]))
     heads: list[tuple] = [()] * len(ends)  # [i]: the blocks before segment i
     examined = 0
     # a segment's first tuple holds the least block of each pool, so no
@@ -705,32 +690,33 @@ def _plan(group: Group, m: int,
           mode: str) -> Iterator[tuple[Profile, frozenset[int], int]]:
     """Each profile with its forced cells and its candidate count.
 
-    The profiles come by valency, then in lex order, from a walk over the
-    cell states of `_cell_moves` (as deep as there are cells) that enters
-    only states with profiles counted in `_cell_counts`, so every branch
-    ends in a profile.  Normalized mode forces the forest cells.
+    The profiles come by valency, then in lex order, from a depth-first
+    walk over the cell states of `_cell_moves`, kept on an explicit stack
+    (as deep as there are cells), that enters only states with profiles
+    counted in `_cell_counts`, so every branch ends in a profile.
+    Normalized mode forces the forest cells.
     """
     n = group.order
     normalized = mode == "normalized"
-
-    def walk(state: CellState, taken: tuple) -> Iterator:
-        if state[0] == m:  # every cell is set
-            yield (tuple(s for s, _, _, _ in taken),
-                   frozenset(idx for idx, (_, forest, _, _) in enumerate(taken)
-                             if forest and normalized),
-                   prod(factor if normalized else comb(n, s)
-                        for s, _, factor, _ in taken))
-            return
-        for move in _cell_moves(state, m, n):
-            if memo[move[3]][0]:
-                yield from walk(move[3], taken + (move,))
-
     for d in range(n * (m - 1) + 1):
-        root = _counted_root(m, n, d)
+        # (state, moves so far); a state's moves go on in reverse, so the
+        # first is walked first
+        stack: list[tuple[CellState, tuple]] = [(_counted_root(m, n, d), ())]
         # held per valency: counting another (m, n) between two profiles
         # would replace the cached memo, but not this one
         memo = _cell_counts(m, n)
-        yield from walk(root, ())
+        while stack:
+            state, taken = stack.pop()
+            if state[0] == m:  # every cell is set
+                yield (tuple(s for s, _, _, _ in taken),
+                       frozenset(idx for idx, (_, forest, _, _) in enumerate(taken)
+                                 if forest and normalized),
+                       prod(factor if normalized else comb(n, s)
+                            for s, _, factor, _ in taken))
+                continue
+            stack.extend((move[3], taken + (move,))
+                         for move in reversed(_cell_moves(state, m, n))
+                         if memo[move[3]][0])
 
 
 # -- the public entry point ----------------------------------------------------
@@ -753,29 +739,26 @@ def decide_existence(group: Group, m: int, mode: str = "normalized",
     _check_mode(mode)
     n = group.order
     check_vertex_cap(m * n)  # before the cells, the plan or a graph is built
-    if n == 1:
-        return _trivial_group_scan(group, m, budget)
-
     t0 = time.perf_counter()
-    # counted first, so an oversized space is refused before any candidate
-    profiles, total = space_size(group, m, mode, budget)
-    cells = _cells(m)
-    normalized = mode == "normalized"
-    relabelled = _relabelling_check(m, cells)
-
-    examined = 0
-    witness = None
-    decide = _decider()  # one list of refutations for every profile
-    for profile, forced, space in _plan(group, m, mode):
-        if normalized and relabelled(profile):
-            # decided with the earlier profile a part relabelling maps it to
-            examined += space
-            continue
-        ex, witness = _run_profile(group, m, cells, profile, forced, space,
-                                   normalized, decide)
-        examined += ex
-        if witness is not None:
-            break
+    decide = _decider()  # one list of refutations for the whole search
+    if n == 1:
+        mode, profiles, total = "degree-scan", 0, None
+        examined, witness = _trivial_group_scan(group, m, budget, decide)
+    else:
+        # counted first, so an oversized space is refused before any candidate
+        profiles, total = space_size(group, m, mode, budget)
+        cells = _cells(m)
+        relabelled = _relabelling_check(m, cells)
+        examined, witness = 0, None
+        for profile, forced, space in _plan(group, m, mode):
+            if mode == "normalized" and relabelled(profile):
+                # decided with the earlier profile a part relabelling maps it to
+                examined += space
+                continue
+            ex, witness = _run_profile(group, m, cells, profile, forced, space, decide)
+            examined += ex
+            if witness is not None:
+                break
     return SearchReport(
         group=group, m=m, mode=mode,
         exists=witness is not None, profiles=profiles, total_space=total,

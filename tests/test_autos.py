@@ -139,7 +139,7 @@ def test_capacity_env(monkeypatch):
         extra_automorphism(petersen(), 1)
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
     assert automorphism_group(petersen()).order == 120
-    for bad in ("abc", "0", "-5"):
+    for bad in ("abc", "0", "-5", "2049"):
         monkeypatch.setenv("MHAAR_MAX_VERTICES", bad)
         with pytest.raises(ValueError, match="MHAAR_MAX_VERTICES"):
             automorphism_group(petersen())

@@ -554,6 +554,17 @@ def test_malformed_vertex_cap_env(capsys, tmp_path, monkeypatch):
     assert "MHAAR_MAX_VERTICES" in err and out == ""
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    import mhaar.groups
+
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(mhaar.groups, "parse_group_spec", exhausted)
+    code, out, err = run(capsys, "synthesize", "--group", "C6", "-m", "3")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "capacity: out of memory\n")
+
+
 def test_usage_error_exits_1(capsys):
     # argparse alone exits 2, the code of the m=2 boundary answer
     code, out, err = run(capsys, "synthesize", "--group", "C6")
@@ -572,12 +583,14 @@ def test_version_flag(capsys):
 SRC = Path(mhaar.__file__).resolve().parent.parent
 
 
-def fresh(*argv, code=None):
+def fresh(*argv, code=None, environ=None):
     """Run `python -m mhaar ARGV` (or `python -c CODE ARGV`) in a new
     interpreter with a 1 GiB address-space limit, so a regression that
     allocates without bound fails with MemoryError instead of filling
-    the machine's memory."""
+    the machine's memory.  MHAAR_MAX_VERTICES is unset unless `environ`
+    sets it."""
     env = {k: v for k, v in os.environ.items() if k != "MHAAR_MAX_VERTICES"}
+    env.update(environ or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
     def limit():
@@ -682,6 +695,17 @@ def test_group_table_over_the_cap_is_refused_before_validation(
         code, out, err = run(capsys, *argv)
         assert code == EXIT_CAPACITY, (argv, err)
         assert f"group table has order {order}, over the vertex cap of 5" in err
+
+
+def test_a_vertex_cap_over_the_ceiling_exits_1_at_once():
+    # without a ceiling, this value let the parser build a 20,000-element table
+    start = time.perf_counter()
+    proc = fresh("synthesize", "--group", "C20000", "-m", "3",
+                 environ={"MHAAR_MAX_VERTICES": "99999999999999999999"})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == ("error: MHAAR_MAX_VERTICES must be an integer from 1 "
+                           "to 2048, got '99999999999999999999'\n")
 
 
 def test_parts_over_the_vertex_cap_exit_at_once():

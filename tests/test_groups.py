@@ -353,6 +353,20 @@ def test_product_order_and_commutativity():
     assert not h.is_abelian()
 
 
+@pytest.mark.parametrize("spec,tokens", [
+    ("D8xC3", "D8 C3"), ("Q8xC2", "Q8 C2"), ("A4xC2xC3", "A4 C2 C3"),
+    ("X27xC2", "X27 C2"), ("C2^4xC3", "C2 C2 C2 C2 C3")])
+def test_product_tables_are_those_of_the_element_tuples(spec, tokens):
+    # the product written out: element i is the i-th tuple of factor
+    # elements in lexicographic order, multiplied factor by factor
+    factors = [parse_group_spec(token) for token in tokens.split()]
+    elements = list(itertools.product(*(range(f.order) for f in factors)))
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[tuple(f.table[x][y] for f, x, y in zip(factors, a, b))]
+              for b in elements] for a in elements]
+    assert parse_group_spec(spec).table == tuple(map(tuple, table))
+
+
 def test_parse_group_spec_checks_the_order_before_any_table(monkeypatch):
     import mhaar.groups
 

@@ -18,7 +18,6 @@ from mhaar.search import (
     _assignment_count,
     _cells,
     _plan,
-    _prefix_ends,
     _relabelling_check,
     _run_profile,
     _translation_check,
@@ -130,6 +129,13 @@ COUNTED = ([(cyclic(2), m) for m in range(3, 7)]
            + [(cyclic(3), 4), (cyclic(3), 5), (elem_abelian(2, 2), 4),
               (cyclic(4), 4), (cyclic(5), 4), (dihedral(6), 3), (dihedral(6), 4),
               (cyclic(10), 2)])
+
+
+def test_plan_walks_a_thousand_cells_without_recursion():
+    # C2/46 at valency 0: one all-zero profile of 1,035 cells, deeper than
+    # the default recursion limit
+    profile, forced, space = next(_plan(cyclic(2), 46, "normalized"))
+    assert (profile, forced, space) == ((0,) * 1035, frozenset(), 1)
 
 
 class Walked(Exception):
@@ -279,8 +285,7 @@ def test_c1_scan_small_m_is_vacuous():
     for m in (3, 4, 5, 6, 7):
         r = c1_regular_asymmetric_scan(m)
         assert (r.exists, r.examined, r.exhausted) == (False, 0, True)
-        assert r.mode == "degree-scan"
-        assert r.total_space is None
+        assert (r.mode, r.profiles, r.total_space) == ("degree-scan", 0, None)
 
 
 def test_c1_scan_m8():
@@ -559,7 +564,7 @@ def test_translation_check_matches_every_translation(group, m, largest):
     for profile, forced, space in _plan(group, m, "normalized"):
         if space > largest:
             continue
-        earlier = _translation_check(group, m, cells, profile, forced)
+        earlier, _ = _translation_check(group, m, cells, profile, forced)
         for number, choice in enumerate(profile_candidates(group.order, profile, forced)):
             for k in range(len(cells) + 1):
                 assert earlier(choice, k) == translation_gives_earlier(
@@ -574,7 +579,7 @@ def walk_cuts(monkeypatch, group, m):
     cuts = []
 
     def recording(group, m, cells, profile, forced):
-        earlier = _translation_check(group, m, cells, profile, forced)
+        earlier, ends = _translation_check(group, m, cells, profile, forced)
 
         def check(choice, k):
             below = earlier(choice, k)
@@ -582,7 +587,7 @@ def walk_cuts(monkeypatch, group, m):
                 cuts.append((profile, forced, tuple(choice[:k])))
             return below
 
-        return check
+        return check, ends
 
     monkeypatch.setattr(mhaar.search, "_translation_check", recording)
     decide_existence(group, m)
@@ -605,6 +610,33 @@ def test_every_completion_of_a_cut_prefix_maps_lower(monkeypatch, spec, m, count
             assert translation_gives_earlier(group, m, cells, forced, prefix + rest)
 
 
+def reference_prefix_ends(cells, profile):
+    """The tested prefix lengths from a union-find on the parts: cell k-1
+    is live, a later cell is live, and the live cells among the first k
+    join their parts into one component; then the number of cells."""
+    parent = list(range(cells[-1][1] + 1))
+
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    seen = set()
+    components = 0
+    ends = []
+    for k, ((i, j), s) in enumerate(zip(cells, profile), 1):
+        if not s:
+            continue
+        components += len({i, j} - seen)
+        seen |= {i, j}
+        if root(i) != root(j):
+            parent[root(i)] = root(j)
+            components -= 1
+        if components == 1 and any(profile[k:]):
+            ends.append(k)
+    return ends + [len(cells)]
+
+
 def test_a_prefix_of_two_components_is_not_cut():
     # m = 5: the live cells are (1,4), (1,5), (2,3), (2,5) and (3,4).  The
     # first five cells hold (1,4), (1,5) and (2,3), parts {1, 4, 5} and
@@ -612,7 +644,14 @@ def test_a_prefix_of_two_components_is_not_cut():
     # so a translation of that prefix need not extend to its completions.
     # No live cell follows the last one
     profile = (0, 0, 1, 1, 1, 0, 1, 1, 0, 0)
-    assert _prefix_ends(_cells(5), profile) == [3, 4, 7, 10]
+    assert reference_prefix_ends(_cells(5), profile) == [3, 4, 7, 10]
+    # on every profile, the translation test names the lengths of the
+    # union-find on the parts
+    for group, m in ((cyclic(2), 5), (cyclic(3), 4), (dihedral(6), 4)):
+        cells = _cells(m)
+        for profile, forced, _ in _plan(group, m, "normalized"):
+            _, ends = _translation_check(group, m, cells, profile, forced)
+            assert ends == reference_prefix_ends(cells, profile), (group.label, profile)
 
 
 def relabelling_gives_earlier(m, cells, profile):
@@ -809,7 +848,7 @@ def test_profile_candidates_come_in_increasing_order(monkeypatch, group, m, mode
     skip = mode == "normalized"
     for profile, forced, space in _plan(group, m, mode):
         built.clear()
-        assert _run_profile(group, m, cells, profile, forced, space, skip,
+        assert _run_profile(group, m, cells, profile, forced, space,
                             lambda graph, n: False) == (space, None)
         stream = [tuple(tuple(sorted(cm.block(i, j))) for i, j in cells) for cm in built]
         assert set(stream) <= set(profile_candidates(group.order, profile, forced))
@@ -877,6 +916,7 @@ def test_c1_scan_m10_is_pinned(decisions):
     decided, engine = decisions
     r = c1_regular_asymmetric_scan(10)
     assert (r.exists, r.examined, r.witnesses) == (True, 137182, 1)
+    assert (r.mode, r.profiles, r.total_space) == ("degree-scan", 0, None)
     assert len(decided) == 207
     assert len(engine) == 72
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4),
