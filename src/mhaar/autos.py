@@ -70,29 +70,31 @@ explored and is now cut.  Different split sequences mean that no
 automorphism maps one node onto the other, so the cut subtree holds no
 automorphism, and the order stays exact.
 
-Known translations.  `automorphism_group(graph, known)` may be given
-`known(v, w)`, a permutation that should take vertex v to vertex w, or
-None; `evidence` passes the right translations of a Haar graph.  It is
-asked only in full mode, at the root, after the orbit test, once the
-first leaf is found one level below the root (the first-path vertex v0
-alone makes the partition discrete).  A root child w is then accepted
-without refinement when sigma = known(v0, w) takes v0 to w and passes
-the adjacency check; the node is counted, sigma is kept as a generator
-and its orbits merged.  The root partition is invariant under every
+The root's translations.  `automorphism_group(graph, group)` may be
+given the group G of a graph that `build_graph` made over G, as
+`evidence` does: its right translations, u -> u - u mod |G| +
+table[u mod |G|][g] for each element g, are automorphisms.  They are
+used only at the root, after the orbit test, once the first leaf is
+found one level below the root (the first-path vertex v0 alone makes
+the partition discrete).  A root child w in the part of v0 is then
+accepted without refinement when the translation by the g with
+(v0 mod |G|)*g = w mod |G|, which takes v0 to w, passes the adjacency
+check; the node is counted, the translation is kept as a generator and
+its orbits merged.  The root partition is invariant under every
 automorphism, so an automorphism taking v0 to w carries the first leaf
 onto w's leaf; the first leaf is discrete, so that automorphism is
 unique, and it is the generator that refining w would have found.  A
-map that fails either check is ignored and w is refined as before, so
-a wrong `known` costs time, never a result.
+translation that fails the check is ignored and w is refined as
+before, so a wrong table costs time, never a result.
 
-The quotient root.  `evidence` also tells `automorphism_group` the part
-size |G| of a Haar graph: its right translations are automorphisms,
-regular on each run of |G| consecutive vertices (a part).  Every root
-cell is then a union of parts.  The initial key is constant on a part,
-and if every cell and splitter so far is a union of parts, a
-translation carrying one vertex of a part onto another fixes them all,
-so every vertex of a part has the same count into the splitter and no
-split cuts a part.  So the root is refined one bit per part: a cell or
+The quotient root.  The group also gives the part size |G| of a Haar
+graph: its right translations are automorphisms, regular on each run
+of |G| consecutive vertices (a part).  Every root cell is then a union
+of parts.  The initial key is constant on a part, and if every cell
+and splitter so far is a union of parts, a translation carrying one
+vertex of a part onto another fixes them all, so every vertex of a part
+has the same count into the splitter and no split cuts a part.  So the
+root is refined one bit per part: a cell or
 splitter is the mask of its parts' first vertices, the parts a splitter
 S touches come from `adj`, the parts adjacent to each part, a part's
 count into S is read at its first vertex v as `(bits[v] & S *
@@ -149,15 +151,13 @@ compiling or loading any group or matrix code.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .graphs import CapacityError, Graph, check_vertex_cap
 
 if TYPE_CHECKING:
     from .cayley import ConnectionMatrix, Verdict
-
-# known(v, w): a permutation that should take vertex v to w, or None
-Known = Callable[[int, int], Optional[Sequence[int]]]
+    from .groups import Group
 
 _FNV = 1099511628211
 _MASK = (1 << 64) - 1
@@ -393,28 +393,27 @@ class _Orbits:
         return sorted(tuple(vs) for vs in groups.values())
 
 
-def automorphism_group(graph: Graph, known: Optional[Known] = None,
-                       part: int = 0) -> AutResult:
+def automorphism_group(graph: Graph, group: Optional[Group] = None) -> AutResult:
     """Exact automorphism group of the graph.
 
-    `known(v, w)`, when given, returns a permutation that should take
-    vertex v to vertex w, or None; the search tries it before it refines
-    a root child w, and keeps it only if it is an automorphism taking v to
-    w (see the module docstring).  A wrong answer costs time, never a
-    result: every field of the result is the same with or without it.
-
-    `part` > 0 states what `extra_automorphism` assumes: the right
-    translations by a group of order `part` are automorphisms, acting
-    regularly on each run of `part` consecutive vertices.  The root is
-    then refined one part at a time (see the module docstring), with the
-    same result; a graph that breaks the assumption may get a wrong one.
+    `group`, when given, is the G of a graph that `build_graph` made over
+    G: its right translations are automorphisms, acting regularly on each
+    run of |G| consecutive vertices (a part).  The root is then refined
+    one part at a time, and a root child in the first leaf's part is
+    first tried with the translation that reaches it (see the module
+    docstring).  Every field of the result is the same as without it.
+    The quotient root relies only on some group of order |G| acting so,
+    and may give a wrong result on a graph where none does; a table
+    whose translations are not automorphisms costs time, never a result.
 
     The vertex cap guards against accidental huge inputs (override with
     the MHAAR_MAX_VERTICES environment variable).
     """
-    if part:
+    part, table = 0, None
+    if group is not None:
+        part, table = group.order, group.table
         _check_parts(graph, part)
-    res = _search(graph, part, False, known)
+    res = _search(graph, part, False, table)
     assert isinstance(res, AutResult)  # only the decision mode returns a map
     return res
 
@@ -490,13 +489,15 @@ def _root_partition(graph: Graph, part: int = 0,
     return _Partition([c * block for c in ptn.cells]), h
 
 
-def _search(graph: Graph, part: int, decide: bool, known: Optional[Known] = None
+def _search(graph: Graph, part: int, decide: bool,
+            table: Optional[Sequence[Sequence[int]]] = None
             ) -> Union[AutResult, tuple[int, ...], None]:
     """The search loop; `decide` is the decision mode of
     `extra_automorphism`, which returns the first generator it accepts
     instead of going on, and None if it accepts none.  With
     part > 0 the right translations are automorphisms (see
-    `automorphism_group`)."""
+    `automorphism_group`); `table` is the group's, for the root's
+    translations."""
     n = graph.n
     check_vertex_cap(n)
     if n == 0:
@@ -572,12 +573,14 @@ def _search(graph: Graph, part: int, decide: bool, known: Optional[Known] = None
                     seen = any(orbits.find(t) == root for t in tried)
                 if seen:
                     continue
-                if not depth and known is not None and len(first_invs) == 2:
+                if (not depth and table is not None and len(first_invs) == 2
+                        and first_branch[0] // part == v // part):
                     # the first leaf is one level down: the automorphism
-                    # taking its vertex to v, if any, is the one below v
-                    aut = known(first_branch[0], v)
-                    if (aut is not None and aut[first_branch[0]] == v
-                            and _is_automorphism(bits, aut)):
+                    # taking its vertex to v, if any, is the one below v;
+                    # try the translation by g, where v0 * g = v in the part
+                    g = table[first_branch[0] % part].index(v % part)
+                    aut = [u - u % part + table[u % part][g] for u in range(n)]
+                    if _is_automorphism(bits, aut):
                         nodes += 1
                         tried.append(v)
                         found.append(tuple(aut))
@@ -674,7 +677,7 @@ def evidence(cm: ConnectionMatrix) -> Evidence:
     check_vertex_cap(cm.m * cm.group.order)  # before a huge m builds anything
     graph = build_graph(cm)
     n = cm.group.order
-    aut = automorphism_group(graph, _translations(cm), n)
+    aut = automorphism_group(graph, cm.group)
     # the engine lists orbits as sorted tuples in sorted order
     parts = [tuple(range(i * n, (i + 1) * n)) for i in range(cm.m)]
     return Evidence(cm, graph, aut, {
@@ -688,19 +691,6 @@ def evidence(cm: ConnectionMatrix) -> Evidence:
         "connected": graph.is_connected(),
         "orbits_are_parts": aut.orbits == parts,
     })
-
-
-def _translations(cm: ConnectionMatrix) -> Known:
-    """The right translation taking v to w when they lie in the same part,
-    for `automorphism_group`'s `known`: (h, i) -> (h * h_v^-1 * h_w, i)."""
-    from .cayley import right_translation
-    g, n = cm.group, cm.group.order
-
-    def known(v: int, w: int) -> Optional[list[int]]:
-        if v // n != w // n:
-            return None
-        return right_translation(cm, g.mul(g.inv(v % n), w % n))
-    return known
 
 
 def check_claim(witness: Union[ConnectionMatrix, Evidence], kind: str) -> Verdict:

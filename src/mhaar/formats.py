@@ -134,7 +134,8 @@ def from_edgelist(text: str) -> Graph:
             u, v = int(us), int(vs)
         except ValueError:
             raise ValueError(f"malformed edge line {ln!r}") from None
-        g.add_edge(u, v)
+        if not g.add_edge(u, v):
+            raise ValueError(f"edge line {ln!r} repeats an edge")
     if g.edge_count() != m:
         raise ValueError(f"header claims {m} edges, file has {g.edge_count()}")
     return g

@@ -92,13 +92,16 @@ class Graph:
             g.add_edge(u, v)
         return g
 
-    def add_edge(self, u: int, v: int) -> None:
+    def add_edge(self, u: int, v: int) -> bool:
+        """Join u and v; returns False if they were already joined."""
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u}, {v}) out of range")
+        new = not self.bits[u] >> v & 1
         self.bits[u] |= 1 << v
         self.bits[v] |= 1 << u
+        return new
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.bits[u] >> v & 1)

@@ -217,21 +217,21 @@ def cyclic(n: int) -> Group:
 def product(factors: Sequence[Group]) -> Group:
     """Direct product with lexicographic tuple ordering of elements.
 
-    Built from the right, one pair at a time: the pair (a, b) of H x G is
-    element a*|G| + b, and its row comes from row a of H's table and row
-    b of G's.  So G x (H x K) orders its pairs (g, (h, k)) as the triples
-    (g, h, k).
+    Built from the right, one pair at a time, over plain tables: the pair
+    (a, b) of H x G is element a*|G| + b, and its row comes from row a of
+    H's table and row b of G's.  So G x (H x K) orders its pairs
+    (g, (h, k)) as the triples (g, h, k).  Only the whole product is
+    checked as a group.
     """
-    if not factors:
-        return cyclic(1)
-    g = factors[-1]
+    if len(factors) < 2:
+        return factors[0] if factors else cyclic(1)
+    table = factors[-1].table
     for h in reversed(factors[:-1]):
-        k = g.order
-        g = Group([[x * k + y for x in hrow for y in grow]
-                   for hrow in h.table for grow in g.table],
-                  descriptor=f"{h.descriptor}x{g.descriptor}"
-                  if h.descriptor and g.descriptor else None)
-    return g
+        k = len(table)
+        table = [[x * k + y for x in hrow for y in grow]
+                 for hrow in h.table for grow in table]
+    names = [f.descriptor for f in factors]
+    return Group(table, "x".join(names) if all(names) else None)
 
 
 def elem_abelian(p: int, k: int) -> Group:

@@ -16,7 +16,6 @@ from mhaar.autos import (
     _Partition,
     _refine,
     _root_partition,
-    _translations,
     automorphism_group,
     brute_force_aut_order,
     extra_automorphism,
@@ -56,6 +55,14 @@ def hypercube(d):
     n = 1 << d
     return Graph.from_edges(n, [(v, v ^ (1 << i)) for v in range(n)
                                 for i in range(d) if v < v ^ (1 << i)])
+
+
+def paley(p):
+    """The Paley graph of a prime p = 1 mod 4: x ~ y when y - x is a nonzero
+    square mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    return Graph.from_edges(p, [(x, y) for x in range(p) for y in range(x + 1, p)
+                                if y - x in squares])
 
 
 def disjoint_copies(graph, k):
@@ -360,6 +367,9 @@ LARGE = [
     ("E100", lambda: Graph(100), factorial(100)),
     ("K100", lambda: complete(100), factorial(100)),
     ("E200", lambda: Graph(200), factorial(200)),
+    # near the default vertex cap of 1,024
+    ("Q10", lambda: hypercube(10), 2 ** 10 * factorial(10)),
+    ("P1009", lambda: paley(1009), 1009 * 1008 // 2),  # Carlitz 1960
 ]
 
 
@@ -546,39 +556,60 @@ def _translation_cases():
     return cms
 
 
-def test_known_translations_change_no_result():
+@pytest.fixture
+def counted_engine(monkeypatch):
+    """`automorphism_group`, returning also how many vertices the search
+    individualized: a root child that a translation reaches is accepted
+    without being individualized."""
     calls = []
+    individualize = _Partition.individualize
+
+    def counting(self, low):
+        calls.append(low)
+        return individualize(self, low)
+    monkeypatch.setattr(_Partition, "individualize", counting)
+
+    def run(graph, group=None):
+        calls.clear()
+        return automorphism_group(graph, group), len(calls)
+    return run
+
+
+def test_group_changes_no_result(counted_engine):
+    saved = 0
     for cm in _translation_cases():
-        graph, known = build_graph(cm), _translations(cm)
+        graph = build_graph(cm)
+        plain, refined = counted_engine(graph)
+        res, left = counted_engine(graph, cm.group)
+        assert res == plain
+        saved += refined - left
+    # the root accepts 209 children by their translations, on 93 of the
+    # 158 graphs
+    assert saved >= 200
 
-        def counting(v, w):
-            calls.append(w)
-            return known(v, w)
-        assert automorphism_group(graph, counting) == automorphism_group(graph)
-    # the shortcut is tried (222 times, on 97 of the 158 graphs)
-    assert len(calls) >= 200
 
-
-def test_wrong_known_changes_no_result():
-    def swap(v, w):
-        # sends v to w, but is no automorphism of a graph with |Aut| = |G|
-        p = list(range(graph.n))
-        p[v], p[w] = w, v
-        return p
-
-    def elsewhere(v, w):
-        # a genuine automorphism, but it sends v to a vertex other than w
-        n = cm.group.order
-        for k in (1, 2):
-            other = v - v % n + (v + k) % n
-            if other != w:
-                return known(v, other)
-
-    for cm in _translation_cases()[::3]:
-        graph, known = build_graph(cm), _translations(cm)
-        plain = automorphism_group(graph)
-        for wrong in (swap, elsewhere, lambda v, w: range(graph.n)):
-            assert automorphism_group(graph, wrong) == plain
+def test_another_group_of_the_order_changes_no_result(counted_engine):
+    # another group's translations act regularly on the same parts, but
+    # most are no automorphisms: the root refines those children instead
+    battery = battery_groups().values()
+    refused = 0
+    for cm in _translation_cases():
+        g = cm.group
+        others = [h for h in battery if h.order == g.order and h.table != g.table]
+        if not others:
+            continue
+        graph = build_graph(cm)
+        plain, refined = counted_engine(graph)
+        _, left = counted_engine(graph, g)
+        for other in others:
+            res, wrong = counted_engine(graph, other)
+            assert res == plain
+            # a translation accepted is the unique automorphism below its
+            # child, so it is also one of g's
+            assert left <= wrong <= refined
+            refused += wrong - left
+    # 196 children refined instead, over 250 pairs of a graph and a group
+    assert refused >= 100
 
 
 # -- the quotient root ---------------------------------------------------------
@@ -607,9 +638,9 @@ def test_quotient_root_is_the_vertex_root():
 
 def test_part_size_changes_no_result():
     for graph, n in _quotient_cases():
-        assert automorphism_group(graph, part=n) == automorphism_group(graph)
+        assert automorphism_group(graph, cyclic(n)) == automorphism_group(graph)
     with pytest.raises(ValueError, match="parts of size"):
-        automorphism_group(petersen(), part=3)
+        automorphism_group(petersen(), cyclic(3))
 
 
 # -- the early abort -----------------------------------------------------------
@@ -654,7 +685,7 @@ def test_pruned_children_stop_at_their_first_split_off_the_trace(monkeypatch, n,
 # -- the decision mode ---------------------------------------------------------
 
 
-def test_only_translations_matches_the_order():
+def test_extra_automorphism_matches_the_order():
     rng = random.Random(2718)
     graphs = []
     for g in battery_groups().values():
@@ -708,7 +739,7 @@ def test_decision_mode_root_key_per_part(monkeypatch):
     (cyclic(5), 4, {(1, 2): (0, 2, 3), (1, 4): (4,), (2, 3): (1,), (3, 4): (3, 4)}, 10),
     (cyclic(12), 2, {(1, 2): (2, 3, 5)}, 24),
 ], ids=["C5-m4", "C12-m2"])
-def test_only_translations_sees_automorphisms_that_only_move_parts(group, m, blocks, order):
+def test_extra_automorphism_sees_automorphisms_that_only_move_parts(group, m, blocks, order):
     # every vertex stabilizer is trivial, so only a root child in another
     # part can reveal the extra automorphisms
     graph = build_graph(ConnectionMatrix(group, m, blocks))
@@ -719,7 +750,7 @@ def test_only_translations_sees_automorphisms_that_only_move_parts(group, m, blo
     assert any(sigma[v] // group.order != v // group.order for v in range(graph.n))
 
 
-def test_only_translations_needs_whole_parts():
+def test_extra_automorphism_needs_whole_parts():
     for n in (0, 3):
         with pytest.raises(ValueError, match="parts of size"):
             extra_automorphism(petersen(), n)

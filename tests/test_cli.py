@@ -489,6 +489,15 @@ def test_oracle_aut_skips_indented_comment_lines(capsys, tmp_path, text):
     assert "graph: 3 vertices, 1 edges" in out
 
 
+def test_oracle_aut_refuses_a_repeated_edge_line(capsys, tmp_path):
+    # it was read as one edge, and exited 0
+    path = tmp_path / "g.edges"
+    path.write_text("p 3 1\n0 1\n1 0\n")
+    code, out, err = run(capsys, "oracle-aut", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: edge line '1 0' repeats an edge\n"
+
+
 def test_oracle_aut_names_a_file_that_is_not_utf8(capsys, tmp_path):
     path = tmp_path / "g.g6"
     path.write_bytes(b"\xff\xfe")

@@ -240,6 +240,13 @@ def test_edgelist_rejects_hostile_headers_and_lines(monkeypatch):
     for line in ("1", "1 2 3", "a b"):
         with pytest.raises(ValueError, match=f"malformed edge line '{line}'"):
             from_edgelist(f"p 3 1\n{line}\n")
+    # the range is checked before the repeat, whose test indexes the rows:
+    # row -1 is row 2, which holds vertex 0
+    for line in ("0 3", "-1 0", "0 -1"):
+        with pytest.raises(ValueError, match="out of range"):
+            from_edgelist(f"p 3 2\n0 2\n{line}\n")
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        from_edgelist("p 3 1\n1 1\n")
     monkeypatch.setenv("MHAAR_MAX_VERTICES", "10")
     assert from_edgelist(to_edgelist(petersen())).n == 10
     with pytest.raises(CapacityError):
@@ -249,3 +256,13 @@ def test_edgelist_rejects_hostile_headers_and_lines(monkeypatch):
 def test_edgelist_names_a_wrong_edge_count():
     with pytest.raises(ValueError, match="header claims 2 edges, file has 1"):
         from_edgelist("p 3 2\n0 1\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("p 3 1\n0 1\n1 0\n", "1 0"),   # the count matched the header
+    ("p 3 2\n0 1\n1 0\n", "1 0"),   # it was blamed on the header
+    ("p 3 3\n0 1\n1 2\n0 2\n1 2\n", "1 2"),
+])
+def test_edgelist_refuses_a_repeated_edge(text, line):
+    with pytest.raises(ValueError, match=f"edge line '{line}' repeats an edge"):
+        from_edgelist(text)

@@ -367,6 +367,21 @@ def test_product_tables_are_those_of_the_element_tuples(spec, tokens):
     assert parse_group_spec(spec).table == tuple(map(tuple, table))
 
 
+def test_product_checks_only_the_whole_product(monkeypatch):
+    # one Group for the factor C2 and one for C2^9: no intermediate power
+    # is built as a group and checked again
+    orders = []
+    init = Group.__init__
+
+    def counting(self, table, descriptor=None):
+        orders.append(len(table))
+        init(self, table, descriptor)
+    monkeypatch.setattr(Group, "__init__", counting)
+    g = parse_group_spec("C2^9")
+    assert orders == [2, 512]
+    assert g.descriptor == "C2^9"
+
+
 def test_parse_group_spec_checks_the_order_before_any_table(monkeypatch):
     import mhaar.groups
 
